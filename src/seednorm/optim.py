@@ -62,13 +62,15 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
     """Scale all gradients so the global L2 norm is min(norm, max_norm).
 
     A single shared scalar multiply preserves the gradient direction exactly.
-    max_norm <= 0 disables clipping. Returns the pre-clip global norm.
+    max_norm <= 0 disables clipping, and a non-finite norm leaves the
+    gradients as they are for the caller to reject. Returns the pre-clip
+    global norm.
     """
     total_sq = 0.0
     for g in grads.values():
         total_sq += float(np.sum(g * g))
     total = float(np.sqrt(total_sq))
-    if max_norm > 0 and total > max_norm:
+    if max_norm > 0 and max_norm < total < np.inf:
         scale = max_norm / total
         for g in grads.values():
             g *= scale

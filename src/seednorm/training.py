@@ -53,12 +53,16 @@ class TrainConfig:
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss or an activation went non-finite; carries step and first bad site."""
+    """Loss, an activation or a gradient went non-finite; carries step and
+    first bad site (an activation checkpoint, or the parameter whose gradient
+    went non-finite while the loss stayed finite)."""
 
-    def __init__(self, step: int, site: str):
+    def __init__(self, step: int, site: str, quantity: str = "loss"):
         self.step = step
         self.site = site
-        super().__init__(f"non-finite loss at step {step}; first non-finite site: {site}")
+        super().__init__(
+            f"non-finite {quantity} at step {step}; first non-finite site: {site}"
+        )
 
 
 @dataclass
@@ -229,6 +233,9 @@ def train_model(
                 if name.endswith(suffix):
                     grads[name] = np.zeros_like(grads[name])
         grad_norm = clip_gradients(grads, train_cfg.grad_clip)
+        if not math.isfinite(grad_norm):
+            bad = (n for n, g in grads.items() if not np.all(np.isfinite(g)))
+            raise TrainingDiverged(step, next(bad, "grad_norm"), quantity="gradient")
         if train_cfg.warmup_steps > 0:
             lr_t = train_cfg.lr * min(1.0, (step + 1) / train_cfg.warmup_steps)
         else:

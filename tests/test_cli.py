@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 try:
@@ -9,6 +10,7 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
+from seednorm import training
 from seednorm.cli import main
 
 FAST_GRADCHECK = ["gradcheck", "--variant", "rmsnorm", "--dims", "2", "4",
@@ -67,6 +69,24 @@ class TestExitCodes:
     def test_invalid_dim_value_two(self, capsys):
         rc, _, err = run(["gradcheck", "--dims", "two"], capsys)
         assert rc == 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nonfinite_gradient_with_finite_loss_one(self, monkeypatch, capsys):
+        real = training.loss_and_grads
+        calls = []
+
+        def poisoned(model, tokens, targets):
+            loss, grads = real(model, tokens, targets)
+            calls.append(loss)
+            if len(calls) == 2:
+                grads["layer0.ffn.w1"][0, 0] = np.inf
+            return loss, grads
+
+        monkeypatch.setattr(training, "loss_and_grads", poisoned)
+        rc, _, err = run(FAST_TRAIN, capsys)
+        assert rc == 1
+        assert np.isfinite(calls[-1])
+        assert "non-finite gradient at step 1; first non-finite site: layer0.ffn.w1" in err
 
 
 class TestConfigFile:

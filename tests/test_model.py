@@ -2,11 +2,19 @@
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from seednorm.backward import central_difference, relative_error
 from seednorm.core import make_rng
 from seednorm.model import (
     CHECKPOINT_FORMAT,
+    _attn_backward,
+    _attn_forward,
+    _ffn_backward,
+    _ffn_forward,
+    _qk_slot_heads,
+    _slot_backward,
+    _slot_forward,
     Model,
     ModelConfig,
     NormVariant,
@@ -280,3 +288,113 @@ class TestGelu:
     def test_known_values(self):
         assert gelu(np.array([0.0]))[0] == 0.0
         assert gelu(np.array([10.0]))[0] == pytest.approx(10.0)
+
+
+def reference_attention(params, cfg, pfx, xn, dout):
+    """Einsum form of the attention block's forward and backward.
+
+    Returns (out, dx, grads) for input ``xn`` (batch, time, dim) and upstream
+    gradient ``dout``. The norm slots go through the library, which the
+    layer tests check on their own.
+    """
+    b, t, d = xn.shape
+    h, hd = cfg.attn_heads, cfg.head_dim
+    inv_scale = 1.0 / np.sqrt(hd)
+    qk_heads = _qk_slot_heads(cfg)
+
+    def split(m):  # (b*t, d) -> (b, h, t, hd)
+        return m.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
+
+    def merge(m):  # (b, h, t, hd) -> (b*t, d)
+        return m.transpose(0, 2, 1, 3).reshape(b * t, d)
+
+    if cfg.qk_norm_per_head:
+        def to_rows(m):
+            return m.reshape(b * h * t, hd)
+
+        def from_rows(r):
+            return r.reshape(b, h, t, hd)
+    else:
+        to_rows, from_rows = merge, split
+
+    x2 = xn.reshape(b * t, d)
+    wq, wk, wv, wo = (params[f"{pfx}.attn.{w}"] for w in ("wq", "wk", "wv", "wo"))
+    qn_rows, q_cache = _slot_forward(params, cfg, f"{pfx}.q_norm", to_rows(split(x2 @ wq)),
+                                     qk_heads)
+    kn_rows, k_cache = _slot_forward(params, cfg, f"{pfx}.k_norm", to_rows(split(x2 @ wk)),
+                                     qk_heads)
+    qn, kn, vh = from_rows(qn_rows), from_rows(kn_rows), split(x2 @ wv)
+    scores = np.einsum("bhid,bhjd->bhij", qn, kn) * inv_scale
+    scores = np.where(np.triu(np.ones((t, t), dtype=bool), k=1), -np.inf, scores)
+    ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    att = ex / ex.sum(axis=-1, keepdims=True)
+    oc = merge(np.einsum("bhij,bhjd->bhid", att, vh))
+    out = (oc @ wo).reshape(b, t, d)
+
+    dout2 = dout.reshape(b * t, d)
+    do = split(dout2 @ wo.T)
+    datt = np.einsum("bhid,bhjd->bhij", do, vh)
+    dvh = np.einsum("bhij,bhid->bhjd", att, do)
+    dscores = att * (datt - np.sum(datt * att, axis=-1, keepdims=True))
+    dqn = np.einsum("bhij,bhjd->bhid", dscores, kn) * inv_scale
+    dkn = np.einsum("bhij,bhid->bhjd", dscores, qn) * inv_scale
+    dq_rows, grads = _slot_backward(params, cfg, f"{pfx}.q_norm", q_cache, to_rows(dqn))
+    dk_rows, gk = _slot_backward(params, cfg, f"{pfx}.k_norm", k_cache, to_rows(dkn))
+    grads.update(gk)
+    dq, dk, dv = merge(from_rows(dq_rows)), merge(from_rows(dk_rows)), merge(dvh)
+    grads[f"{pfx}.attn.wo"] = oc.T @ dout2
+    grads[f"{pfx}.attn.wq"] = x2.T @ dq
+    grads[f"{pfx}.attn.wk"] = x2.T @ dk
+    grads[f"{pfx}.attn.wv"] = x2.T @ dv
+    dx = dq @ wq.T + dk @ wk.T + dv @ wv.T
+    return out, dx.reshape(b, t, d), grads
+
+
+def perturbed_model(cfg, seed):
+    """A model whose norm parameters are moved off their identity init."""
+    rng = make_rng(seed)
+    m = build_model(cfg, rng)
+    for name, arr in m.params.items():
+        m.params[name] = arr + rng.normal(0.0, 0.1, size=arr.shape)
+    return m, rng
+
+
+def assert_rel_close(got, want, rtol=1e-12):
+    np.testing.assert_allclose(got, want, rtol=0, atol=rtol * np.max(np.abs(want)))
+
+
+class TestBlockContractions:
+    # t=5 differs from head_dim=6, so a swapped axis cannot pass by symmetry
+    @pytest.mark.parametrize("per_head", [True, False])
+    def test_attention_matches_einsum_reference(self, per_head):
+        cfg = ModelConfig(layers=1, hidden_dim=12, attn_heads=2, vocab=5, context=5,
+                          norm_variant="mh_seednorm", norm_heads=2,
+                          qk_norm_per_head=per_head)
+        m, rng = perturbed_model(cfg, 31)
+        xn = rng.normal(size=(3, 5, 12))
+        dout = rng.normal(size=(3, 5, 12))
+        out, cache = _attn_forward(m.params, cfg, "layer0", xn)
+        dx, grads = _attn_backward(m.params, cfg, "layer0", cache, dout)
+        ref_out, ref_dx, ref_grads = reference_attention(m.params, cfg, "layer0", xn, dout)
+        assert_rel_close(out, ref_out)
+        assert_rel_close(dx, ref_dx)
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert_rel_close(g, ref_grads[name])
+
+    def test_ffn_matches_gelu_bitwise(self):
+        cfg = ModelConfig(layers=1, hidden_dim=8, attn_heads=2, vocab=5, context=4)
+        m, rng = perturbed_model(cfg, 32)
+        w1, w2 = m.params["layer0.ffn.w1"], m.params["layer0.ffn.w2"]
+        rows = rng.normal(size=(6, 8)) * 20.0  # spreads h1 across GELU's range
+        dout = rng.normal(size=(6, 8))
+        out, cache = _ffn_forward(m.params, "layer0", rows)
+        d_rows, grads = _ffn_backward(m.params, "layer0", cache, dout)
+        h1 = rows @ w1
+        act = gelu(h1)
+        assert np.array_equal(act, 0.5 * h1 * (1.0 + erf(h1 * (1.0 / np.sqrt(2.0)))))
+        assert np.array_equal(out, act @ w2)
+        dh1 = (dout @ w2.T) * gelu_prime(h1)
+        assert np.array_equal(d_rows, dh1 @ w1.T)
+        assert np.array_equal(grads["layer0.ffn.w1"], rows.T @ dh1)
+        assert np.array_equal(grads["layer0.ffn.w2"], act.T @ dout)
