@@ -20,7 +20,7 @@ from .backward import (
     rmsnorm_backward,
     seednorm_backward,
 )
-from .core import make_rng, row_rms, spawn_seeds
+from .core import make_rng, spawn_seeds
 from .forward import (
     ForwardCache,
     ada_seednorm_forward,
@@ -62,7 +62,6 @@ from .training import (
     TrainingDiverged,
     compare_runs,
     train_model,
-    train_run,
 )
 
 __version__ = "0.1.0"
@@ -116,7 +115,6 @@ __all__ = [
     "relative_error",
     "rmsnorm_backward",
     "rmsnorm_forward",
-    "row_rms",
     "run_gradcheck",
     "run_trial",
     "save_checkpoint",
@@ -124,5 +122,4 @@ __all__ = [
     "seednorm_forward",
     "spawn_seeds",
     "train_model",
-    "train_run",
 ]

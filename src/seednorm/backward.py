@@ -25,6 +25,7 @@ radical, so these formulas are valid for eps > 0 unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,53 +227,38 @@ def finite_difference_jacobian(f, point: EvalPoint, step: float = 1e-5) -> GradB
 
     f must be a pure function of the supplied arrays (any fixed state such as
     a dropout mask has to be closed over). Every coordinate of every non-None
-    array is perturbed by +/- step; a non-finite objective raises
-    FloatingPointError naming the offending coordinate.
+    array is perturbed by +/- step through central_difference, which names
+    the offending coordinate when the objective goes non-finite.
+    """
+    names = [n for n in ("x", "gamma", "beta", "alpha") if getattr(point, n) is not None]
+
+    def objective() -> float:
+        return float(np.sum(point.u * f(point.x, point.gamma, point.alpha, point.beta)))
+
+    grads = dict(zip(names, central_difference(
+        objective, [getattr(point, n) for n in names], step, labels=names
+    )))
+    d_alpha = grads.get("alpha")
+    if d_alpha is not None and d_alpha.ndim == 0:
+        d_alpha = float(d_alpha)
+    return GradBundle(
+        d_gamma=grads.get("gamma"), d_alpha=d_alpha, d_beta=grads.get("beta"), d_x=grads["x"]
+    )
+
+
+def central_difference(loss_fn, arrays, step: float = 1e-5, labels=None) -> list[np.ndarray]:
+    """Central-difference gradient of the scalar ``loss_fn()`` w.r.t. each array.
+
+    arrays are perturbed in place one coordinate at a time and restored.
+    Every evaluation must be finite: otherwise FloatingPointError names the
+    coordinate and the side of the step, as in ``x[0, 0]+h``, with arrays
+    named by ``labels`` (default ``arrays[i]``).
     """
     if step <= 0:
         raise ValueError("step must be > 0")
-
-    def objective(tag: str) -> float:
-        out = f(point.x, point.gamma, point.alpha, point.beta)
-        val = float(np.sum(point.u * out))
-        if not np.isfinite(val):
-            raise FloatingPointError(f"non-finite objective at {tag}")
-        return val
-
-    def diff_array(arr: np.ndarray, label: str) -> np.ndarray:
-        grad = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"], op_flags=["readonly"])
-        for _ in it:
-            idx = it.multi_index
-            tag = f"{label}{list(idx)}" if idx else label
-            orig = arr[idx]
-            arr[idx] = orig + step
-            plus = objective(tag + "+h")
-            arr[idx] = orig - step
-            minus = objective(tag + "-h")
-            arr[idx] = orig
-            grad[idx] = (plus - minus) / (2.0 * step)
-        return grad
-
-    d_x = diff_array(point.x, "x")
-    d_gamma = diff_array(point.gamma, "gamma") if point.gamma is not None else None
-    d_beta = diff_array(point.beta, "beta") if point.beta is not None else None
-    d_alpha = None
-    if point.alpha is not None:
-        d_alpha_arr = diff_array(point.alpha, "alpha")
-        d_alpha = float(d_alpha_arr) if d_alpha_arr.ndim == 0 else d_alpha_arr
-    return GradBundle(d_gamma=d_gamma, d_alpha=d_alpha, d_beta=d_beta, d_x=d_x)
-
-
-def central_difference(loss_fn, arrays, step: float = 1e-5) -> list[np.ndarray]:
-    """Generic central-difference gradient of a scalar loss.
-
-    arrays are perturbed in place one coordinate at a time and restored.
-    Used for whole-model gradient checks where the loss is not a simple
-    contraction with an upstream matrix.
-    """
     grads = []
-    for arr in arrays:
+    for i, arr in enumerate(arrays):
+        label = labels[i] if labels is not None else f"arrays[{i}]"
         grad = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"], op_flags=["readonly"])
         for _ in it:
@@ -283,8 +269,10 @@ def central_difference(loss_fn, arrays, step: float = 1e-5) -> list[np.ndarray]:
             arr[idx] = orig - step
             minus = float(loss_fn())
             arr[idx] = orig
-            if not (np.isfinite(plus) and np.isfinite(minus)):
-                raise FloatingPointError(f"non-finite loss at coordinate {idx}")
+            for val, side in ((plus, "+h"), (minus, "-h")):
+                if not math.isfinite(val):
+                    where = f"{label}{list(idx)}" if idx else label
+                    raise FloatingPointError(f"non-finite loss at {where}{side}")
             grad[idx] = (plus - minus) / (2.0 * step)
         grads.append(grad)
     return grads

@@ -35,31 +35,12 @@ def as_vector(v, name: str = "v") -> Vector:
     return arr
 
 
-def dot(a, b) -> float:
-    """Inner product of two equal-length vectors, accumulated in float64."""
-    av = as_vector(a, "a")
-    bv = as_vector(b, "b")
-    if av.shape[0] != bv.shape[0]:
-        raise ValueError(f"length mismatch: {av.shape[0]} vs {bv.shape[0]}")
-    return float(np.dot(av, bv))
-
-
-def row_rms(v, eps: float = 0.0) -> float:
-    """Root mean square of one row: sqrt(mean(v**2) + eps).
-
-    eps sits inside the radical so a zero row maps to sqrt(eps) rather
-    than dividing by zero downstream.
-    """
-    vv = as_vector(v, "row")
-    if vv.shape[0] == 0:
-        raise ValueError("row_rms of an empty row")
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    return float(np.sqrt(np.mean(vv * vv) + eps))
-
-
 def rms_rows(x: Matrix, eps: float) -> np.ndarray:
-    """Per-row RMS of a matrix, shape (rows,). Same formula as row_rms."""
+    """Per-row RMS of a matrix, shape (rows,): sqrt(mean(x**2) + eps).
+
+    eps sits inside the radical so a zero row maps to sqrt(eps) rather than
+    dividing by zero downstream.
+    """
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError(f"expected (rows, dim>=1) matrix, got shape {x.shape}")
     if eps < 0:

@@ -8,12 +8,15 @@ the worst relative error across every gradient array.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backward import (
+# run_trial calls the layers through this module (see _LAYER_FNS), so a test
+# or a tracer can swap one here.
+from .backward import (  # noqa: F401
     EvalPoint,
     dyt_backward,
     finite_difference_jacobian,
@@ -24,17 +27,19 @@ from .backward import (
     seednorm_backward,
 )
 from .core import make_rng
-from .forward import (
+from .forward import (  # noqa: F401
     dyt_forward,
     layernorm_forward,
     mh_seednorm_forward,
     rmsnorm_forward,
     seednorm_forward,
 )
+from .norms import NORMS
 from .params import Activation, NormParams
 
-VARIANTS = ("rmsnorm", "layernorm", "dyt", "seednorm", "mh_seednorm")
+VARIANTS = tuple(NORMS)
 DEFAULT_DIMS = (2, 4, 8, 16, 64)
+_LAYER_FNS = sys.modules[__name__]
 
 
 @dataclass
@@ -62,19 +67,6 @@ class VariantCheck:
         return out
 
 
-def _seednorm_adapter(eps, n_heads, dim_scaled, activation):
-    def f(x, gamma, alpha, beta):
-        a = float(alpha) if alpha.ndim == 0 else alpha
-        p = NormParams(
-            gamma=gamma, alpha=a, beta=beta, eps=eps, n_heads=n_heads,
-            dim_scaled=dim_scaled, activation=activation,
-        )
-        fwd = seednorm_forward if n_heads == 1 else mh_seednorm_forward
-        return fwd(x, p)[0]
-
-    return f
-
-
 def run_trial(
     variant: str,
     dim: int,
@@ -89,79 +81,32 @@ def run_trial(
     step: float = 1e-5,
 ) -> dict:
     """One random point: returns relative errors keyed by gradient name."""
+    norm = NORMS.get(variant)
+    if norm is None:
+        raise ValueError(f"unknown variant {variant!r}")
     x = rng.standard_normal((rows, dim))
     u = rng.standard_normal((rows, dim))
-    gamma = rng.standard_normal(dim)
-
-    if variant == "rmsnorm":
-        p = NormParams(gamma=gamma, eps=eps)
-        _, cache = rmsnorm_forward(x, p)
-        analytic = rmsnorm_backward(cache, p, u)
-        point = EvalPoint(x=x, u=u, gamma=gamma)
-        numeric = finite_difference_jacobian(
-            lambda xx, g, a, b: rmsnorm_forward(xx, NormParams(gamma=g, eps=eps))[0],
-            point,
-            step,
-        )
-    elif variant == "layernorm":
-        shift = rng.standard_normal(dim)
-        p = NormParams(gamma=gamma, eps=eps if eps > 0 else 1e-6)
-        _, cache = layernorm_forward(x, p, shift)
-        analytic = layernorm_backward(cache, p, u)
-        point = EvalPoint(x=x, u=u, gamma=gamma, beta=shift)
-        numeric = finite_difference_jacobian(
-            lambda xx, g, a, b: layernorm_forward(xx, NormParams(gamma=g, eps=p.eps), b)[0],
-            point,
-            step,
-        )
-    elif variant == "dyt":
-        shift = rng.standard_normal(dim)
-        # |alpha| capped so alpha*x stays clear of deep tanh saturation,
-        # where the true gradient drops below what f64 differences resolve
-        alpha = rng.uniform(-1.25, 1.25, ())
-        _, cache = dyt_forward(x, float(alpha), gamma, shift)
-        analytic = dyt_backward(cache, gamma, u)
-        point = EvalPoint(x=x, u=u, gamma=gamma, alpha=alpha, beta=shift)
-        numeric = finite_difference_jacobian(
-            lambda xx, g, a, b: dyt_forward(xx, float(a), g, b)[0], point, step
-        )
-    elif variant in ("seednorm", "mh_seednorm"):
-        # beta at 1/sqrt(dim) scale keeps the pre-activation x.beta O(1),
-        # the regime the coefficient operates in; saturation behavior has
-        # its own closed-form checks that do not rely on differences
-        beta = rng.standard_normal(dim) / np.sqrt(dim)
-        alpha = rng.standard_normal(()) if scalar_alpha else rng.standard_normal(dim)
-        p = NormParams(
-            gamma=gamma,
-            alpha=float(alpha) if scalar_alpha else alpha,
-            beta=beta,
-            eps=eps,
-            n_heads=n_heads,
-            dim_scaled=dim_scaled,
-            activation=activation,
-        )
-        fwd = seednorm_forward if variant == "seednorm" else mh_seednorm_forward
-        bwd = seednorm_backward if variant == "seednorm" else mh_seednorm_backward
-        _, cache = fwd(x, p)
-        analytic = bwd(cache, p, u)
-        point = EvalPoint(x=x, u=u, gamma=gamma, alpha=alpha, beta=beta)
-        numeric = finite_difference_jacobian(
-            _seednorm_adapter(eps, n_heads, dim_scaled, activation), point, step
-        )
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    fields = {"gamma": rng.standard_normal(dim), **norm.draw(rng, dim, scalar_alpha)}
+    gamma, alpha, beta = (fields.get(k) for k in ("gamma", "alpha", "beta"))
+    eps = eps or norm.oracle_zero_eps
+    layer = {"n_heads": n_heads, "dim_scaled": dim_scaled, "activation": activation}
+    _, cache = norm.forward(_LAYER_FNS, x, gamma, alpha, beta, eps, **layer)
+    analytic = norm.backward(_LAYER_FNS, cache, u, gamma, alpha, beta)
+    numeric = finite_difference_jacobian(
+        lambda xx, g, a, b: norm.forward(_LAYER_FNS, xx, g, a, b, eps, **layer)[0],
+        EvalPoint(x=x, u=u, **fields),
+        step,
+    )
 
     # Floor 1e-4: central differences at step 1e-5 on an O(10) probe value
     # carry ~1e-10 absolute noise, so entries under the floor are compared
     # at absolute scale floor*tolerance instead of relatively.
     floor = 1e-4
-    errors = {"d_x": relative_error(analytic.d_x, numeric.d_x, floor=floor)}
-    if numeric.d_gamma is not None:
-        errors["d_gamma"] = relative_error(analytic.d_gamma, numeric.d_gamma, floor=floor)
-    if numeric.d_beta is not None:
-        errors["d_beta"] = relative_error(analytic.d_beta, numeric.d_beta, floor=floor)
-    if numeric.d_alpha is not None:
-        errors["d_alpha"] = relative_error(analytic.d_alpha, numeric.d_alpha, floor=floor)
+    errors = {}
+    for name in ("d_x", "d_gamma", "d_beta", "d_alpha"):
+        want = getattr(numeric, name)
+        if want is not None:
+            errors[name] = relative_error(getattr(analytic, name), want, floor=floor)
     return errors
 
 
@@ -175,6 +120,8 @@ def check_variant(
     step: float = 1e-5,
 ) -> VariantCheck:
     """Run the full randomized suite for one variant."""
+    if any(h < 1 for h in heads):
+        raise ValueError(f"heads must all be >= 1, got {list(heads)}")
     rng = make_rng(seed)
     worst: dict = {}
     extras: dict = {}

@@ -13,35 +13,34 @@ attention head.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
 from scipy.special import erf
 
-from .backward import (
+# The norm slots call these through this module (see _LAYER_FNS), so a test
+# or a tracer can swap one here.
+from .backward import (  # noqa: F401
     dyt_backward,
     layernorm_backward,
     mh_seednorm_backward,
     rmsnorm_backward,
     seednorm_backward,
 )
-from .forward import (
+from .forward import (  # noqa: F401
     dyt_forward,
     layernorm_forward,
     mh_seednorm_forward,
     rmsnorm_forward,
     seednorm_forward,
 )
-from .params import NormParams
+from .norms import NORMS, NormSpec
 
-
-class NormVariant(str, Enum):
-    RMSNORM = "rmsnorm"
-    LAYERNORM = "layernorm"
-    DYT = "dyt"
-    SEEDNORM = "seednorm"
-    MH_SEEDNORM = "mh_seednorm"
+# One member per row of the variant table, e.g. NormVariant.MH_SEEDNORM.
+NormVariant = Enum("NormVariant", [(name.upper(), name) for name in NORMS],
+                   type=str, module=__name__)
 
 
 @dataclass
@@ -62,11 +61,11 @@ class ModelConfig:
         self.norm_variant = NormVariant(self.norm_variant)
         if self.layers < 1 or self.hidden_dim < 1:
             raise ValueError("layers and hidden_dim must be >= 1")
-        if self.hidden_dim % self.attn_heads != 0:
-            raise ValueError("attn_heads must divide hidden_dim")
-        if self.norm_variant is NormVariant.MH_SEEDNORM:
-            if self.hidden_dim % self.norm_heads != 0:
-                raise ValueError("norm_heads must divide hidden_dim")
+        if self.attn_heads < 1 or self.hidden_dim % self.attn_heads != 0:
+            raise ValueError("attn_heads must be >= 1 and divide hidden_dim")
+        if self.norm.multi_head:
+            if self.norm_heads < 1 or self.hidden_dim % self.norm_heads != 0:
+                raise ValueError("norm_heads must be >= 1 and divide hidden_dim")
         if self.vocab < 2 or self.context < 2:
             raise ValueError("vocab and context must be >= 2")
 
@@ -74,9 +73,14 @@ class ModelConfig:
     def head_dim(self) -> int:
         return self.hidden_dim // self.attn_heads
 
+    @property
+    def norm(self) -> NormSpec:
+        """The variant table's row for this model's norm layers."""
+        return NORMS[self.norm_variant.value]
+
 
 def _hidden_slot_heads(cfg: ModelConfig) -> int:
-    return cfg.norm_heads if cfg.norm_variant is NormVariant.MH_SEEDNORM else 1
+    return cfg.norm_heads if cfg.norm.multi_head else 1
 
 
 def _qk_slot_heads(cfg: ModelConfig) -> int:
@@ -87,21 +91,10 @@ def _qk_slot_heads(cfg: ModelConfig) -> int:
     return _hidden_slot_heads(cfg)
 
 
-def _norm_param_entries(prefix: str, width: int, variant: NormVariant):
-    if variant is NormVariant.RMSNORM:
-        return [(f"{prefix}.gamma", (width,))]
-    if variant is NormVariant.LAYERNORM:
-        return [(f"{prefix}.gamma", (width,)), (f"{prefix}.shift", (width,))]
-    if variant is NormVariant.DYT:
-        return [
-            (f"{prefix}.gamma", (width,)),
-            (f"{prefix}.shift", (width,)),
-            (f"{prefix}.alpha", ()),
-        ]
+def _norm_param_entries(prefix: str, width: int, norm: NormSpec):
     return [
-        (f"{prefix}.gamma", (width,)),
-        (f"{prefix}.alpha", (width,)),
-        (f"{prefix}.beta", (width,)),
+        (f"{prefix}.{suffix}", () if field == "alpha" and norm.scalar_alpha else (width,))
+        for suffix, field in norm.params
     ]
 
 
@@ -110,25 +103,25 @@ def parameter_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     d = cfg.hidden_dim
     f = cfg.ffn_mult * d
     qk_width = cfg.head_dim if cfg.qk_norm_per_head else d
-    v = cfg.norm_variant
+    norm = cfg.norm
     specs: list[tuple[str, tuple[int, ...]]] = [
         ("embed.weight", (cfg.vocab, d)),
         ("pos_embed.weight", (cfg.context, d)),
     ]
     for i in range(cfg.layers):
         pfx = f"layer{i}"
-        specs += _norm_param_entries(f"{pfx}.attn_norm", d, v)
+        specs += _norm_param_entries(f"{pfx}.attn_norm", d, norm)
         specs += [
             (f"{pfx}.attn.wq", (d, d)),
             (f"{pfx}.attn.wk", (d, d)),
             (f"{pfx}.attn.wv", (d, d)),
             (f"{pfx}.attn.wo", (d, d)),
         ]
-        specs += _norm_param_entries(f"{pfx}.q_norm", qk_width, v)
-        specs += _norm_param_entries(f"{pfx}.k_norm", qk_width, v)
-        specs += _norm_param_entries(f"{pfx}.ffn_norm", d, v)
+        specs += _norm_param_entries(f"{pfx}.q_norm", qk_width, norm)
+        specs += _norm_param_entries(f"{pfx}.k_norm", qk_width, norm)
+        specs += _norm_param_entries(f"{pfx}.ffn_norm", d, norm)
         specs += [(f"{pfx}.ffn.w1", (d, f)), (f"{pfx}.ffn.w2", (f, d))]
-    specs += _norm_param_entries("final_norm", d, v)
+    specs += _norm_param_entries("final_norm", d, norm)
     specs += [("unembed.weight", (d, cfg.vocab))]
     return specs
 
@@ -168,61 +161,18 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator) -> Model:
     return Model(cfg=cfg, params=params)
 
 
-def _slot_params(params: dict, cfg: ModelConfig, prefix: str, n_heads: int) -> NormParams:
-    return NormParams(
-        gamma=params[f"{prefix}.gamma"],
-        alpha=params[f"{prefix}.alpha"],
-        beta=params[f"{prefix}.beta"],
-        eps=cfg.norm_eps,
-        n_heads=n_heads,
-    )
+_LAYER_FNS = sys.modules[__name__]
 
 
 def _slot_forward(params: dict, cfg: ModelConfig, prefix: str, rows, n_heads: int):
-    v = cfg.norm_variant
-    if v is NormVariant.RMSNORM:
-        p = NormParams(gamma=params[f"{prefix}.gamma"], eps=cfg.norm_eps)
-        return rmsnorm_forward(rows, p)
-    if v is NormVariant.LAYERNORM:
-        p = NormParams(gamma=params[f"{prefix}.gamma"], eps=cfg.norm_eps)
-        return layernorm_forward(rows, p, params[f"{prefix}.shift"])
-    if v is NormVariant.DYT:
-        return dyt_forward(
-            rows,
-            float(params[f"{prefix}.alpha"]),
-            params[f"{prefix}.gamma"],
-            params[f"{prefix}.shift"],
-        )
-    p = _slot_params(params, cfg, prefix, n_heads)
-    fwd = mh_seednorm_forward if v is NormVariant.MH_SEEDNORM else seednorm_forward
-    return fwd(rows, p)
+    norm = cfg.norm
+    return norm.forward(_LAYER_FNS, rows, *norm.arrays(params, prefix), cfg.norm_eps, n_heads)
 
 
 def _slot_backward(params: dict, cfg: ModelConfig, prefix: str, cache, upstream):
-    v = cfg.norm_variant
-    if v is NormVariant.RMSNORM:
-        p = NormParams(gamma=params[f"{prefix}.gamma"], eps=cfg.norm_eps)
-        b = rmsnorm_backward(cache, p, upstream)
-        return b.d_x, {f"{prefix}.gamma": b.d_gamma}
-    if v is NormVariant.LAYERNORM:
-        p = NormParams(gamma=params[f"{prefix}.gamma"], eps=cfg.norm_eps)
-        b = layernorm_backward(cache, p, upstream)
-        return b.d_x, {f"{prefix}.gamma": b.d_gamma, f"{prefix}.shift": b.d_beta}
-    if v is NormVariant.DYT:
-        b = dyt_backward(cache, params[f"{prefix}.gamma"], upstream)
-        return b.d_x, {
-            f"{prefix}.gamma": b.d_gamma,
-            f"{prefix}.shift": b.d_beta,
-            f"{prefix}.alpha": np.asarray(b.d_alpha),
-        }
-    p = _slot_params(params, cfg, prefix, cache.n_heads)
-    bwd = mh_seednorm_backward if v is NormVariant.MH_SEEDNORM else seednorm_backward
-    b = bwd(cache, p, upstream)
-    return b.d_x, {
-        f"{prefix}.gamma": b.d_gamma,
-        f"{prefix}.alpha": b.d_alpha,
-        f"{prefix}.beta": b.d_beta,
-    }
+    norm = cfg.norm
+    b = norm.backward(_LAYER_FNS, cache, upstream, *norm.arrays(params, prefix))
+    return b.d_x, norm.grads(prefix, b)
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)

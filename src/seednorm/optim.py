@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelConfig, NormVariant, parameter_specs
+from .model import ModelConfig, parameter_specs
 
 
 @dataclass
@@ -37,25 +37,14 @@ class OptimizerState:
         )
 
 
-def decay_flags(cfg: ModelConfig, specs=None) -> dict:
-    """Which parameters receive weight decay.
-
-    Matrices always decay. The dynamic-coefficient vectors alpha and beta
-    decay too: they multiply the signal, and decay regularizes the coefficient
-    toward the static baseline. Norm scales (gamma), bias-like shifts, and
-    DyT's scalar alpha follow the usual norm-parameter exemption.
-    """
-    specs = specs if specs is not None else parameter_specs(cfg)
-    dynamic = cfg.norm_variant in (NormVariant.SEEDNORM, NormVariant.MH_SEEDNORM)
-    flags = {}
-    for name, shape in specs:
-        if len(shape) == 2:
-            flags[name] = True
-        elif dynamic and name.endswith((".alpha", ".beta")):
-            flags[name] = True
-        else:
-            flags[name] = False
-    return flags
+def decay_flags(cfg: ModelConfig) -> dict:
+    """Which parameters receive weight decay: every matrix, plus the norm
+    parameters the variant table lists as decayed (the dynamic coefficient's
+    alpha and beta, which decay toward the static baseline)."""
+    return {
+        name: len(shape) == 2 or cfg.norm.decays(name)
+        for name, shape in parameter_specs(cfg)
+    }
 
 
 def clip_gradients(grads: dict, max_norm: float) -> float:

@@ -278,8 +278,8 @@ def probe_dot_variance(
     """
     if samples < 10**4:
         raise ValueError("samples must be >= 10**4 for a stable variance estimate")
-    if dim < 1 or dim % n_heads != 0:
-        raise ValueError("n_heads must divide dim")
+    if dim < 1 or n_heads < 1 or dim % n_heads != 0:
+        raise ValueError("n_heads must be >= 1 and divide dim")
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
     if dist == "normal":

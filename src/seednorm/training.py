@@ -22,7 +22,6 @@ from .model import (
     build_model,
     first_nonfinite_site,
     loss_and_grads,
-    parameter_specs,
 )
 from .optim import AdamWConfig, OptimizerState, adamw_step, clip_gradients, decay_flags
 
@@ -143,9 +142,6 @@ class LossCurve:
     def losses(self) -> np.ndarray:
         return np.array([r.loss for r in self.records])
 
-    def grad_norms(self) -> np.ndarray:
-        return np.array([r.grad_norm for r in self.records])
-
     def ema(self) -> np.ndarray:
         losses = self.losses()
         out = np.empty_like(losses)
@@ -208,9 +204,9 @@ def train_model(
         model = build_model(cfg, make_rng(init_seed))
     data_rng = make_rng(data_seed)
 
-    flags = decay_flags(cfg, parameter_specs(cfg))
+    flags = decay_flags(cfg)
     if not train_cfg.decay_dynamic:
-        flags = {k: (f and not k.endswith((".alpha", ".beta"))) for k, f in flags.items()}
+        flags = {k: f and not cfg.norm.decays(k) for k, f in flags.items()}
     state = OptimizerState.init(model.params, flags)
     hyper = AdamWConfig(
         lr=train_cfg.lr, beta1=train_cfg.beta1, beta2=train_cfg.beta2,
@@ -243,11 +239,6 @@ def train_model(
         adamw_step(state, model.params, grads, hyper, lr=lr_t)
         curve.append(step, loss, grad_norm, time.perf_counter() - started)
     return TrainResult(curve=curve, model=model, opt_state=state)
-
-
-def train_run(cfg: ModelConfig, train_cfg: TrainConfig, task, rng) -> LossCurve:
-    """Train and return just the loss curve (see train_model for the rest)."""
-    return train_model(cfg, train_cfg, task, rng).curve
 
 
 @dataclass
@@ -291,8 +282,8 @@ def compare_runs(
     """Two runs differing only in norm variant: same seed, same batches."""
     cfg_a = replace(cfg, norm_variant=variant_a)
     cfg_b = replace(cfg, norm_variant=variant_b)
-    curve_a = train_run(cfg_a, train_cfg, task, make_rng(seed))
-    curve_b = train_run(cfg_b, train_cfg, task, make_rng(seed))
+    curve_a = train_model(cfg_a, train_cfg, task, make_rng(seed)).curve
+    curve_b = train_model(cfg_b, train_cfg, task, make_rng(seed)).curve
     return PairedCurves(
         variant_a=cfg_a.norm_variant.value, variant_b=cfg_b.norm_variant.value,
         curve_a=curve_a, curve_b=curve_b,

@@ -1,6 +1,10 @@
 """Command-line surface: exit codes, precedence, and byte-stable reports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
+import seednorm
 from seednorm import training
 from seednorm.cli import main
 
@@ -51,6 +56,23 @@ class TestExitCodes:
         rc, _, err = run(["train", "--task", "bytes", "--steps", "1"], capsys)
         assert rc == 2
         assert "--data" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--heads", "0", "--steps", "1"],
+        ["train", "--variant", "mh_seednorm", "--norm-heads", "0", "--steps", "1"],
+        ["gradcheck", "--variant", "mh_seednorm", "--heads", "0", "--trials", "2"],
+        ["probe", "--name", "dot_variance", "--heads", "0"],
+    ], ids=["train-heads", "train-norm-heads", "gradcheck-heads", "probe-heads"])
+    def test_zero_head_count_two(self, argv):
+        # run as a process, so an uncaught exception would show as a traceback
+        src = str(Path(seednorm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "seednorm", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "heads" in proc.stderr
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"], capsys)[0] == 0

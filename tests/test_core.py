@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seednorm.core import as_matrix, as_vector, dot, make_rng, row_rms, rms_rows, spawn_seeds
+from seednorm.core import as_matrix, as_vector, make_rng, rms_rows, spawn_seeds
 
 
 class TestValidation:
@@ -32,34 +32,32 @@ class TestValidation:
         with pytest.raises(ValueError):
             as_vector([[1.0]], "v")
 
-    def test_dot_length_mismatch(self):
-        with pytest.raises(ValueError):
-            dot(np.ones(3), np.ones(4))
 
-    def test_dot_value(self):
-        assert dot(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
+def one_row_rms(v, eps):
+    """rms_rows of the one-row matrix holding ``v``."""
+    return float(rms_rows(np.asarray(v, dtype=np.float64).reshape(1, -1), eps)[0])
 
 
 class TestRowRms:
     def test_three_four_no_eps(self):
         # sqrt((9 + 16) / 2) = sqrt(12.5)
-        assert row_rms(np.array([3.0, 4.0]), 0.0) == pytest.approx(math.sqrt(12.5), rel=0, abs=0)
+        assert one_row_rms(np.array([3.0, 4.0]), 0.0) == pytest.approx(math.sqrt(12.5), rel=0, abs=0)
 
     def test_zero_row_eps_floor(self):
         # all-zero row: rms collapses to sqrt(eps)
-        assert row_rms(np.zeros(4), 1e-6) == pytest.approx(1e-3, rel=0, abs=0)
+        assert one_row_rms(np.zeros(4), 1e-6) == pytest.approx(1e-3, rel=0, abs=0)
 
     def test_eps_inside_radical(self):
         v = np.array([3.0, 4.0])
-        assert row_rms(v, 0.5) == pytest.approx(math.sqrt(12.5 + 0.5))
+        assert one_row_rms(v, 0.5) == pytest.approx(math.sqrt(12.5 + 0.5))
 
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
-            row_rms(np.ones(2), -1e-9)
+            one_row_rms(np.ones(2), -1e-9)
 
     def test_empty_row_rejected(self):
         with pytest.raises(ValueError):
-            row_rms(np.array([]), 0.0)
+            one_row_rms(np.array([]), 0.0)
 
     def test_rms_rows_matches_per_row(self):
         x = np.array([[3.0, 4.0], [1.0, 1.0]])
@@ -71,7 +69,7 @@ class TestRowRms:
     def test_scale_equivariance(self, vals):
         # rms(k x) = |k| rms(x) at eps 0
         v = np.asarray(vals, dtype=np.float64)
-        assert row_rms(2.0 * v, 0.0) == pytest.approx(2.0 * row_rms(v, 0.0), rel=1e-12, abs=1e-300)
+        assert one_row_rms(2.0 * v, 0.0) == pytest.approx(2.0 * one_row_rms(v, 0.0), rel=1e-12, abs=1e-300)
 
 
 class TestRng:

@@ -242,15 +242,20 @@ class TestDiagnostics:
 
 
 class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        cfg = tiny_cfg("mh_seednorm", norm_heads=2)
-        m = build_model(cfg, make_rng(7))
+    @pytest.mark.parametrize("variant", VARIANT_LIST)
+    def test_roundtrip(self, tmp_path, variant):
+        # norm parameters moved off their init, so shifts and alphas carry
+        # values; shapes pinned, so DyT's alpha comes back 0-d
+        cfg = tiny_cfg(variant, norm_heads=2)
+        m, _ = perturbed_model(cfg, 7)
         path = tmp_path / "model.json"
         save_checkpoint(m, str(path))
         loaded, opt = load_checkpoint(str(path))
         assert opt is None
         assert loaded.cfg == cfg
+        assert loaded.params.keys() == m.params.keys()
         for k in m.params:
+            assert loaded.params[k].shape == m.params[k].shape, k
             assert np.array_equal(loaded.params[k], m.params[k])
 
     def test_roundtrip_with_optimizer(self, tmp_path):

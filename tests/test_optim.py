@@ -85,6 +85,15 @@ class TestAdamWStep:
             assert params["w"][0] == pytest.approx(w, rel=1e-14)
 
 
+DECAYED_NORM_PARAMS = {
+    "rmsnorm": (),
+    "layernorm": (),
+    "dyt": (),
+    "seednorm": ("alpha", "beta"),
+    "mh_seednorm": ("alpha", "beta"),
+}
+
+
 class TestDecayFlags:
     def test_seednorm_policy(self):
         cfg = ModelConfig(layers=1, hidden_dim=4, attn_heads=2, vocab=5,
@@ -111,11 +120,19 @@ class TestDecayFlags:
         assert flags["layer0.attn_norm.alpha"] is False
         assert flags["layer0.attn_norm.shift"] is False
 
-    def test_covers_every_spec_entry(self):
+    @pytest.mark.parametrize("variant", list(DECAYED_NORM_PARAMS))
+    def test_covers_every_spec_entry(self, variant):
+        # matrices always decay; of the norm parameters only the dynamic
+        # coefficient's alpha and beta do (LayerNorm's gamma and shift do not)
         cfg = ModelConfig(layers=2, hidden_dim=8, attn_heads=2, vocab=5,
-                          context=2, norm_variant="mh_seednorm", norm_heads=2)
+                          context=2, norm_variant=variant, norm_heads=2)
         flags = decay_flags(cfg)
-        assert set(flags) == {n for n, _ in parameter_specs(cfg)}
+        specs = parameter_specs(cfg)
+        assert set(flags) == {n for n, _ in specs}
+        for name, shape in specs:
+            suffix = name.rsplit(".", 1)[1]
+            want = len(shape) == 2 or suffix in DECAYED_NORM_PARAMS[variant]
+            assert flags[name] is want, name
 
     def test_state_init_carries_flags(self):
         cfg = ModelConfig(layers=1, hidden_dim=4, attn_heads=2, vocab=5,

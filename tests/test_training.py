@@ -16,7 +16,6 @@ from seednorm.training import (
     TrainingDiverged,
     compare_runs,
     train_model,
-    train_run,
 )
 
 
@@ -165,14 +164,14 @@ class TestTrainModel:
     def test_same_seed_bitwise_curves(self):
         cfg = small_cfg()
         task = CopyTask(vocab=7, context=6)
-        a = train_run(cfg, small_train(steps=5), task, make_rng(11))
-        b = train_run(cfg, small_train(steps=5), task, make_rng(11))
+        a = train_model(cfg, small_train(steps=5), task, make_rng(11)).curve
+        b = train_model(cfg, small_train(steps=5), task, make_rng(11)).curve
         assert [r.loss for r in a.records] == [r.loss for r in b.records]
         assert [r.grad_norm for r in a.records] == [r.grad_norm for r in b.records]
 
     def test_losses_finite_and_recorded_in_order(self):
-        curve = train_run(small_cfg(), small_train(steps=4),
-                          CopyTask(vocab=7, context=6), make_rng(2))
+        curve = train_model(small_cfg(), small_train(steps=4),
+                            CopyTask(vocab=7, context=6), make_rng(2)).curve
         steps = [r.step for r in curve.records]
         assert steps == [0, 1, 2, 3]
         assert all(np.isfinite(r.loss) for r in curve.records)
@@ -182,9 +181,9 @@ class TestTrainModel:
         # beta stays 0 so tanh(0)*alpha contributes exact zeros everywhere
         task = CopyTask(vocab=7, context=6)
         tcfg = small_train(steps=4, weight_decay=0.0, freeze=(".beta",))
-        seed_curve = train_run(small_cfg("seednorm"), tcfg, task, make_rng(21))
-        rms_curve = train_run(small_cfg("rmsnorm"), small_train(steps=4, weight_decay=0.0),
-                              task, make_rng(21))
+        seed_curve = train_model(small_cfg("seednorm"), tcfg, task, make_rng(21)).curve
+        rms_curve = train_model(small_cfg("rmsnorm"), small_train(steps=4, weight_decay=0.0),
+                                task, make_rng(21)).curve
         assert [r.loss for r in seed_curve.records] == [r.loss for r in rms_curve.records]
         assert [r.grad_norm for r in seed_curve.records] == [r.grad_norm for r in rms_curve.records]
 
