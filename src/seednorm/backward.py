@@ -130,43 +130,29 @@ def _check_dynamic_pair(cache: ForwardCache, p: NormParams) -> None:
         raise ValueError("params/cache disagree on dim_scaled")
     if p.activation != cache.activation:
         raise ValueError("params/cache disagree on activation")
-    if cache.dropout_mask is not None and p.dyn_dropout_rate != cache.dropout_rate:
-        raise ValueError("params/cache disagree on dropout rate")
 
 
-def _dynamic_backward(
-    cache: ForwardCache, p: NormParams, upstream, consume_dropout: bool
-) -> GradBundle:
+def _dynamic_backward(cache: ForwardCache, p: NormParams, upstream) -> GradBundle:
     u = _check_upstream(cache, upstream, ("seednorm", "mh_seednorm"))
     _check_dynamic_pair(cache, p)
-    if cache.dropout_mask is not None and not consume_dropout:
-        raise ValueError(
-            "cache has an active dropout mask; pass consume_dropout=True to "
-            "backpropagate through the masked coefficient"
-        )
 
     rows, dim = cache.x.shape
     heads = cache.n_heads
     head_dim = dim // heads
 
     sig_prime = cache.activation.derivative(cache.tanh_arg, cache.sigma_val)
-    keep = None
-    if cache.dropout_mask is not None:
-        keep = cache.dropout_mask / (1.0 - cache.dropout_rate)
 
     ur = u * cache.r
     d_gamma = np.sum(ur, axis=0)
 
     coeff = np.repeat(cache.sigma_val, head_dim, axis=1)
-    d_alpha_full = ur * coeff if keep is None else ur * coeff * keep
+    d_alpha_full = ur * coeff
     if p.alpha_is_scalar:
         d_alpha = float(np.sum(d_alpha_full))
     else:
         d_alpha = np.sum(d_alpha_full, axis=0)
 
     aur = p.alpha_row() * ur
-    if keep is not None:
-        aur = aur * keep
     head_sums = aur.reshape(rows, heads, head_dim).sum(axis=2)
     dyn = np.repeat(sig_prime * head_sums, head_dim, axis=1)
     inv_hd = 1.0 / head_dim if cache.dim_scaled else 1.0
@@ -178,25 +164,21 @@ def _dynamic_backward(
     return GradBundle(d_gamma=d_gamma, d_alpha=d_alpha, d_beta=d_beta, d_x=d_x)
 
 
-def seednorm_backward(
-    cache: ForwardCache, p: NormParams, upstream, *, consume_dropout: bool = False
-) -> GradBundle:
+def seednorm_backward(cache: ForwardCache, p: NormParams, upstream) -> GradBundle:
     """Backward of the single-head self-rescaling norm (see module docstring)."""
     if cache.n_heads != 1:
         raise ValueError("multi-head cache: use mh_seednorm_backward")
-    return _dynamic_backward(cache, p, upstream, consume_dropout)
+    return _dynamic_backward(cache, p, upstream)
 
 
-def mh_seednorm_backward(
-    cache: ForwardCache, p: NormParams, upstream, *, consume_dropout: bool = False
-) -> GradBundle:
+def mh_seednorm_backward(cache: ForwardCache, p: NormParams, upstream) -> GradBundle:
     """Backward of the multi-head variant.
 
     Coefficient-path gradients are head-isolated: channels of head h only
     receive d_beta and first-term d_x contributions from upstream entries in
     head h. The RMS path still couples the full row.
     """
-    return _dynamic_backward(cache, p, upstream, consume_dropout)
+    return _dynamic_backward(cache, p, upstream)
 
 
 @dataclass
@@ -225,10 +207,10 @@ class EvalPoint:
 def finite_difference_jacobian(f, point: EvalPoint, step: float = 1e-5) -> GradBundle:
     """Central differences of L = sum(u * f(x, gamma, alpha, beta)).
 
-    f must be a pure function of the supplied arrays (any fixed state such as
-    a dropout mask has to be closed over). Every coordinate of every non-None
-    array is perturbed by +/- step through central_difference, which names
-    the offending coordinate when the objective goes non-finite.
+    f must be a pure function of the supplied arrays (any fixed state has to
+    be closed over). Every coordinate of every non-None array is perturbed by
+    +/- step through central_difference, which names the offending
+    coordinate when the objective goes non-finite.
     """
     names = [n for n in ("x", "gamma", "beta", "alpha") if getattr(point, n) is not None]
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -68,6 +69,17 @@ class Opt:
         return "--" + self.name.replace("_", "-")
 
 
+def _finite_float(text: str) -> float:
+    """float() for option values: nan and +/-inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_to_parser(parser: argparse.ArgumentParser, opts) -> None:
     for o in opts:
         shown = "" if o.default in (None, ()) else f" (default {o.default})"
@@ -80,7 +92,7 @@ def _add_to_parser(parser: argparse.ArgumentParser, opts) -> None:
         if o.kind in ("int", "int_list"):
             kw["type"] = int
         elif o.kind in ("float", "float_list"):
-            kw["type"] = float
+            kw["type"] = _finite_float
         if o.choices:
             kw["choices"] = o.choices
         parser.add_argument(o.flag, **kw)
@@ -99,7 +111,7 @@ def _coerce(opt: Opt, text: str, where: str):
         if opt.kind == "int":
             return int(text)
         if opt.kind == "float":
-            return float(text)
+            return _finite_float(text)
         if opt.kind == "bool":
             if text.lower() not in _BOOL_WORDS:
                 raise ValueError(f"expected a boolean, got {text!r}")
@@ -107,10 +119,10 @@ def _coerce(opt: Opt, text: str, where: str):
         if opt.kind == "int_list":
             return [int(tok) for tok in re.split(r"[,\s]+", text) if tok]
         if opt.kind == "float_list":
-            return [float(tok) for tok in re.split(r"[,\s]+", text) if tok]
+            return [_finite_float(tok) for tok in re.split(r"[,\s]+", text) if tok]
         if opt.kind == "str_list":
             return [tok for tok in re.split(r"[,\s]+", text) if tok]
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise UsageError(f"{where}: bad value for {opt.name!r}: {exc}") from None
     if opt.choices and text not in opt.choices:
         raise UsageError(
@@ -302,7 +314,7 @@ def _model_param_delta(layers: int, hidden_dim: int, heads: int) -> int:
     the trainer's own parameter enumeration (shapes only, nothing allocated)."""
     common = dict(
         layers=layers, hidden_dim=hidden_dim, attn_heads=heads,
-        vocab=7, context=4, qk_norm_per_head=True,
+        vocab=7, context=4,
     )
     dyn = ModelConfig(norm_variant=NormVariant.SEEDNORM, **common)
     base = ModelConfig(norm_variant=NormVariant.RMSNORM, **common)

@@ -30,8 +30,8 @@ class ForwardCache:
     """Intermediates captured by a forward pass.
 
     Fields are populated per layer kind; unused ones stay None. ``s`` is the
-    per-channel dynamic coefficient actually applied, including the dropout
-    mask and its 1/(1-rate) rescale when a mask was active.
+    per-channel dynamic coefficient activation(x . beta) * alpha, each head's
+    value broadcast across that head's channels.
     """
 
     kind: str
@@ -43,8 +43,6 @@ class ForwardCache:
     tanh_arg: np.ndarray | None = None     # (rows, n_heads), after dim scaling
     sigma_val: np.ndarray | None = None    # activation(tanh_arg), (rows, n_heads)
     s: Matrix | None = None                # dynamic coefficient per channel
-    dropout_mask: Matrix | None = None     # 0/1 mask, None when inactive
-    dropout_rate: float = 0.0
     activation: Activation = Activation.TANH
     dim_scaled: bool = False
     # DyT extras
@@ -119,9 +117,6 @@ def _dynamic_forward(
     p: NormParams,
     kind: str,
     include_gamma: bool,
-    training: bool,
-    rng,
-    dropout_mask,
 ) -> tuple[Matrix, ForwardCache]:
     x = as_matrix(x)
     _check_dim(p, x)
@@ -140,19 +135,6 @@ def _dynamic_forward(
     sigma_val = p.activation.apply(tanh_arg)
 
     s = np.repeat(sigma_val, head_dim, axis=1) * p.alpha_row()
-
-    mask = None
-    if dropout_mask is not None:
-        mask = as_matrix(dropout_mask, "dropout_mask")
-        if mask.shape != x.shape:
-            raise ValueError("dropout_mask shape mismatch")
-    elif p.dyn_dropout_rate > 0.0 and training:
-        if rng is None:
-            raise ValueError("training with dyn_dropout_rate > 0 requires an rng")
-        mask = (rng.random((rows, dim)) >= p.dyn_dropout_rate).astype(np.float64)
-    if mask is not None:
-        s = s * mask / (1.0 - p.dyn_dropout_rate)
-
     scale = s + p.gamma if include_gamma else s + 1.0
     out = scale * r
     cache = ForwardCache(
@@ -165,35 +147,24 @@ def _dynamic_forward(
         tanh_arg=tanh_arg,
         sigma_val=sigma_val,
         s=s,
-        dropout_mask=mask,
-        dropout_rate=p.dyn_dropout_rate if mask is not None else 0.0,
         activation=p.activation,
         dim_scaled=p.dim_scaled,
     )
     return out, cache
 
 
-def seednorm_forward(
-    x, p: NormParams, *, training: bool = False, rng=None, dropout_mask=None
-) -> tuple[Matrix, ForwardCache]:
+def seednorm_forward(x, p: NormParams) -> tuple[Matrix, ForwardCache]:
     """Single-head self-rescaling norm: (activation(x . beta) * alpha + gamma) * x/rms(x).
 
     The coefficient activation(x . beta) is one scalar per row that rescales
     the whole normalized row; beta = 0 reduces the layer to RMSNorm exactly.
-    Pass training=True with an rng (or an explicit 0/1 dropout_mask, which is
-    the hook the finite-difference checks use) to apply coefficient dropout.
     """
     if p.n_heads != 1:
         raise ValueError("n_heads != 1: use mh_seednorm_forward")
-    return _dynamic_forward(
-        x, p, "seednorm", include_gamma=True, training=training, rng=rng,
-        dropout_mask=dropout_mask,
-    )
+    return _dynamic_forward(x, p, "seednorm", include_gamma=True)
 
 
-def mh_seednorm_forward(
-    x, p: NormParams, *, training: bool = False, rng=None, dropout_mask=None
-) -> tuple[Matrix, ForwardCache]:
+def mh_seednorm_forward(x, p: NormParams) -> tuple[Matrix, ForwardCache]:
     """Multi-head variant: per-head coefficients, full-row RMS.
 
     The row and beta split into n_heads contiguous chunks; each head's
@@ -201,15 +172,11 @@ def mh_seednorm_forward(
     The RMS stays a full-row reduction. With dim_scaled=True the dot product
     is divided by the head width before the activation.
     """
-    return _dynamic_forward(
-        x, p, "mh_seednorm", include_gamma=True, training=training, rng=rng,
-        dropout_mask=dropout_mask,
-    )
+    return _dynamic_forward(x, p, "mh_seednorm", include_gamma=True)
 
 
 def ada_seednorm_forward(
-    x, p: NormParams, cond: ConditionParams, *, training: bool = False, rng=None,
-    dropout_mask=None,
+    x, p: NormParams, cond: ConditionParams
 ) -> tuple[Matrix, ForwardCache]:
     """Conditioned variant for generative stacks.
 
@@ -223,9 +190,6 @@ def ada_seednorm_forward(
     """
     if cond.dim != p.dim:
         raise ValueError(f"condition dim {cond.dim} != params dim {p.dim}")
-    core, cache = _dynamic_forward(
-        x, p, "ada_seednorm", include_gamma=False, training=training, rng=rng,
-        dropout_mask=dropout_mask,
-    )
+    core, cache = _dynamic_forward(x, p, "ada_seednorm", include_gamma=False)
     out = core * (1.0 + cond.gamma_c) + cond.eta_c
     return out, cache

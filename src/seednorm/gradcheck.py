@@ -120,6 +120,8 @@ def check_variant(
     step: float = 1e-5,
 ) -> VariantCheck:
     """Run the full randomized suite for one variant."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if any(h < 1 for h in heads):
         raise ValueError(f"heads must all be >= 1, got {list(heads)}")
     rng = make_rng(seed)

@@ -13,8 +13,9 @@ attention head.
 from __future__ import annotations
 
 import json
+import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -53,7 +54,6 @@ class ModelConfig:
     norm_variant: NormVariant = NormVariant.SEEDNORM
     norm_heads: int = 1
     alpha_init: float = 1.0
-    qk_norm_per_head: bool = True
     norm_eps: float = 1e-6
     ffn_mult: int = 4
 
@@ -68,6 +68,8 @@ class ModelConfig:
                 raise ValueError("norm_heads must be >= 1 and divide hidden_dim")
         if self.vocab < 2 or self.context < 2:
             raise ValueError("vocab and context must be >= 2")
+        if not math.isfinite(self.alpha_init):
+            raise ValueError(f"alpha_init must be finite, got {self.alpha_init}")
 
     @property
     def head_dim(self) -> int:
@@ -83,14 +85,6 @@ def _hidden_slot_heads(cfg: ModelConfig) -> int:
     return cfg.norm_heads if cfg.norm.multi_head else 1
 
 
-def _qk_slot_heads(cfg: ModelConfig) -> int:
-    # Per-head slices already run at the reduced width where the coefficient
-    # variance is small, so per-head query/key norms stay single-head.
-    if cfg.qk_norm_per_head:
-        return 1
-    return _hidden_slot_heads(cfg)
-
-
 def _norm_param_entries(prefix: str, width: int, norm: NormSpec):
     return [
         (f"{prefix}.{suffix}", () if field == "alpha" and norm.scalar_alpha else (width,))
@@ -102,7 +96,6 @@ def parameter_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Canonical (name, shape) list; defines build, count, and serialization order."""
     d = cfg.hidden_dim
     f = cfg.ffn_mult * d
-    qk_width = cfg.head_dim if cfg.qk_norm_per_head else d
     norm = cfg.norm
     specs: list[tuple[str, tuple[int, ...]]] = [
         ("embed.weight", (cfg.vocab, d)),
@@ -117,8 +110,8 @@ def parameter_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
             (f"{pfx}.attn.wv", (d, d)),
             (f"{pfx}.attn.wo", (d, d)),
         ]
-        specs += _norm_param_entries(f"{pfx}.q_norm", qk_width, norm)
-        specs += _norm_param_entries(f"{pfx}.k_norm", qk_width, norm)
+        specs += _norm_param_entries(f"{pfx}.q_norm", cfg.head_dim, norm)
+        specs += _norm_param_entries(f"{pfx}.k_norm", cfg.head_dim, norm)
         specs += _norm_param_entries(f"{pfx}.ffn_norm", d, norm)
         specs += [(f"{pfx}.ffn.w1", (d, f)), (f"{pfx}.ffn.w2", (f, d))]
     specs += _norm_param_entries("final_norm", d, norm)
@@ -225,19 +218,14 @@ def _attn_forward(params, cfg, pfx, xn, sites=None):
     q = x2 @ params[f"{pfx}.attn.wq"]
     k = x2 @ params[f"{pfx}.attn.wk"]
     v = x2 @ params[f"{pfx}.attn.wv"]
-    qk_heads = _qk_slot_heads(cfg)
-    if cfg.qk_norm_per_head:
-        q_rows = q.reshape(b, t, heads, hd).transpose(0, 2, 1, 3).reshape(b * heads * t, hd)
-        k_rows = k.reshape(b, t, heads, hd).transpose(0, 2, 1, 3).reshape(b * heads * t, hd)
-        qn_rows, q_cache = _slot_forward(params, cfg, f"{pfx}.q_norm", q_rows, qk_heads)
-        kn_rows, k_cache = _slot_forward(params, cfg, f"{pfx}.k_norm", k_rows, qk_heads)
-        qn = qn_rows.reshape(b, heads, t, hd)
-        kn = kn_rows.reshape(b, heads, t, hd)
-    else:
-        qn_rows, q_cache = _slot_forward(params, cfg, f"{pfx}.q_norm", q, qk_heads)
-        kn_rows, k_cache = _slot_forward(params, cfg, f"{pfx}.k_norm", k, qk_heads)
-        qn = qn_rows.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
-        kn = kn_rows.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
+    # Each head's query/key slice is one row of a single-head norm at
+    # head_dim width; the reduced width keeps the coefficient variance small.
+    q_rows = q.reshape(b, t, heads, hd).transpose(0, 2, 1, 3).reshape(b * heads * t, hd)
+    k_rows = k.reshape(b, t, heads, hd).transpose(0, 2, 1, 3).reshape(b * heads * t, hd)
+    qn_rows, q_cache = _slot_forward(params, cfg, f"{pfx}.q_norm", q_rows, 1)
+    kn_rows, k_cache = _slot_forward(params, cfg, f"{pfx}.k_norm", k_rows, 1)
+    qn = qn_rows.reshape(b, heads, t, hd)
+    kn = kn_rows.reshape(b, heads, t, hd)
     vh = v.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
     inv_scale = 1.0 / np.sqrt(hd)
     scores = (qn @ kn.swapaxes(-1, -2)) * inv_scale
@@ -273,18 +261,12 @@ def _attn_backward(params, cfg, pfx, cache, dout):
     inv_scale = 1.0 / np.sqrt(hd)
     dqn = (dscores @ kn) * inv_scale
     dkn = (dscores.swapaxes(-1, -2) @ qn) * inv_scale
-    if cfg.qk_norm_per_head:
-        dqn_rows = dqn.reshape(b * heads * t, hd)
-        dkn_rows = dkn.reshape(b * heads * t, hd)
-        dq_rows, gq = _slot_backward(params, cfg, f"{pfx}.q_norm", cache["q_cache"], dqn_rows)
-        dk_rows, gk = _slot_backward(params, cfg, f"{pfx}.k_norm", cache["k_cache"], dkn_rows)
-        dq = dq_rows.reshape(b, heads, t, hd).transpose(0, 2, 1, 3).reshape(b * t, d)
-        dk = dk_rows.reshape(b, heads, t, hd).transpose(0, 2, 1, 3).reshape(b * t, d)
-    else:
-        dqn_rows = dqn.transpose(0, 2, 1, 3).reshape(b * t, d)
-        dkn_rows = dkn.transpose(0, 2, 1, 3).reshape(b * t, d)
-        dq, gq = _slot_backward(params, cfg, f"{pfx}.q_norm", cache["q_cache"], dqn_rows)
-        dk, gk = _slot_backward(params, cfg, f"{pfx}.k_norm", cache["k_cache"], dkn_rows)
+    dqn_rows = dqn.reshape(b * heads * t, hd)
+    dkn_rows = dkn.reshape(b * heads * t, hd)
+    dq_rows, gq = _slot_backward(params, cfg, f"{pfx}.q_norm", cache["q_cache"], dqn_rows)
+    dk_rows, gk = _slot_backward(params, cfg, f"{pfx}.k_norm", cache["k_cache"], dkn_rows)
+    dq = dq_rows.reshape(b, heads, t, hd).transpose(0, 2, 1, 3).reshape(b * t, d)
+    dk = dk_rows.reshape(b, heads, t, hd).transpose(0, 2, 1, 3).reshape(b * t, d)
     grads.update(gq)
     grads.update(gk)
     dv = dvh.transpose(0, 2, 1, 3).reshape(b * t, d)
@@ -465,13 +447,28 @@ def _restore_array(raw, name: str, shape, what: str):
     return flat.reshape(shape)
 
 
+def _config_from_blob(raw: dict) -> ModelConfig:
+    raw = dict(raw)
+    # v1 files written while the query/key norm width was a switch carry
+    # qk_norm_per_head; true is the per-head layout every model now has.
+    if raw.pop("qk_norm_per_head", True) is not True:
+        raise ValueError(
+            "checkpoint config qk_norm_per_head must be true: full-width "
+            "query/key norms are not supported"
+        )
+    unknown = sorted(set(raw) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise ValueError(f"unknown checkpoint config keys: {', '.join(unknown)}")
+    return ModelConfig(**raw)
+
+
 def load_checkpoint(path):
     """Returns (Model, OptimizerState or None). Shapes are validated."""
     with open(path, encoding="utf-8") as fh:
         blob = json.load(fh)
     if blob.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format: {blob.get('format')!r}")
-    cfg = ModelConfig(**blob["config"])
+    cfg = _config_from_blob(blob["config"])
     specs = parameter_specs(cfg)
     params = {
         name: _restore_array(blob["params"][name], name, shape, "param")

@@ -61,7 +61,6 @@ class NormParams:
     eps: float = 1e-6
     n_heads: int = 1
     dim_scaled: bool = False
-    dyn_dropout_rate: float = 0.0
     activation: Activation = Activation.TANH
 
     def __post_init__(self):
@@ -82,8 +81,6 @@ class NormParams:
             raise ValueError("eps must be >= 0")
         if self.n_heads < 1 or dim % self.n_heads != 0:
             raise ValueError(f"n_heads={self.n_heads} must divide dim={dim}")
-        if not 0.0 <= self.dyn_dropout_rate < 1.0:
-            raise ValueError("dyn_dropout_rate must be in [0, 1)")
         self.activation = Activation(self.activation)
 
     @property

@@ -119,15 +119,15 @@ def probe_scale_insensitivity(
     bounded activation. The probe evaluates that closed form (statistic
     includes the drift/bound tightness ratio, worst case over trials), and
     cross-checks the actual forward outputs against it, which verifies the
-    r-cancellation to 1e-12. Runs at eps = 0 and with dropout off, where the
-    cancellation is exact.
+    r-cancellation to 1e-12. Runs at eps = 0, where the cancellation is
+    exact.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     k_values = [float(k) for k in k_values]
     if any(k <= 0 for k in k_values):
         raise ValueError("k values must be > 0")
-    p0 = replace(p, eps=0.0, dyn_dropout_rate=0.0)
+    p0 = replace(p, eps=0.0)
     fwd = seednorm_forward if p0.n_heads == 1 else mh_seednorm_forward
     head_dim = p0.dim // p0.n_heads
     noise_tol = 1e-12
@@ -204,8 +204,8 @@ def probe_dyt_rmsnorm_ode(
 
     The statistic is the worst sub-check as a multiple of its own tolerance.
     """
-    if c <= 0:
-        raise ValueError("c must be > 0")
+    if not 0 < c < np.inf:
+        raise ValueError("c must be finite and > 0")
     if dim < 1 or grid_points < 5 or samples < 1:
         raise ValueError("dim >= 1, grid_points >= 5, samples >= 1 required")
     rng = rng if rng is not None else make_rng(0)
@@ -280,8 +280,8 @@ def probe_dot_variance(
         raise ValueError("samples must be >= 10**4 for a stable variance estimate")
     if dim < 1 or n_heads < 1 or dim % n_heads != 0:
         raise ValueError("n_heads must be >= 1 and divide dim")
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
+    if not 0 < sigma < np.inf:
+        raise ValueError("sigma must be finite and > 0")
     if dist == "normal":
         x = rng.normal(0.0, sigma, size=(samples, dim))
         b = rng.normal(0.0, sigma, size=(samples, dim))

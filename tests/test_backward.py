@@ -344,45 +344,6 @@ class TestScalingLaws:
         assert float(np.max(np.abs(gk.d_beta))) < 1e-6 * float(np.max(np.abs(g1.d_beta)))
 
 
-class TestDropoutBackward:
-    def test_plain_backward_on_masked_cache_raises(self):
-        p = NormParams(gamma=np.ones(4), alpha=np.ones(4), beta=np.ones(4),
-                       eps=0.0, dyn_dropout_rate=0.5)
-        x = make_rng(1).standard_normal((2, 4))
-        _, cache = seednorm_forward(x, p, dropout_mask=np.ones((2, 4)))
-        with pytest.raises(ValueError, match="consume_dropout"):
-            seednorm_backward(cache, p, np.ones((2, 4)))
-
-    def test_fixed_mask_fd_agreement(self):
-        rng = make_rng(121)
-        x = rng.standard_normal((2, 4))
-        u = rng.standard_normal((2, 4))
-        rate = 0.25
-        mask = (rng.random((2, 4)) >= rate).astype(np.float64)
-        p = NormParams(gamma=rng.standard_normal(4), alpha=rng.standard_normal(4),
-                       beta=rng.standard_normal(4), eps=0.0, dyn_dropout_rate=rate)
-        _, cache = seednorm_forward(x, p, dropout_mask=mask)
-        got = seednorm_backward(cache, p, u, consume_dropout=True)
-
-        def f(xx, g, a, b):
-            pp = NormParams(gamma=g, alpha=a, beta=b, eps=0.0, dyn_dropout_rate=rate)
-            return seednorm_forward(xx, pp, dropout_mask=mask)[0]
-
-        want = finite_difference_jacobian(f, EvalPoint(x=x, u=u, gamma=p.gamma,
-                                                       alpha=p.alpha, beta=p.beta))
-        assert_bundle_close(got, want)
-
-    def test_dropout_free_cache_accepts_consume_flag(self):
-        # consume_dropout on a clean cache is a no-op, not an error
-        rng = make_rng(7)
-        x = rng.standard_normal((1, 3))
-        p = draw_params(rng, 3, eps=0.0)
-        _, cache = seednorm_forward(x, p)
-        a = seednorm_backward(cache, p, np.ones((1, 3)))
-        b = seednorm_backward(cache, p, np.ones((1, 3)), consume_dropout=True)
-        assert np.array_equal(a.d_x, b.d_x)
-
-
 class TestErrorCases:
     def test_wrong_cache_kind(self):
         p = NormParams(gamma=np.ones(2))

@@ -30,6 +30,15 @@ def run(argv, capsys):
     return rc, captured.out, captured.err
 
 
+def run_process(argv):
+    """Run the CLI as a process, so an uncaught exception shows as a traceback."""
+    src = str(Path(seednorm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "seednorm", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestExitCodes:
     def test_passing_gradcheck_zero(self, capsys):
         rc, out, _ = run(FAST_GRADCHECK, capsys)
@@ -64,15 +73,35 @@ class TestExitCodes:
         ["probe", "--name", "dot_variance", "--heads", "0"],
     ], ids=["train-heads", "train-norm-heads", "gradcheck-heads", "probe-heads"])
     def test_zero_head_count_two(self, argv):
-        # run as a process, so an uncaught exception would show as a traceback
-        src = str(Path(seednorm.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-m", "seednorm", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_process(argv)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "heads" in proc.stderr
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_non_positive_trial_count_two(self, trials):
+        # used to print PASS and exit 0 without running a single trial
+        proc = run_process(["gradcheck", "--variant", "rmsnorm", "--trials", trials])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "trials" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--alpha-init", "nan", "--steps", "1"],
+        ["train", "--lr", "nan", "--steps", "3", "--batch-size", "4"],
+        ["train", "--weight-decay", "nan", "--steps", "3", "--batch-size", "4"],
+        ["train", "--clip", "nan", "--steps", "1"],
+        ["gradcheck", "--tol", "nan"],
+        ["gradcheck", "--step", "inf"],
+        ["probe", "--name", "dot_variance", "--sigma", "nan"],
+        ["probe", "--name", "dyt_rmsnorm_ode", "--c", "nan"],
+        ["probe", "--name", "scale_insensitivity", "--k", "2", "inf"],
+    ], ids=["alpha-init", "lr", "weight-decay", "clip", "tol", "step", "sigma", "c",
+            "k-list"])
+    def test_non_finite_float_flag_two(self, argv, capsys):
+        rc, out, err = run(argv, capsys)
+        assert rc == 2, out + err
+        assert "finite" in err
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"], capsys)[0] == 0
@@ -132,6 +161,15 @@ class TestConfigFile:
         cfg.write_text("trials = banana\n")
         rc, _, err = run(["gradcheck", "--config", str(cfg)], capsys)
         assert rc == 2
+
+    @pytest.mark.parametrize("line", ["lr = nan", "k = 2, inf"])
+    def test_non_finite_float_rejected(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        command = "train" if line.startswith("lr") else "probe"
+        rc, _, err = run([command, "--config", str(cfg)], capsys)
+        assert rc == 2
+        assert "finite" in err
 
     def test_hyphen_keys_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -161,51 +161,6 @@ class TestReductions:
         assert np.array_equal(a, b)
 
 
-class TestDropout:
-    def test_training_without_rng_raises(self):
-        p = params(4, dyn_dropout_rate=0.5)
-        with pytest.raises(ValueError, match="rng"):
-            seednorm_forward(np.ones((2, 4)), p, training=True)
-
-    def test_eval_mode_ignores_rate(self):
-        p = params(4, alpha=np.ones(4), beta=np.ones(4), dyn_dropout_rate=0.5)
-        x = make_rng(1).standard_normal((2, 4))
-        a, cache = seednorm_forward(x, p)
-        assert cache.dropout_mask is None
-        b, _ = seednorm_forward(x, params(4, alpha=np.ones(4), beta=np.ones(4)))
-        assert np.array_equal(a, b)
-
-    def test_explicit_mask_scales_kept_coefficients(self):
-        # mask zeroes the dynamic term; kept entries are boosted by 1/(1-rate)
-        x = X34
-        rate = 0.5
-        p = params(2, alpha=np.array([1.0, 1.0]), beta=np.array([1.0, 0.0]),
-                   eps=0.0, dyn_dropout_rate=rate)
-        mask = np.array([[1.0, 0.0]])
-        out, cache = seednorm_forward(x, p, dropout_mask=mask)
-        t3 = math.tanh(3.0)
-        want0 = (t3 / (1 - rate) + 1.0) * R34[0, 0]
-        want1 = (0.0 + 1.0) * R34[0, 1]
-        assert out[0, 0] == pytest.approx(want0, rel=1e-15)
-        assert out[0, 1] == pytest.approx(want1, rel=1e-15)
-        assert cache.s[0, 0] == pytest.approx(t3 / (1 - rate), rel=1e-15)
-        assert cache.s[0, 1] == 0.0
-        assert cache.dropout_rate == rate
-
-    def test_training_mask_statistics(self):
-        # the drawn mask keeps roughly 1-rate of entries
-        p = params(64, alpha=np.ones(64), beta=np.ones(64), dyn_dropout_rate=0.25)
-        x = make_rng(2).standard_normal((200, 64))
-        _, cache = seednorm_forward(x, p, training=True, rng=make_rng(3))
-        keep = cache.dropout_mask.mean()
-        assert 0.72 <= keep <= 0.78
-
-    def test_mask_shape_mismatch_rejected(self):
-        p = params(4, dyn_dropout_rate=0.5)
-        with pytest.raises(ValueError, match="shape"):
-            seednorm_forward(np.ones((2, 4)), p, dropout_mask=np.ones((1, 4)))
-
-
 class TestScaleBehavior:
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2.0, 4.0, 0.5, 8.0]))
     def test_rmsnorm_power_of_two_scale_invariance(self, seed, k):

@@ -51,6 +51,12 @@ class TestCheckVariant:
         c = check_variant("dyt", dims=(4,), trials=7, seed=1)
         assert c.trials == 7
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_non_positive_trial_count_rejected(self, trials):
+        # no trial run means nothing was checked, which must not read as a pass
+        with pytest.raises(ValueError, match="trials"):
+            check_variant("rmsnorm", dims=(4,), trials=trials)
+
     def test_multi_head_skips_invalid_head_counts(self):
         # dim 2 cannot host 4 heads; the suite must stay inside valid configs
         c = check_variant("mh_seednorm", dims=(2,), trials=5, seed=2, heads=(2, 4))

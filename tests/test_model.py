@@ -1,5 +1,7 @@
 """The desk-scale transformer: wiring, determinism, whole-model gradients."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -12,7 +14,6 @@ from seednorm.model import (
     _attn_forward,
     _ffn_backward,
     _ffn_forward,
-    _qk_slot_heads,
     _slot_backward,
     _slot_forward,
     Model,
@@ -67,13 +68,20 @@ class TestParameterSpecs:
     def test_qk_width_per_head(self):
         shapes = dict(parameter_specs(tiny_cfg()))
         assert shapes["layer0.q_norm.gamma"] == (2,)  # hidden 4 / heads 2
-        shapes_full = dict(parameter_specs(tiny_cfg(qk_norm_per_head=False)))
-        assert shapes_full["layer0.q_norm.gamma"] == (4,)
 
     def test_count_matches_manual_sum(self):
         cfg = tiny_cfg("rmsnorm")
         total = sum(int(np.prod(s)) for _, s in parameter_specs(cfg))
         assert count_parameters(cfg) == total
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("alpha_init", [float("nan"), float("inf")])
+    def test_non_finite_alpha_init_rejected(self, alpha_init):
+        # build_model would fill every alpha with it and the first forward
+        # would fail inside a norm slot
+        with pytest.raises(ValueError, match="alpha_init"):
+            tiny_cfg(alpha_init=alpha_init)
 
 
 class TestCostCrossCheck:
@@ -203,22 +211,6 @@ class TestLossAndGrads:
             err = relative_error(grads[name], num, floor=1e-5)
             assert err <= 1e-4, f"{variant}:{name} rel err {err:.3e}"
 
-    def test_full_width_qk_norm_fd(self):
-        cfg = tiny_cfg(qk_norm_per_head=False)
-        m = build_model(cfg, make_rng(11))
-        tokens = np.array([[0, 3]])
-        targets = np.array([[3, 1]])
-        _, grads = loss_and_grads(m, tokens, targets)
-        names = [n for n, _ in parameter_specs(cfg)]
-        fd = central_difference(
-            lambda: model_loss(m.params, cfg, tokens, targets),
-            [m.params[n] for n in names], step=1e-5,
-        )
-        worst = max(
-            relative_error(grads[n], f, floor=1e-5) for n, f in zip(names, fd)
-        )
-        assert worst <= 1e-4
-
 
 class TestDiagnostics:
     def test_first_nonfinite_site_reports_poisoned_embedding(self):
@@ -282,6 +274,36 @@ class TestCheckpoint:
     def test_format_constant_stable(self):
         assert CHECKPOINT_FORMAT == "seednorm-checkpoint-v1"
 
+    @staticmethod
+    def _saved_blob(tmp_path):
+        cfg = tiny_cfg("mh_seednorm", norm_heads=2)
+        m, _ = perturbed_model(cfg, 9)
+        path = tmp_path / "model.json"
+        save_checkpoint(m, str(path))
+        return m, path, json.loads(path.read_text())
+
+    def test_v1_qk_norm_per_head_true_loads(self, tmp_path):
+        # v1 files written while the query/key norm width was a switch
+        # carry qk_norm_per_head = true
+        m, path, blob = self._saved_blob(tmp_path)
+        blob["config"]["qk_norm_per_head"] = True
+        path.write_text(json.dumps(blob))
+        loaded, _ = load_checkpoint(str(path))
+        assert loaded.cfg == m.cfg
+        assert loaded.params.keys() == m.params.keys()
+        for k in m.params:
+            assert np.array_equal(loaded.params[k], m.params[k]), k
+
+    @pytest.mark.parametrize("key,value", [
+        ("qk_norm_per_head", False), ("qk_norm_width", 4),
+    ], ids=["full-width-qk", "unknown-key"])
+    def test_config_key_rejected(self, tmp_path, key, value):
+        _, path, blob = self._saved_blob(tmp_path)
+        blob["config"][key] = value
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=key):
+            load_checkpoint(str(path))
+
 
 class TestGelu:
     def test_prime_matches_fd(self):
@@ -305,7 +327,6 @@ def reference_attention(params, cfg, pfx, xn, dout):
     b, t, d = xn.shape
     h, hd = cfg.attn_heads, cfg.head_dim
     inv_scale = 1.0 / np.sqrt(hd)
-    qk_heads = _qk_slot_heads(cfg)
 
     def split(m):  # (b*t, d) -> (b, h, t, hd)
         return m.reshape(b, t, h, hd).transpose(0, 2, 1, 3)
@@ -313,21 +334,16 @@ def reference_attention(params, cfg, pfx, xn, dout):
     def merge(m):  # (b, h, t, hd) -> (b*t, d)
         return m.transpose(0, 2, 1, 3).reshape(b * t, d)
 
-    if cfg.qk_norm_per_head:
-        def to_rows(m):
-            return m.reshape(b * h * t, hd)
+    def to_rows(m):  # (b, h, t, hd) -> one query/key norm row per head
+        return m.reshape(b * h * t, hd)
 
-        def from_rows(r):
-            return r.reshape(b, h, t, hd)
-    else:
-        to_rows, from_rows = merge, split
+    def from_rows(r):
+        return r.reshape(b, h, t, hd)
 
     x2 = xn.reshape(b * t, d)
     wq, wk, wv, wo = (params[f"{pfx}.attn.{w}"] for w in ("wq", "wk", "wv", "wo"))
-    qn_rows, q_cache = _slot_forward(params, cfg, f"{pfx}.q_norm", to_rows(split(x2 @ wq)),
-                                     qk_heads)
-    kn_rows, k_cache = _slot_forward(params, cfg, f"{pfx}.k_norm", to_rows(split(x2 @ wk)),
-                                     qk_heads)
+    qn_rows, q_cache = _slot_forward(params, cfg, f"{pfx}.q_norm", to_rows(split(x2 @ wq)), 1)
+    kn_rows, k_cache = _slot_forward(params, cfg, f"{pfx}.k_norm", to_rows(split(x2 @ wk)), 1)
     qn, kn, vh = from_rows(qn_rows), from_rows(kn_rows), split(x2 @ wv)
     scores = np.einsum("bhid,bhjd->bhij", qn, kn) * inv_scale
     scores = np.where(np.triu(np.ones((t, t), dtype=bool), k=1), -np.inf, scores)
@@ -370,11 +386,9 @@ def assert_rel_close(got, want, rtol=1e-12):
 
 class TestBlockContractions:
     # t=5 differs from head_dim=6, so a swapped axis cannot pass by symmetry
-    @pytest.mark.parametrize("per_head", [True, False])
-    def test_attention_matches_einsum_reference(self, per_head):
+    def test_attention_matches_einsum_reference(self):
         cfg = ModelConfig(layers=1, hidden_dim=12, attn_heads=2, vocab=5, context=5,
-                          norm_variant="mh_seednorm", norm_heads=2,
-                          qk_norm_per_head=per_head)
+                          norm_variant="mh_seednorm", norm_heads=2)
         m, rng = perturbed_model(cfg, 31)
         xn = rng.normal(size=(3, 5, 12))
         dout = rng.normal(size=(3, 5, 12))

@@ -140,6 +140,11 @@ class TestDotVariance:
         with pytest.raises(ValueError):
             probe_dot_variance(10, 3, 1.0, 20000, make_rng(0))
 
+    @pytest.mark.parametrize("sigma", [0.0, float("nan"), float("inf")])
+    def test_sigma_must_be_positive(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            probe_dot_variance(8, 1, sigma, 20000, make_rng(0))
+
     def test_unknown_dist(self):
         with pytest.raises(ValueError, match="dist"):
             probe_dot_variance(8, 1, 1.0, 20000, make_rng(0), dist="cauchy")
@@ -169,6 +174,10 @@ class TestOdeProbe:
     def test_c_must_be_positive(self):
         with pytest.raises(ValueError, match="c"):
             probe_dyt_rmsnorm_ode(0.0, 4)
+        # NaN residuals would drop out of max() and read as a pass
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="c"):
+                probe_dyt_rmsnorm_ode(bad, 4)
 
     def test_grid_floor(self):
         with pytest.raises(ValueError):
