@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matrix, Vector, as_matrix
+from .core import Matrix, Vector, as_matrix, per_head_product
 from .forward import ForwardCache
 from .params import NormParams
 
@@ -145,8 +145,7 @@ def _dynamic_backward(cache: ForwardCache, p: NormParams, upstream) -> GradBundl
     ur = u * cache.r
     d_gamma = np.sum(ur, axis=0)
 
-    coeff = np.repeat(cache.sigma_val, head_dim, axis=1)
-    d_alpha_full = ur * coeff
+    d_alpha_full = per_head_product(cache.sigma_val, ur, head_dim)
     if p.alpha_is_scalar:
         d_alpha = float(np.sum(d_alpha_full))
     else:
@@ -154,13 +153,14 @@ def _dynamic_backward(cache: ForwardCache, p: NormParams, upstream) -> GradBundl
 
     aur = p.alpha_row() * ur
     head_sums = aur.reshape(rows, heads, head_dim).sum(axis=2)
-    dyn = np.repeat(sig_prime * head_sums, head_dim, axis=1)
+    dyn = sig_prime * head_sums  # (rows, heads), spread over each head's channels
     inv_hd = 1.0 / head_dim if cache.dim_scaled else 1.0
 
-    d_beta = np.sum(dyn * cache.x, axis=0) * inv_hd
+    d_beta = np.sum(per_head_product(dyn, cache.x, head_dim), axis=0) * inv_hd
 
     w = (cache.s + p.gamma) * u
-    d_x = dyn * (p.beta * inv_hd) + _rms_direction_backward(w, cache.r, cache.rms, dim)
+    d_x = (per_head_product(dyn, p.beta * inv_hd, head_dim)
+           + _rms_direction_backward(w, cache.r, cache.rms, dim))
     return GradBundle(d_gamma=d_gamma, d_alpha=d_alpha, d_beta=d_beta, d_x=d_x)
 
 
@@ -215,7 +215,7 @@ def finite_difference_jacobian(f, point: EvalPoint, step: float = 1e-5) -> GradB
     names = [n for n in ("x", "gamma", "beta", "alpha") if getattr(point, n) is not None]
 
     def objective() -> float:
-        return float(np.sum(point.u * f(point.x, point.gamma, point.alpha, point.beta)))
+        return float((point.u * f(point.x, point.gamma, point.alpha, point.beta)).sum())
 
     grads = dict(zip(names, central_difference(
         objective, [getattr(point, n) for n in names], step, labels=names

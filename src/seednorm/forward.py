@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Matrix, Vector, as_matrix, as_vector, rms_rows
+from .core import Matrix, Vector, as_matrix, as_vector, per_head_product, rms_rows
 from .params import Activation, ConditionParams, NormParams
 
 
@@ -87,10 +87,14 @@ def layernorm_forward(x, p: NormParams, shift) -> tuple[Matrix, ForwardCache]:
     shift = as_vector(shift, "shift")
     if shift.shape[0] != p.dim:
         raise ValueError(f"shift dim {shift.shape[0]} != input dim {x.shape[1]}")
-    mean = np.mean(x, axis=1)
-    var = np.var(x, axis=1)
+    # np.mean and np.var written out as they compute them, sharing the
+    # centered rows with xhat
+    dim = x.shape[1]
+    mean = x.sum(axis=1) / dim
+    centered = x - mean[:, None]
+    var = (centered * centered).sum(axis=1) / dim
     inv_std = 1.0 / np.sqrt(var + p.eps)
-    xhat = (x - mean[:, None]) * inv_std[:, None]
+    xhat = centered * inv_std[:, None]
     out = p.gamma * xhat + shift
     cache = ForwardCache(
         kind="layernorm", x=x, eps=p.eps, r=xhat, mean=mean, inv_std=inv_std
@@ -134,7 +138,7 @@ def _dynamic_forward(
         tanh_arg = tanh_arg / head_dim
     sigma_val = p.activation.apply(tanh_arg)
 
-    s = np.repeat(sigma_val, head_dim, axis=1) * p.alpha_row()
+    s = per_head_product(sigma_val, p.alpha, head_dim)
     scale = s + p.gamma if include_gamma else s + 1.0
     out = scale * r
     cache = ForwardCache(

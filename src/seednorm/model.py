@@ -173,22 +173,15 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def _gelu_cdf(z):
-    """Standard normal CDF Phi(z); GELU is z * Phi(z)."""
+    """Standard normal CDF Phi(z). The FFN's GELU is the exact, erf-based
+    z * Phi(z), smooth everywhere, which keeps the whole-model
+    finite-difference check clean."""
     return 0.5 * (1.0 + erf(z * _INV_SQRT2))
 
 
 def _gelu_prime_from_cdf(z, cdf):
+    """d GELU / dz = Phi(z) + z * phi(z), given Phi(z)."""
     return cdf + z * np.exp(-0.5 * z * z) * _INV_SQRT_2PI
-
-
-def gelu(z):
-    """Exact (erf-based) GELU; smooth everywhere, which keeps the whole-model
-    finite-difference check clean."""
-    return z * _gelu_cdf(z)
-
-
-def gelu_prime(z):
-    return _gelu_prime_from_cdf(z, _gelu_cdf(z))
 
 
 def softmax_cross_entropy(logits, targets):
@@ -462,16 +455,26 @@ def _config_from_blob(raw: dict) -> ModelConfig:
     return ModelConfig(**raw)
 
 
+def _entry(section: dict, key: str, where: str):
+    """``section[key]``, or ValueError naming the key missing from ``where``."""
+    if not isinstance(section, dict) or key not in section:
+        raise ValueError(f"checkpoint {where} has no {key!r}")
+    return section[key]
+
+
 def load_checkpoint(path):
-    """Returns (Model, OptimizerState or None). Shapes are validated."""
+    """Returns (Model, OptimizerState or None). Shapes are validated, and a
+    missing section, parameter or optimizer field raises ValueError naming it."""
     with open(path, encoding="utf-8") as fh:
         blob = json.load(fh)
-    if blob.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unsupported checkpoint format: {blob.get('format')!r}")
-    cfg = _config_from_blob(blob["config"])
+    fmt = blob.get("format") if isinstance(blob, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise ValueError(f"unsupported checkpoint format: {fmt!r}")
+    cfg = _config_from_blob(_entry(blob, "config", "file"))
     specs = parameter_specs(cfg)
+    raw = _entry(blob, "params", "file")
     params = {
-        name: _restore_array(blob["params"][name], name, shape, "param")
+        name: _restore_array(_entry(raw, name, "params"), name, shape, "param")
         for name, shape in specs
     }
     model = Model(cfg=cfg, params=params)
@@ -480,10 +483,16 @@ def load_checkpoint(path):
         return model, None
     from .optim import OptimizerState  # deferred: optim imports this module
 
+    def moments(key):
+        raw = _entry(opt_blob, key, "optimizer")
+        return {n: _restore_array(_entry(raw, n, f"optimizer.{key}"), n, s, "moment")
+                for n, s in specs}
+
+    decay = _entry(opt_blob, "decay", "optimizer")
     state = OptimizerState(
-        m={n: _restore_array(opt_blob["m"][n], n, s, "moment") for n, s in specs},
-        v={n: _restore_array(opt_blob["v"][n], n, s, "moment") for n, s in specs},
-        step=int(opt_blob["step"]),
-        decay={n: bool(opt_blob["decay"][n]) for n, _ in specs},
+        m=moments("m"),
+        v=moments("v"),
+        step=int(_entry(opt_blob, "step", "optimizer")),
+        decay={n: bool(_entry(decay, n, "optimizer.decay")) for n, _ in specs},
     )
     return model, state

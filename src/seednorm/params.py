@@ -67,10 +67,11 @@ class NormParams:
         self.gamma = as_vector(self.gamma, "gamma")
         dim = self.gamma.shape[0]
         if self.beta is None:
-            self.beta = np.zeros(dim)
-        self.beta = as_vector(self.beta, "beta")
-        if self.beta.shape[0] != dim:
-            raise ValueError(f"beta dim {self.beta.shape[0]} != gamma dim {dim}")
+            self.beta = np.zeros(dim)  # finite and dim long: nothing to check
+        else:
+            self.beta = as_vector(self.beta, "beta")
+            if self.beta.shape[0] != dim:
+                raise ValueError(f"beta dim {self.beta.shape[0]} != gamma dim {dim}")
         if np.ndim(self.alpha) == 0:
             self.alpha = float(self.alpha)
         else:
@@ -81,7 +82,8 @@ class NormParams:
             raise ValueError("eps must be >= 0")
         if self.n_heads < 1 or dim % self.n_heads != 0:
             raise ValueError(f"n_heads={self.n_heads} must divide dim={dim}")
-        self.activation = Activation(self.activation)
+        if not isinstance(self.activation, Activation):
+            self.activation = Activation(self.activation)
 
     @property
     def dim(self) -> int:

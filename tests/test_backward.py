@@ -295,6 +295,47 @@ class TestMultiHead:
         assert np.all(np.asarray(g.d_alpha)[dim // 2 :] == 0.0)
 
 
+def repeat_backward(cache, p, u):
+    """The dynamic backward's coefficient-path gradients in their np.repeat
+    form: (d_alpha, d_beta, d_x)."""
+    rows, dim = cache.x.shape
+    head_dim = dim // cache.n_heads
+    ur = u * cache.r
+    d_alpha_full = ur * np.repeat(cache.sigma_val, head_dim, axis=1)
+    d_alpha = float(np.sum(d_alpha_full)) if p.alpha_is_scalar else np.sum(d_alpha_full, axis=0)
+    sig_prime = cache.activation.derivative(cache.tanh_arg, cache.sigma_val)
+    head_sums = (p.alpha_row() * ur).reshape(rows, cache.n_heads, head_dim).sum(axis=2)
+    dyn = np.repeat(sig_prime * head_sums, head_dim, axis=1)
+    inv_hd = 1.0 / head_dim if cache.dim_scaled else 1.0
+    d_beta = np.sum(dyn * cache.x, axis=0) * inv_hd
+    w = (cache.s + p.gamma) * u
+    proj = np.sum(w * cache.r, axis=1) / (dim * cache.rms)
+    d_x = dyn * (p.beta * inv_hd) + (w / cache.rms[:, None] - cache.r * proj[:, None])
+    return d_alpha, d_beta, d_x
+
+
+class TestWrittenOutRepeat:
+    @pytest.mark.parametrize("dim,heads", [(4, 1), (4, 2), (4, 4), (16, 1), (16, 2), (16, 4),
+                                           (64, 2), (64, 4)])
+    @pytest.mark.parametrize("scalar_alpha", [False, True], ids=["vector", "scalar"])
+    @pytest.mark.parametrize("dim_scaled", [False, True], ids=["plain", "dim_scaled"])
+    def test_matches_np_repeat_bitwise(self, dim, heads, scalar_alpha, dim_scaled):
+        rng = make_rng(dim * 10 + heads)
+        x = rng.standard_normal((3, dim))
+        u = rng.standard_normal((3, dim))
+        alpha = float(rng.standard_normal()) if scalar_alpha else rng.standard_normal(dim)
+        p = NormParams(gamma=rng.standard_normal(dim), alpha=alpha,
+                       beta=rng.standard_normal(dim) / np.sqrt(dim), eps=1e-6,
+                       n_heads=heads, dim_scaled=dim_scaled)
+        _, cache = mh_seednorm_forward(x, p)
+        b = mh_seednorm_backward(cache, p, u)
+        d_alpha, d_beta, d_x = repeat_backward(cache, p, u)
+        assert type(b.d_alpha) is type(d_alpha)
+        assert np.array_equal(b.d_alpha, d_alpha)
+        assert np.array_equal(b.d_beta, d_beta)
+        assert np.array_equal(b.d_x, d_x)
+
+
 class TestScalingLaws:
     """Behavior of the gradients under x -> k x, eps = 0."""
 

@@ -32,6 +32,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             as_vector([[1.0]], "v")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_as_vector_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="v contains non-finite entries"):
+            as_vector([1.0, bad, 2.0], "v")
+
 
 def one_row_rms(v, eps):
     """rms_rows of the one-row matrix holding ``v``."""
@@ -64,6 +69,13 @@ class TestRowRms:
         out = rms_rows(x, 0.0)
         assert out[0] == pytest.approx(math.sqrt(12.5))
         assert out[1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 16, 64, 129])
+    def test_matches_np_mean_bitwise(self, dim):
+        # rms_rows writes out np.mean's row sum over dim; the bits must not move
+        x = make_rng(dim).standard_normal((5, dim)) * 3.0
+        for eps in (0.0, 1e-6):
+            assert np.array_equal(rms_rows(x, eps), np.sqrt(np.mean(x * x, axis=1) + eps))
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=16))
     def test_scale_equivariance(self, vals):

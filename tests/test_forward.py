@@ -161,6 +161,42 @@ class TestReductions:
         assert np.array_equal(a, b)
 
 
+class TestWrittenOutReductions:
+    """The forwards compute np.mean and np.var without their wrappers and
+    broadcast in place of np.repeat; these pin them bitwise to the formulas
+    they replaced."""
+
+    # dim 1 is left out: its variance is exactly 0, so eps 0 divides by zero
+    @pytest.mark.parametrize("dim", [2, 3, 5, 16, 64])
+    def test_layernorm_matches_np_mean_var(self, dim):
+        rng = make_rng(40 + dim)
+        x = rng.standard_normal((4, dim)) * 2.0 + 0.5
+        gamma, shift = rng.standard_normal(dim), rng.standard_normal(dim)
+        for eps in (0.0, 1e-6):
+            out, cache = layernorm_forward(x, params(dim, gamma=gamma, eps=eps), shift)
+            mean = np.mean(x, axis=1)
+            inv_std = 1.0 / np.sqrt(np.var(x, axis=1) + eps)
+            xhat = (x - mean[:, None]) * inv_std[:, None]
+            assert np.array_equal(cache.mean, mean)
+            assert np.array_equal(cache.inv_std, inv_std)
+            assert np.array_equal(cache.r, xhat)
+            assert np.array_equal(out, gamma * xhat + shift)
+
+    @pytest.mark.parametrize("dim,heads", [(4, 1), (4, 2), (4, 4), (16, 1), (16, 2), (16, 4),
+                                           (64, 2), (64, 4)])
+    @pytest.mark.parametrize("scalar_alpha", [False, True], ids=["vector", "scalar"])
+    def test_dynamic_coefficient_matches_np_repeat(self, dim, heads, scalar_alpha):
+        rng = make_rng(dim * 10 + heads)
+        x = rng.standard_normal((3, dim))
+        alpha = float(rng.standard_normal()) if scalar_alpha else rng.standard_normal(dim)
+        p = params(dim, gamma=rng.standard_normal(dim), alpha=alpha,
+                   beta=rng.standard_normal(dim) / np.sqrt(dim), eps=1e-6, n_heads=heads)
+        out, cache = mh_seednorm_forward(x, p)
+        s = np.repeat(cache.sigma_val, dim // heads, axis=1) * p.alpha_row()
+        assert np.array_equal(cache.s, s)
+        assert np.array_equal(out, (s + p.gamma) * cache.r)
+
+
 class TestScaleBehavior:
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2.0, 4.0, 0.5, 8.0]))
     def test_rmsnorm_power_of_two_scale_invariance(self, seed, k):
@@ -207,3 +243,22 @@ class TestValidationErrors:
     def test_layernorm_shift_dim(self):
         with pytest.raises(ValueError, match="shift"):
             layernorm_forward(X34, params(2), np.zeros(3))
+
+
+class TestNormParams:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["gamma", "alpha", "beta"])
+    def test_rejects_non_finite_vector(self, name, bad):
+        fields = {"gamma": np.ones(3), "alpha": np.ones(3), "beta": np.zeros(3)}
+        fields[name][1] = bad
+        with pytest.raises(ValueError, match=f"{name} contains non-finite entries"):
+            NormParams(**fields)
+
+    def test_activation_string_coerced(self):
+        p = params(2, activation="sigmoid")
+        assert p.activation is Activation.SIGMOID
+
+    def test_default_beta_is_zero(self):
+        p = params(3)
+        assert p.beta.dtype == np.float64
+        assert np.array_equal(p.beta, np.zeros(3))

@@ -22,8 +22,6 @@ from seednorm.model import (
     build_model,
     count_parameters,
     first_nonfinite_site,
-    gelu,
-    gelu_prime,
     load_checkpoint,
     loss_and_grads,
     model_forward,
@@ -271,6 +269,12 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="format"):
             load_checkpoint(str(path))
 
+    def test_non_object_blob_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('["x"]')
+        with pytest.raises(ValueError, match="format"):
+            load_checkpoint(str(path))
+
     def test_format_constant_stable(self):
         assert CHECKPOINT_FORMAT == "seednorm-checkpoint-v1"
 
@@ -294,6 +298,37 @@ class TestCheckpoint:
         for k in m.params:
             assert np.array_equal(loaded.params[k], m.params[k]), k
 
+    def test_missing_params_section_named(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"format": CHECKPOINT_FORMAT, "config": {}}))
+        with pytest.raises(ValueError, match="'params'"):
+            load_checkpoint(str(path))
+
+    def test_missing_parameter_named(self, tmp_path):
+        _, path, blob = self._saved_blob(tmp_path)
+        del blob["params"]["layer0.q_norm.beta"]
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=r"params has no 'layer0\.q_norm\.beta'"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("drop", [("step",), ("m",), ("decay",), ("v", "embed.weight")],
+                             ids=["step", "m", "decay", "v-entry"])
+    def test_missing_optimizer_field_named(self, tmp_path, drop):
+        from seednorm.optim import OptimizerState, decay_flags
+
+        cfg = tiny_cfg()
+        m = build_model(cfg, make_rng(7))
+        path = tmp_path / "model.json"
+        save_checkpoint(m, str(path), opt_state=OptimizerState.init(m.params, decay_flags(cfg)))
+        blob = json.loads(path.read_text())
+        section = blob["optimizer"]
+        for key in drop[:-1]:
+            section = section[key]
+        del section[drop[-1]]
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=f"has no '{drop[-1]}'"):
+            load_checkpoint(str(path))
+
     @pytest.mark.parametrize("key,value", [
         ("qk_norm_per_head", False), ("qk_norm_width", 4),
     ], ids=["full-width-qk", "unknown-key"])
@@ -305,16 +340,40 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
 
+INV_SQRT2 = 1.0 / np.sqrt(2.0)
+INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def gelu_ref(z):
+    """Exact GELU z * Phi(z), written out from erf."""
+    return z * (0.5 * (1.0 + erf(z * INV_SQRT2)))
+
+
+def gelu_prime_ref(z):
+    """d GELU / dz = Phi(z) + z * phi(z), in the FFN's order of operations."""
+    return 0.5 * (1.0 + erf(z * INV_SQRT2)) + z * np.exp(-0.5 * z * z) * INV_SQRT_2PI
+
+
+def ffn_gelu(z):
+    """GELU and its derivative at each z, read off the FFN at width 1 with
+    unit weights: the products by 1.0 are exact."""
+    params = {"g.ffn.w1": np.ones((1, 1)), "g.ffn.w2": np.ones((1, 1))}
+    rows = np.asarray(z, dtype=np.float64).reshape(-1, 1)
+    out, cache = _ffn_forward(params, "g", rows)
+    d_rows, _ = _ffn_backward(params, "g", cache, np.ones_like(rows))
+    return out.ravel(), d_rows.ravel()
+
+
 class TestGelu:
     def test_prime_matches_fd(self):
         z = np.linspace(-3, 3, 41)
         h = 1e-6
-        fd = (gelu(z + h) - gelu(z - h)) / (2 * h)
-        np.testing.assert_allclose(gelu_prime(z), fd, rtol=0, atol=1e-9)
+        fd = (ffn_gelu(z + h)[0] - ffn_gelu(z - h)[0]) / (2 * h)
+        np.testing.assert_allclose(ffn_gelu(z)[1], fd, rtol=0, atol=1e-9)
 
     def test_known_values(self):
-        assert gelu(np.array([0.0]))[0] == 0.0
-        assert gelu(np.array([10.0]))[0] == pytest.approx(10.0)
+        assert ffn_gelu([0.0])[0][0] == 0.0
+        assert ffn_gelu([10.0])[0][0] == pytest.approx(10.0)
 
 
 def reference_attention(params, cfg, pfx, xn, dout):
@@ -410,10 +469,10 @@ class TestBlockContractions:
         out, cache = _ffn_forward(m.params, "layer0", rows)
         d_rows, grads = _ffn_backward(m.params, "layer0", cache, dout)
         h1 = rows @ w1
-        act = gelu(h1)
+        act = gelu_ref(h1)
         assert np.array_equal(act, 0.5 * h1 * (1.0 + erf(h1 * (1.0 / np.sqrt(2.0)))))
         assert np.array_equal(out, act @ w2)
-        dh1 = (dout @ w2.T) * gelu_prime(h1)
+        dh1 = (dout @ w2.T) * gelu_prime_ref(h1)
         assert np.array_equal(d_rows, dh1 @ w1.T)
         assert np.array_equal(grads["layer0.ffn.w1"], rows.T @ dh1)
         assert np.array_equal(grads["layer0.ffn.w2"], act.T @ dout)
