@@ -1,9 +1,11 @@
 """Hand-derived backward passes and the finite-difference oracle.
 
-Every backward consumes a ForwardCache and an upstream gradient of the same
-shape as the input, and returns per-parameter gradients summed over rows next
-to the full input gradient. Nothing here calls an autodiff framework; the
-finite-difference oracle below is the independent check.
+Every backward is ``X_backward(cache, upstream)``: it consumes the
+ForwardCache of its own forward, which also holds the parameters that forward
+ran with, and an upstream gradient of the same shape as the input. It returns
+per-parameter gradients summed over rows next to the full input gradient.
+Nothing here calls an autodiff framework; the finite-difference oracle below
+is the independent check.
 
 Derivation sketch for the dynamic layers, one row at a time. Write
 r = x / rms(x), z_h = (x_h . beta_h) / (optional head width), c_h = act(z_h),
@@ -32,7 +34,6 @@ import numpy as np
 
 from .core import Matrix, Vector, as_matrix, per_head_product
 from .forward import ForwardCache
-from .params import NormParams
 
 # The upstream gradient is just a matrix shaped like the layer input; it gets
 # a name only to make signatures self-describing.
@@ -70,11 +71,10 @@ def _rms_direction_backward(w: Matrix, r: Matrix, rms: np.ndarray, dim: int) -> 
     return w / rms[:, None] - r * proj[:, None]
 
 
-def rmsnorm_backward(cache: ForwardCache, p: NormParams, upstream) -> GradBundle:
+def rmsnorm_backward(cache: ForwardCache, upstream) -> GradBundle:
     """Backward of gamma * x/rms(x). d_alpha and d_beta are exactly zero."""
     u = _check_upstream(cache, upstream, ("rmsnorm",))
-    if p.dim != cache.dim:
-        raise ValueError(f"params dim {p.dim} != cache dim {cache.dim}")
+    p = cache.params
     d_gamma = np.sum(u * cache.r, axis=0)
     w = p.gamma * u
     d_x = _rms_direction_backward(w, cache.r, cache.rms, cache.dim)
@@ -82,25 +82,23 @@ def rmsnorm_backward(cache: ForwardCache, p: NormParams, upstream) -> GradBundle
     return GradBundle(d_gamma=d_gamma, d_alpha=d_alpha, d_beta=np.zeros(p.dim), d_x=d_x)
 
 
-def layernorm_backward(cache: ForwardCache, p: NormParams, upstream) -> GradBundle:
+def layernorm_backward(cache: ForwardCache, upstream) -> GradBundle:
     """Backward of gamma * (x - mean)/sqrt(var + eps) + shift.
 
     The shift gradient is returned in the d_beta slot; there is no alpha.
     """
     u = _check_upstream(cache, upstream, ("layernorm",))
-    if p.dim != cache.dim:
-        raise ValueError(f"params dim {p.dim} != cache dim {cache.dim}")
     xhat = cache.r
     d_gamma = np.sum(u * xhat, axis=0)
     d_shift = np.sum(u, axis=0)
-    g = p.gamma * u
+    g = cache.params.gamma * u
     g_mean = np.mean(g, axis=1, keepdims=True)
     gx_mean = np.mean(g * xhat, axis=1, keepdims=True)
     d_x = cache.inv_std[:, None] * (g - g_mean - xhat * gx_mean)
     return GradBundle(d_gamma=d_gamma, d_alpha=None, d_beta=d_shift, d_x=d_x)
 
 
-def dyt_backward(cache: ForwardCache, gamma, upstream) -> GradBundle:
+def dyt_backward(cache: ForwardCache, upstream) -> GradBundle:
     """Backward of gamma * tanh(alpha * x) + shift.
 
     d_alpha is the scalar sum over all entries; the shift gradient rides in
@@ -108,39 +106,27 @@ def dyt_backward(cache: ForwardCache, gamma, upstream) -> GradBundle:
     d_x through sech^2 -> 0.
     """
     u = _check_upstream(cache, upstream, ("dyt",))
-    gamma = np.asarray(gamma, dtype=np.float64)
-    if gamma.shape != (cache.dim,):
-        raise ValueError("gamma dim mismatch with cache")
+    p = cache.params
     t = cache.tanh_ax
     sech2 = 1.0 - t * t
-    gu = gamma * u
+    gu = p.gamma * u
     d_gamma = np.sum(u * t, axis=0)
     d_shift = np.sum(u, axis=0)
     d_alpha = float(np.sum(gu * cache.x * sech2))
-    d_x = gu * (cache.alpha_scalar * sech2)
+    d_x = gu * (p.alpha * sech2)
     return GradBundle(d_gamma=d_gamma, d_alpha=d_alpha, d_beta=d_shift, d_x=d_x)
 
 
-def _check_dynamic_pair(cache: ForwardCache, p: NormParams) -> None:
-    if p.dim != cache.dim:
-        raise ValueError(f"params dim {p.dim} != cache dim {cache.dim}")
-    if p.n_heads != cache.n_heads:
-        raise ValueError(f"params n_heads {p.n_heads} != cache n_heads {cache.n_heads}")
-    if bool(p.dim_scaled) != bool(cache.dim_scaled):
-        raise ValueError("params/cache disagree on dim_scaled")
-    if p.activation != cache.activation:
-        raise ValueError("params/cache disagree on activation")
+_DYNAMIC_KINDS = ("seednorm", "mh_seednorm")
 
 
-def _dynamic_backward(cache: ForwardCache, p: NormParams, upstream) -> GradBundle:
-    u = _check_upstream(cache, upstream, ("seednorm", "mh_seednorm"))
-    _check_dynamic_pair(cache, p)
-
+def _dynamic_backward(cache: ForwardCache, u: Matrix) -> GradBundle:
+    p = cache.params
     rows, dim = cache.x.shape
-    heads = cache.n_heads
+    heads = p.n_heads
     head_dim = dim // heads
 
-    sig_prime = cache.activation.derivative(cache.tanh_arg, cache.sigma_val)
+    sig_prime = p.activation.derivative(cache.tanh_arg, cache.sigma_val)
 
     ur = u * cache.r
     d_gamma = np.sum(ur, axis=0)
@@ -154,7 +140,7 @@ def _dynamic_backward(cache: ForwardCache, p: NormParams, upstream) -> GradBundl
     aur = p.alpha_row() * ur
     head_sums = aur.reshape(rows, heads, head_dim).sum(axis=2)
     dyn = sig_prime * head_sums  # (rows, heads), spread over each head's channels
-    inv_hd = 1.0 / head_dim if cache.dim_scaled else 1.0
+    inv_hd = 1.0 / head_dim if p.dim_scaled else 1.0
 
     d_beta = np.sum(per_head_product(dyn, cache.x, head_dim), axis=0) * inv_hd
 
@@ -164,21 +150,22 @@ def _dynamic_backward(cache: ForwardCache, p: NormParams, upstream) -> GradBundl
     return GradBundle(d_gamma=d_gamma, d_alpha=d_alpha, d_beta=d_beta, d_x=d_x)
 
 
-def seednorm_backward(cache: ForwardCache, p: NormParams, upstream) -> GradBundle:
+def seednorm_backward(cache: ForwardCache, upstream) -> GradBundle:
     """Backward of the single-head self-rescaling norm (see module docstring)."""
-    if cache.n_heads != 1:
+    u = _check_upstream(cache, upstream, _DYNAMIC_KINDS)
+    if cache.params.n_heads != 1:
         raise ValueError("multi-head cache: use mh_seednorm_backward")
-    return _dynamic_backward(cache, p, upstream)
+    return _dynamic_backward(cache, u)
 
 
-def mh_seednorm_backward(cache: ForwardCache, p: NormParams, upstream) -> GradBundle:
+def mh_seednorm_backward(cache: ForwardCache, upstream) -> GradBundle:
     """Backward of the multi-head variant.
 
     Coefficient-path gradients are head-isolated: channels of head h only
     receive d_beta and first-term d_x contributions from upstream entries in
     head h. The RMS path still couples the full row.
     """
-    return _dynamic_backward(cache, p, upstream)
+    return _dynamic_backward(cache, _check_upstream(cache, upstream, _DYNAMIC_KINDS))
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Forward passes for the normalization family.
 
 All layers take a (rows, dim) float64 matrix and return (output, cache).
-The cache carries every intermediate the matching backward pass needs, so
-backward never recomputes the forward.
+The cache carries the parameters the layer ran with and every intermediate
+the matching backward pass needs, so backward never recomputes the forward
+and takes nothing but the cache and the upstream gradient.
 
 The dynamic layers share one kernel. With r = x / rms(x) per row and the
 per-head coefficient c = activation(x_h . beta_h), the output row is
@@ -17,44 +18,36 @@ keeps the reduction identity exact down to the last bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matrix, Vector, as_matrix, as_vector, per_head_product, rms_rows
-from .params import Activation, ConditionParams, NormParams
+from .core import Matrix, as_matrix, as_vector, per_head_product, rms_rows
+from .params import ConditionParams, NormParams
 
 
 @dataclass
 class ForwardCache:
-    """Intermediates captured by a forward pass.
+    """Intermediates captured by a forward pass, and the parameters it ran with.
 
-    Fields are populated per layer kind; unused ones stay None. ``s`` is the
-    per-channel dynamic coefficient activation(x . beta) * alpha, each head's
-    value broadcast across that head's channels.
+    ``params`` is the NormParams the forward was given; DyT stores its gamma
+    and scalar alpha there. The backward reads every parameter and layer
+    setting from it, so it can only differentiate the forward that made the
+    cache. Other fields are populated per layer kind; unused ones stay None.
+    ``s`` is the per-channel dynamic coefficient activation(x . beta) * alpha,
+    each head's value broadcast across that head's channels.
     """
 
     kind: str
     x: Matrix
-    n_heads: int = 1
-    eps: float = 0.0
+    params: NormParams
     rms: np.ndarray | None = None          # (rows,)
     r: Matrix | None = None                # x / rms, or (x - mean)/std for layernorm
     tanh_arg: np.ndarray | None = None     # (rows, n_heads), after dim scaling
     sigma_val: np.ndarray | None = None    # activation(tanh_arg), (rows, n_heads)
     s: Matrix | None = None                # dynamic coefficient per channel
-    activation: Activation = Activation.TANH
-    dim_scaled: bool = False
-    # DyT extras
-    tanh_ax: Matrix | None = None
-    alpha_scalar: float | None = None
-    # LayerNorm extras
-    mean: np.ndarray | None = None
-    inv_std: np.ndarray | None = None
-
-    @property
-    def rows(self) -> int:
-        return self.x.shape[0]
+    tanh_ax: Matrix | None = None          # DyT: tanh(alpha * x)
+    inv_std: np.ndarray | None = None      # LayerNorm: 1 / sqrt(var + eps)
 
     @property
     def dim(self) -> int:
@@ -73,7 +66,7 @@ def rmsnorm_forward(x, p: NormParams) -> tuple[Matrix, ForwardCache]:
     rms = rms_rows(x, p.eps)
     r = x / rms[:, None]
     out = p.gamma * r
-    cache = ForwardCache(kind="rmsnorm", x=x, rms=rms, r=r, eps=p.eps)
+    cache = ForwardCache(kind="rmsnorm", x=x, params=p, rms=rms, r=r)
     return out, cache
 
 
@@ -96,23 +89,25 @@ def layernorm_forward(x, p: NormParams, shift) -> tuple[Matrix, ForwardCache]:
     inv_std = 1.0 / np.sqrt(var + p.eps)
     xhat = centered * inv_std[:, None]
     out = p.gamma * xhat + shift
-    cache = ForwardCache(
-        kind="layernorm", x=x, eps=p.eps, r=xhat, mean=mean, inv_std=inv_std
-    )
+    cache = ForwardCache(kind="layernorm", x=x, params=p, r=xhat, inv_std=inv_std)
     return out, cache
 
 
 def dyt_forward(x, alpha_scalar: float, gamma, shift) -> tuple[Matrix, ForwardCache]:
-    """Dynamic tanh, no normalization: gamma * tanh(alpha * x) + shift."""
+    """Dynamic tanh, no normalization: gamma * tanh(alpha * x) + shift.
+
+    alpha must be one finite number.
+    """
     x = as_matrix(x)
-    gamma = as_vector(gamma, "gamma")
+    if np.ndim(alpha_scalar) != 0:
+        raise ValueError(f"dyt alpha must be a scalar, got shape {np.shape(alpha_scalar)}")
+    p = NormParams(gamma, alpha_scalar)
     shift = as_vector(shift, "shift")
-    if gamma.shape[0] != x.shape[1] or shift.shape[0] != x.shape[1]:
+    if p.dim != x.shape[1] or shift.shape[0] != x.shape[1]:
         raise ValueError("gamma/shift dim mismatch with input")
-    alpha_scalar = float(alpha_scalar)
-    t = np.tanh(alpha_scalar * x)
-    out = gamma * t + shift
-    cache = ForwardCache(kind="dyt", x=x, tanh_ax=t, alpha_scalar=alpha_scalar)
+    t = np.tanh(p.alpha * x)
+    out = p.gamma * t + shift
+    cache = ForwardCache(kind="dyt", x=x, params=p, tanh_ax=t)
     return out, cache
 
 
@@ -142,17 +137,7 @@ def _dynamic_forward(
     scale = s + p.gamma if include_gamma else s + 1.0
     out = scale * r
     cache = ForwardCache(
-        kind=kind,
-        x=x,
-        n_heads=heads,
-        eps=p.eps,
-        rms=rms,
-        r=r,
-        tanh_arg=tanh_arg,
-        sigma_val=sigma_val,
-        s=s,
-        activation=p.activation,
-        dim_scaled=p.dim_scaled,
+        kind=kind, x=x, params=p, rms=rms, r=r, tanh_arg=tanh_arg, sigma_val=sigma_val, s=s
     )
     return out, cache
 

@@ -163,9 +163,8 @@ def _slot_forward(params: dict, cfg: ModelConfig, prefix: str, rows, n_heads: in
 
 
 def _slot_backward(params: dict, cfg: ModelConfig, prefix: str, cache, upstream):
-    norm = cfg.norm
-    b = norm.backward(_LAYER_FNS, cache, upstream, *norm.arrays(params, prefix))
-    return b.d_x, norm.grads(prefix, b)
+    b = getattr(_LAYER_FNS, f"{cfg.norm_variant.value}_backward")(cache, upstream)
+    return b.d_x, cfg.norm.grads(prefix, b)
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)

@@ -2,15 +2,18 @@
 
 Each row names a variant's parameters as suffixes in canonical order, each
 paired with the EvalPoint/GradBundle field it maps to (a shift rides in the
-beta field), and gives one forward and one backward adapter over those
-arrays, the suffixes that take weight decay, whether a model slot hands it
-the multi-head count, and how the finite-difference suite draws a random
-point for it. The model, the optimizer's decay set and the gradient-check
-suite read this table and nothing else, so a variant is defined here once.
+beta field), and gives one forward adapter over those arrays, the suffixes
+that take weight decay, whether a model slot hands it the multi-head count,
+and how the finite-difference suite draws a random point for it. The model,
+the optimizer's decay set and the gradient-check suite read this table and
+nothing else, so a variant is defined here once.
 
-The adapters capture no layer function: they look ``rmsnorm_forward`` and
-the rest up at call time in ``fns``, the calling module, so a test or a
-tracer that swaps one of those names there sees every call it makes.
+A variant needs no backward adapter: its forward's cache holds the
+parameters the forward ran with, so the backward is ``<variant>_backward(
+cache, upstream)``. Callers look both the backward and, through the forward
+adapter, ``rmsnorm_forward`` and the rest up by name at call time in
+``fns``, the calling module, so a test or a tracer that swaps one of those
+names there sees every call it makes.
 """
 
 from __future__ import annotations
@@ -27,24 +30,12 @@ def _rmsnorm_fwd(fns, x, gamma, alpha, beta, eps, n_heads=1, **opts):
     return fns.rmsnorm_forward(x, NormParams(gamma, eps=eps))
 
 
-def _rmsnorm_bwd(fns, cache, upstream, gamma, alpha, beta):
-    return fns.rmsnorm_backward(cache, NormParams(gamma, eps=cache.eps), upstream)
-
-
 def _layernorm_fwd(fns, x, gamma, alpha, beta, eps, n_heads=1, **opts):
     return fns.layernorm_forward(x, NormParams(gamma, eps=eps), beta)
 
 
-def _layernorm_bwd(fns, cache, upstream, gamma, alpha, beta):
-    return fns.layernorm_backward(cache, NormParams(gamma, eps=cache.eps), upstream)
-
-
 def _dyt_fwd(fns, x, gamma, alpha, beta, eps, n_heads=1, **opts):
-    return fns.dyt_forward(x, float(alpha), gamma, beta)
-
-
-def _dyt_bwd(fns, cache, upstream, gamma, alpha, beta):
-    return fns.dyt_backward(cache, gamma, upstream)
+    return fns.dyt_forward(x, alpha, gamma, beta)
 
 
 def _seednorm_fwd(fns, x, gamma, alpha, beta, eps, n_heads=1, **opts):
@@ -53,19 +44,6 @@ def _seednorm_fwd(fns, x, gamma, alpha, beta, eps, n_heads=1, **opts):
 
 def _mh_seednorm_fwd(fns, x, gamma, alpha, beta, eps, n_heads=1, **opts):
     return fns.mh_seednorm_forward(x, NormParams(gamma, alpha, beta, eps, n_heads, **opts))
-
-
-def _cached_params(cache, gamma, alpha, beta) -> NormParams:
-    return NormParams(gamma, alpha, beta, cache.eps, cache.n_heads,
-                      dim_scaled=cache.dim_scaled, activation=cache.activation)
-
-
-def _seednorm_bwd(fns, cache, upstream, gamma, alpha, beta):
-    return fns.seednorm_backward(cache, _cached_params(cache, gamma, alpha, beta), upstream)
-
-
-def _mh_seednorm_bwd(fns, cache, upstream, gamma, alpha, beta):
-    return fns.mh_seednorm_backward(cache, _cached_params(cache, gamma, alpha, beta), upstream)
 
 
 def _draw_shift(rng, dim, scalar_alpha):
@@ -89,13 +67,11 @@ def _draw_dynamic(rng, dim, scalar_alpha):
 @dataclass(frozen=True)
 class NormSpec:
     """One variant. Forward adapters pass ``opts`` (dim_scaled, activation)
-    to the dynamic layers; backward adapters read the layer settings back
-    from the cache; ``draw`` returns the oracle's fields after gamma, drawn in
-    the order the suite has always used."""
+    to the dynamic layers; ``draw`` returns the oracle's fields after gamma,
+    drawn in the order the suite has always used."""
 
     params: tuple  # ((suffix, EvalPoint/GradBundle field), ...), canonical order
     forward: Callable  # (fns, x, gamma, alpha, beta, eps, n_heads=1, **opts) -> (out, cache)
-    backward: Callable  # (fns, cache, upstream, gamma, alpha, beta) -> GradBundle
     draw: Callable  # (rng, dim, scalar_alpha) -> {field: array}
     decay: tuple = ()  # parameter suffixes that take weight decay
     multi_head: bool = False  # slots pass the model's norm_heads
@@ -122,28 +98,28 @@ _GAMMA = ("gamma", "gamma")
 
 NORMS = {
     "rmsnorm": NormSpec(
-        params=(_GAMMA,), forward=_rmsnorm_fwd, backward=_rmsnorm_bwd,
+        params=(_GAMMA,), forward=_rmsnorm_fwd,
         draw=lambda rng, dim, scalar_alpha: {},
     ),
     # LayerNorm's oracle keeps eps > 0: at eps 0 a near-constant row has a
     # near-zero variance in the denominator.
     "layernorm": NormSpec(
-        params=(_GAMMA, ("shift", "beta")), forward=_layernorm_fwd,
-        backward=_layernorm_bwd, draw=_draw_shift, oracle_zero_eps=1e-6,
+        params=(_GAMMA, ("shift", "beta")), forward=_layernorm_fwd, draw=_draw_shift,
+        oracle_zero_eps=1e-6,
     ),
     "dyt": NormSpec(
         params=(_GAMMA, ("shift", "beta"), ("alpha", "alpha")), forward=_dyt_fwd,
-        backward=_dyt_bwd, draw=_draw_dyt, scalar_alpha=True,
+        draw=_draw_dyt, scalar_alpha=True,
     ),
     # The dynamic vectors decay toward the static baseline; gamma, shifts and
     # DyT's scalar alpha keep the usual norm-parameter exemption.
     "seednorm": NormSpec(
         params=(_GAMMA, ("alpha", "alpha"), ("beta", "beta")), forward=_seednorm_fwd,
-        backward=_seednorm_bwd, draw=_draw_dynamic, decay=("alpha", "beta"),
+        draw=_draw_dynamic, decay=("alpha", "beta"),
     ),
     "mh_seednorm": NormSpec(
         params=(_GAMMA, ("alpha", "alpha"), ("beta", "beta")),
-        forward=_mh_seednorm_fwd, backward=_mh_seednorm_bwd, draw=_draw_dynamic,
+        forward=_mh_seednorm_fwd, draw=_draw_dynamic,
         decay=("alpha", "beta"), multi_head=True,
     ),
 }

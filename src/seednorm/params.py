@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
@@ -51,8 +52,9 @@ class NormParams:
 
     gamma is the static per-channel scale. alpha and beta drive the dynamic
     coefficient activation(x . beta) * alpha; a scalar alpha is accepted and
-    broadcast. For DyT the dedicated forward takes its scalar alpha and shift
-    directly instead of this container.
+    broadcast. Every entry must be finite. DyT's forward takes its scalar
+    alpha, gamma and shift directly and keeps gamma and alpha in one of these
+    for its backward; its shift, like LayerNorm's, is not part of it.
     """
 
     gamma: Vector
@@ -74,6 +76,8 @@ class NormParams:
                 raise ValueError(f"beta dim {self.beta.shape[0]} != gamma dim {dim}")
         if np.ndim(self.alpha) == 0:
             self.alpha = float(self.alpha)
+            if not math.isfinite(self.alpha):
+                raise ValueError(f"alpha must be finite, got {self.alpha}")
         else:
             self.alpha = as_vector(self.alpha, "alpha")
             if self.alpha.shape[0] != dim:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import make_rng, rms_rows
-from .forward import mh_seednorm_forward, seednorm_forward
+from .core import make_rng, per_head_product, rms_rows
+from .forward import mh_seednorm_forward
 from .params import NormParams
 
 
@@ -128,7 +128,6 @@ def probe_scale_insensitivity(
     if any(k <= 0 for k in k_values):
         raise ValueError("k values must be > 0")
     p0 = replace(p, eps=0.0)
-    fwd = seednorm_forward if p0.n_heads == 1 else mh_seednorm_forward
     head_dim = p0.dim // p0.n_heads
     noise_tol = 1e-12
 
@@ -140,17 +139,13 @@ def probe_scale_insensitivity(
     }
     for _ in range(trials):
         x = rng.standard_normal((1, p0.dim))
-        out1, cache1 = fwd(x, p0)
+        out1, cache1 = mh_seednorm_forward(x, p0)
         bound = 2.0 * np.abs(np.asarray(p0.alpha_row()) * np.ones(p0.dim)) * np.abs(cache1.r)
         scale_ref = max(1.0, float(np.max(np.abs(out1))))
         for k in k_values:
             sig_k = p0.activation.apply(k * cache1.tanh_arg)
-            closed = (
-                np.repeat(sig_k - cache1.sigma_val, head_dim, axis=1)
-                * p0.alpha_row()
-                * cache1.r
-            )
-            out_k, cache_k = fwd(k * x, p0)
+            closed = per_head_product(sig_k - cache1.sigma_val, p0.alpha, head_dim) * cache1.r
+            out_k, cache_k = mh_seednorm_forward(k * x, p0)
             actual = out_k - out1
             residual = float(np.max(np.abs(actual - closed))) / scale_ref
             r_drift = float(np.max(np.abs(cache_k.r - cache1.r))) / max(

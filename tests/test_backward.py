@@ -23,13 +23,14 @@ from seednorm.backward import (
 )
 from seednorm.core import make_rng
 from seednorm.forward import (
+    ada_seednorm_forward,
     dyt_forward,
     layernorm_forward,
     mh_seednorm_forward,
     rmsnorm_forward,
     seednorm_forward,
 )
-from seednorm.params import Activation, NormParams
+from seednorm.params import Activation, ConditionParams, NormParams
 
 TOL = 1e-6
 
@@ -62,7 +63,7 @@ class TestRmsnorm:
         u = rng.standard_normal((rows, dim))
         p = NormParams(gamma=rng.standard_normal(dim), eps=eps)
         _, cache = rmsnorm_forward(x, p)
-        got = rmsnorm_backward(cache, p, u)
+        got = rmsnorm_backward(cache, u)
         want = finite_difference_jacobian(
             lambda xx, g, a, b: rmsnorm_forward(xx, NormParams(gamma=g, eps=eps))[0],
             EvalPoint(x=x, u=u, gamma=p.gamma),
@@ -76,7 +77,7 @@ class TestRmsnorm:
         u = rng.standard_normal((4, 6))
         p = NormParams(gamma=rng.standard_normal(6), eps=0.0)
         _, cache = rmsnorm_forward(x, p)
-        g = rmsnorm_backward(cache, p, u)
+        g = rmsnorm_backward(cache, u)
         dots = np.abs(np.sum(g.d_x * x, axis=1))
         scale = np.linalg.norm(g.d_x, axis=1) * np.linalg.norm(x, axis=1)
         assert np.all(dots <= 1e-12 * np.maximum(scale, 1.0))
@@ -84,7 +85,7 @@ class TestRmsnorm:
     def test_alpha_beta_grads_are_zero(self):
         p = NormParams(gamma=np.ones(3))
         _, cache = rmsnorm_forward(np.array([[1.0, 2.0, 3.0]]), p)
-        g = rmsnorm_backward(cache, p, np.ones((1, 3)))
+        g = rmsnorm_backward(cache, np.ones((1, 3)))
         assert np.all(np.asarray(g.d_alpha) == 0.0)
         assert np.all(np.asarray(g.d_beta) == 0.0)
 
@@ -98,7 +99,7 @@ class TestLayernorm:
         p = NormParams(gamma=rng.standard_normal(dim), eps=1e-6)
         shift = rng.standard_normal(dim)
         _, cache = layernorm_forward(x, p, shift)
-        got = layernorm_backward(cache, p, u)
+        got = layernorm_backward(cache, u)
         want = finite_difference_jacobian(
             lambda xx, g, a, b: layernorm_forward(xx, NormParams(gamma=g, eps=1e-6), b)[0],
             EvalPoint(x=x, u=u, gamma=p.gamma, beta=shift),
@@ -111,7 +112,7 @@ class TestLayernorm:
         u = rng.standard_normal((3, 4))
         p = NormParams(gamma=np.ones(4), eps=1e-6)
         _, cache = layernorm_forward(x, p, np.zeros(4))
-        g = layernorm_backward(cache, p, u)
+        g = layernorm_backward(cache, u)
         np.testing.assert_allclose(g.d_beta, u.sum(axis=0), rtol=1e-15)
 
 
@@ -124,7 +125,7 @@ class TestDyt:
         shift = rng.standard_normal(5)
         alpha = 0.7
         _, cache = dyt_forward(x, alpha, gamma, shift)
-        got = dyt_backward(cache, gamma, u)
+        got = dyt_backward(cache, u)
         want = finite_difference_jacobian(
             lambda xx, g, a, b: dyt_forward(xx, float(a), g, b)[0],
             EvalPoint(x=x, u=u, gamma=gamma, alpha=np.array(alpha), beta=shift),
@@ -135,7 +136,7 @@ class TestDyt:
     def test_saturation_kills_input_gradient(self):
         x = np.array([[50.0, -50.0, 0.0]])
         _, cache = dyt_forward(x, 1.0, np.ones(3), np.zeros(3))
-        g = dyt_backward(cache, np.ones(3), np.ones((1, 3)))
+        g = dyt_backward(cache, np.ones((1, 3)))
         assert abs(g.d_x[0, 0]) < 1e-15
         assert abs(g.d_x[0, 1]) < 1e-15
         assert g.d_x[0, 2] == pytest.approx(1.0)  # sech^2(0) = 1
@@ -149,7 +150,7 @@ class TestSeednorm:
         u = rng.standard_normal((rows, dim))
         p = draw_params(rng, dim, eps=eps)
         _, cache = seednorm_forward(x, p)
-        got = seednorm_backward(cache, p, u)
+        got = seednorm_backward(cache, u)
 
         def f(xx, g, a, b):
             return seednorm_forward(xx, NormParams(gamma=g, alpha=a, beta=b, eps=eps))[0]
@@ -165,7 +166,7 @@ class TestSeednorm:
         p = NormParams(gamma=rng.standard_normal(4), alpha=0.9,
                        beta=rng.standard_normal(4), eps=0.0)
         _, cache = seednorm_forward(x, p)
-        got = seednorm_backward(cache, p, u)
+        got = seednorm_backward(cache, u)
         assert isinstance(got.d_alpha, float)
 
         def f(xx, g, a, b):
@@ -184,7 +185,7 @@ class TestSeednorm:
         p = draw_params(rng, 4, eps=0.0, activation=act)
         _, cache = seednorm_forward(x, p)
         assert np.all(np.abs(np.abs(cache.tanh_arg) - 1.0) > 1e-3)
-        got = seednorm_backward(cache, p, u)
+        got = seednorm_backward(cache, u)
 
         def f(xx, g, a, b):
             return seednorm_forward(
@@ -202,7 +203,7 @@ class TestSeednorm:
                        eps=0.0, activation=Activation.HARDTANH)
         x = np.array([[2.0, 3.0]])  # z = 25, deep in the flat region
         _, cache = seednorm_forward(x, p)
-        g = seednorm_backward(cache, p, np.ones((1, 2)))
+        g = seednorm_backward(cache, np.ones((1, 2)))
         assert np.all(g.d_beta == 0.0)
 
     def test_beta_zero_matches_rmsnorm_backward_bitwise(self):
@@ -215,8 +216,8 @@ class TestSeednorm:
         p_rms = NormParams(gamma=gamma, eps=1e-6)
         _, c_dyn = seednorm_forward(x, p_dyn)
         _, c_rms = rmsnorm_forward(x, p_rms)
-        g_dyn = seednorm_backward(c_dyn, p_dyn, u)
-        g_rms = rmsnorm_backward(c_rms, p_rms, u)
+        g_dyn = seednorm_backward(c_dyn, u)
+        g_rms = rmsnorm_backward(c_rms, u)
         assert np.array_equal(g_dyn.d_gamma, g_rms.d_gamma)
         assert np.array_equal(g_dyn.d_x, g_rms.d_x)
         # the coefficient path is dead: alpha sees tanh(0) = 0 exactly
@@ -230,7 +231,7 @@ class TestSeednorm:
         u = rng.standard_normal((2, 4))
         p = draw_params(rng, 4, eps=0.0)
         _, cache = seednorm_forward(x, p)
-        got = seednorm_backward(cache, p, u)
+        got = seednorm_backward(cache, u)
 
         def f(xx, g, a, b):
             return seednorm_forward(xx, NormParams(gamma=g, alpha=a, beta=b, eps=0.0))[0]
@@ -256,7 +257,7 @@ class TestMultiHead:
         u = rng.standard_normal((3, dim))
         p = draw_params(rng, dim, eps=0.0, n_heads=heads, dim_scaled=dim_scaled)
         _, cache = mh_seednorm_forward(x, p)
-        got = mh_seednorm_backward(cache, p, u)
+        got = mh_seednorm_backward(cache, u)
 
         def f(xx, g, a, b):
             pp = NormParams(gamma=g, alpha=a, beta=b, eps=0.0, n_heads=heads,
@@ -274,8 +275,8 @@ class TestMultiHead:
         p = draw_params(rng, 6, eps=0.0, n_heads=1)
         _, c1 = seednorm_forward(x, p)
         _, c2 = mh_seednorm_forward(x, p)
-        g1 = seednorm_backward(c1, p, u)
-        g2 = mh_seednorm_backward(c2, p, u)
+        g1 = seednorm_backward(c1, u)
+        g2 = mh_seednorm_backward(c2, u)
         for name in ("d_gamma", "d_alpha", "d_beta", "d_x"):
             assert np.array_equal(np.asarray(getattr(g1, name)), np.asarray(getattr(g2, name)))
 
@@ -288,25 +289,26 @@ class TestMultiHead:
         _, cache = mh_seednorm_forward(x, p)
         u = np.zeros((1, dim))
         u[0, : dim // 2] = rng.standard_normal(dim // 2)
-        g = mh_seednorm_backward(cache, p, u)
+        g = mh_seednorm_backward(cache, u)
         assert np.all(g.d_beta[dim // 2 :] == 0.0)
         assert np.any(g.d_beta[: dim // 2] != 0.0)
         # alpha follows upstream support exactly
         assert np.all(np.asarray(g.d_alpha)[dim // 2 :] == 0.0)
 
 
-def repeat_backward(cache, p, u):
+def repeat_backward(cache, u):
     """The dynamic backward's coefficient-path gradients in their np.repeat
     form: (d_alpha, d_beta, d_x)."""
+    p = cache.params
     rows, dim = cache.x.shape
-    head_dim = dim // cache.n_heads
+    head_dim = dim // p.n_heads
     ur = u * cache.r
     d_alpha_full = ur * np.repeat(cache.sigma_val, head_dim, axis=1)
     d_alpha = float(np.sum(d_alpha_full)) if p.alpha_is_scalar else np.sum(d_alpha_full, axis=0)
-    sig_prime = cache.activation.derivative(cache.tanh_arg, cache.sigma_val)
-    head_sums = (p.alpha_row() * ur).reshape(rows, cache.n_heads, head_dim).sum(axis=2)
+    sig_prime = p.activation.derivative(cache.tanh_arg, cache.sigma_val)
+    head_sums = (p.alpha_row() * ur).reshape(rows, p.n_heads, head_dim).sum(axis=2)
     dyn = np.repeat(sig_prime * head_sums, head_dim, axis=1)
-    inv_hd = 1.0 / head_dim if cache.dim_scaled else 1.0
+    inv_hd = 1.0 / head_dim if p.dim_scaled else 1.0
     d_beta = np.sum(dyn * cache.x, axis=0) * inv_hd
     w = (cache.s + p.gamma) * u
     proj = np.sum(w * cache.r, axis=1) / (dim * cache.rms)
@@ -328,8 +330,8 @@ class TestWrittenOutRepeat:
                        beta=rng.standard_normal(dim) / np.sqrt(dim), eps=1e-6,
                        n_heads=heads, dim_scaled=dim_scaled)
         _, cache = mh_seednorm_forward(x, p)
-        b = mh_seednorm_backward(cache, p, u)
-        d_alpha, d_beta, d_x = repeat_backward(cache, p, u)
+        b = mh_seednorm_backward(cache, u)
+        d_alpha, d_beta, d_x = repeat_backward(cache, u)
         assert type(b.d_alpha) is type(d_alpha)
         assert np.array_equal(b.d_alpha, d_alpha)
         assert np.array_equal(b.d_beta, d_beta)
@@ -350,7 +352,7 @@ class TestScalingLaws:
     def grads_at(self, k, p):
         fwd = seednorm_forward
         _, cache = fwd(k * self.x, p)
-        return seednorm_backward(cache, p, self.u)
+        return seednorm_backward(cache, self.u)
 
     def test_gamma_grad_scale_invariant(self):
         g1 = self.grads_at(1.0, self.p)
@@ -385,31 +387,50 @@ class TestScalingLaws:
         assert float(np.max(np.abs(gk.d_beta))) < 1e-6 * float(np.max(np.abs(g1.d_beta)))
 
 
+X4 = np.array([[1.0, -2.0, 3.0, 0.5]])
+P4 = NormParams(gamma=np.ones(4), alpha=np.ones(4), beta=np.full(4, 0.25))
+CACHES = {
+    "rmsnorm": lambda: rmsnorm_forward(X4, P4)[1],
+    "layernorm": lambda: layernorm_forward(X4, P4, np.zeros(4))[1],
+    "dyt": lambda: dyt_forward(X4, 0.5, np.ones(4), np.zeros(4))[1],
+    "seednorm": lambda: seednorm_forward(X4, P4)[1],
+    "mh_seednorm": lambda: mh_seednorm_forward(X4, P4)[1],
+    "ada_seednorm": lambda: ada_seednorm_forward(
+        X4, P4, ConditionParams(gamma_c=np.zeros(4), eta_c=np.zeros(4)))[1],
+}
+BACKWARDS = {
+    "rmsnorm": rmsnorm_backward,
+    "layernorm": layernorm_backward,
+    "dyt": dyt_backward,
+    "seednorm": seednorm_backward,
+    "mh_seednorm": mh_seednorm_backward,
+}
+DYNAMIC = ("seednorm", "mh_seednorm")  # these two share one cache kind check
+
+
+def foreign_kinds(variant):
+    own = DYNAMIC if variant in DYNAMIC else (variant,)
+    return [kind for kind in CACHES if kind not in own]
+
+
 class TestErrorCases:
-    def test_wrong_cache_kind(self):
-        p = NormParams(gamma=np.ones(2))
-        _, cache = rmsnorm_forward(X := np.array([[1.0, 2.0]]), p)
+    @pytest.mark.parametrize("variant,kind",
+                             [(v, k) for v in BACKWARDS for k in foreign_kinds(v)])
+    def test_wrong_cache_kind(self, variant, kind):
         with pytest.raises(ValueError, match="kind"):
-            seednorm_backward(cache, p, np.ones_like(X))
+            BACKWARDS[variant](CACHES[kind](), np.ones_like(X4))
 
     def test_multi_head_cache_rejected_by_plain_backward(self):
         p = NormParams(gamma=np.ones(4), alpha=np.ones(4), beta=np.ones(4), n_heads=2)
         _, cache = mh_seednorm_forward(np.ones((1, 4)), p)
         with pytest.raises(ValueError, match="multi-head"):
-            seednorm_backward(cache, p, np.ones((1, 4)))
+            seednorm_backward(cache, np.ones((1, 4)))
 
     def test_upstream_shape_mismatch(self):
         p = NormParams(gamma=np.ones(3))
         _, cache = rmsnorm_forward(np.ones((2, 3)), p)
         with pytest.raises(ValueError):
-            rmsnorm_backward(cache, p, np.ones((1, 3)))
-
-    def test_param_cache_head_mismatch(self):
-        p2 = NormParams(gamma=np.ones(4), alpha=np.ones(4), beta=np.ones(4), n_heads=2)
-        p4 = NormParams(gamma=np.ones(4), alpha=np.ones(4), beta=np.ones(4), n_heads=4)
-        _, cache = mh_seednorm_forward(np.ones((1, 4)), p2)
-        with pytest.raises(ValueError):
-            mh_seednorm_backward(cache, p4, np.ones((1, 4)))
+            rmsnorm_backward(cache, np.ones((1, 3)))
 
     def test_fd_oracle_rejects_bad_step(self):
         with pytest.raises(ValueError):

@@ -177,7 +177,6 @@ class TestWrittenOutReductions:
             mean = np.mean(x, axis=1)
             inv_std = 1.0 / np.sqrt(np.var(x, axis=1) + eps)
             xhat = (x - mean[:, None]) * inv_std[:, None]
-            assert np.array_equal(cache.mean, mean)
             assert np.array_equal(cache.inv_std, inv_std)
             assert np.array_equal(cache.r, xhat)
             assert np.array_equal(out, gamma * xhat + shift)
@@ -244,6 +243,31 @@ class TestValidationErrors:
         with pytest.raises(ValueError, match="shift"):
             layernorm_forward(X34, params(2), np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_dyt_rejects_non_finite_alpha(self, bad):
+        # at x = 0, tanh(inf * 0) would be nan
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            dyt_forward(np.array([[1.0, -2.0, 0.0]]), bad, np.ones(3), np.zeros(3))
+
+    @pytest.mark.parametrize("alpha", [np.ones(3), np.ones(1)], ids=["dim", "one"])
+    def test_dyt_rejects_vector_alpha(self, alpha):
+        with pytest.raises(ValueError, match="dyt alpha must be a scalar"):
+            dyt_forward(np.ones((1, 3)), alpha, np.ones(3), np.zeros(3))
+
+
+class TestCacheParams:
+    def test_cache_holds_the_params_it_ran_with(self):
+        p = params(4, alpha=np.ones(4), beta=np.full(4, 0.25), n_heads=2)
+        for fwd in (rmsnorm_forward, mh_seednorm_forward):
+            assert fwd(np.ones((1, 4)), p)[1].params is p
+        assert layernorm_forward(np.ones((1, 4)), p, np.zeros(4))[1].params is p
+
+    def test_dyt_cache_holds_gamma_and_scalar_alpha(self):
+        gamma = np.array([1.0, -2.0, 3.0])
+        _, cache = dyt_forward(np.ones((1, 3)), np.float64(0.5), gamma, np.zeros(3))
+        assert np.array_equal(cache.params.gamma, gamma)
+        assert type(cache.params.alpha) is float and cache.params.alpha == 0.5
+
 
 class TestNormParams:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -253,6 +277,11 @@ class TestNormParams:
         fields[name][1] = bad
         with pytest.raises(ValueError, match=f"{name} contains non-finite entries"):
             NormParams(**fields)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_scalar_alpha(self, bad):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            NormParams(gamma=np.ones(3), alpha=bad, beta=np.zeros(3))
 
     def test_activation_string_coerced(self):
         p = params(2, activation="sigmoid")

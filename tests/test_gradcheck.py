@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from seednorm import gradcheck
 from seednorm.core import make_rng
 from seednorm.gradcheck import (
     DEFAULT_DIMS,
@@ -29,6 +30,22 @@ class TestRunTrial:
         # the point only differentiates what the layer owns
         res = run_trial("rmsnorm", dim=4, rows=1, rng=make_rng(3))
         assert set(res) == {"d_gamma", "d_x"}
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_reaches_swapped_backward(self, variant, monkeypatch):
+        # a tracer or a mutation test swaps the layer backward in the
+        # gradcheck module; the trial must call the swapped one
+        name = f"{variant}_backward"
+        original = getattr(gradcheck, name)
+        kinds = []
+
+        def spy(cache, upstream):
+            kinds.append(cache.kind)
+            return original(cache, upstream)
+
+        monkeypatch.setattr(gradcheck, name, spy)
+        run_trial(variant, dim=4, rows=1, rng=make_rng(4))
+        assert kinds == [variant]
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):

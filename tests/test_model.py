@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from seednorm import model
 from seednorm.backward import central_difference, relative_error
 from seednorm.core import make_rng
 from seednorm.model import (
@@ -189,6 +190,23 @@ class TestLossAndGrads:
         assert set(grads) == set(m.params)
         for k, g in grads.items():
             assert g.shape == m.params[k].shape, k
+
+    @pytest.mark.parametrize("variant", VARIANT_LIST)
+    def test_slot_backward_reaches_swapped_layer(self, variant, monkeypatch):
+        # a tracer or a mutation test swaps the layer backward in the model
+        # module; every norm slot must call the swapped one
+        name = f"{variant}_backward"
+        original = getattr(model, name)
+        kinds = []
+
+        def spy(cache, upstream):
+            kinds.append(cache.kind)
+            return original(cache, upstream)
+
+        monkeypatch.setattr(model, name, spy)
+        m = build_model(tiny_cfg(variant), make_rng(0))
+        loss_and_grads(m, np.array([[1, 2]]), np.array([[2, 3]]))
+        assert kinds == [variant] * 5  # final norm, then ffn, attn, k and q norms
 
     # Floor 1e-5 for whole-model checks: central differences on an O(1) loss
     # carry ~1e-11 absolute noise, so gradient entries smaller than the floor
