@@ -4,8 +4,11 @@ Every backward is ``X_backward(cache, upstream)``: it consumes the
 ForwardCache of its own forward, which also holds the parameters that forward
 ran with, and an upstream gradient of the same shape as the input. It returns
 per-parameter gradients summed over rows next to the full input gradient.
-Nothing here calls an autodiff framework; the finite-difference oracle below
-is the independent check.
+Like the forwards, a backward writes its (rows, dim) intermediates into its
+own output and at most two scratch arrays, never into the cache or the
+upstream gradient, so one cache can be differentiated any number of times;
+every returned array is its own allocation. Nothing here calls an autodiff
+framework; the finite-difference oracle below is the independent check.
 
 Derivation sketch for the dynamic layers, one row at a time. Write
 r = x / rms(x), z_h = (x_h . beta_h) / (optional head width), c_h = act(z_h),
@@ -66,17 +69,26 @@ def _check_upstream(cache: ForwardCache, upstream, kinds: tuple[str, ...]) -> Ma
 
 
 def _rms_direction_backward(w: Matrix, r: Matrix, rms: np.ndarray, dim: int) -> Matrix:
-    """Input gradient of the normalized direction: w/rms - r * (w.r)/(dim*rms)."""
-    proj = np.sum(w * r, axis=1) / (dim * rms)
-    return w / rms[:, None] - r * proj[:, None]
+    """Input gradient of the normalized direction: w/rms - r * (w.r)/(dim*rms).
+
+    Overwrites ``w`` with the result and returns it, so the caller passes a
+    (rows, dim) array of its own that it no longer needs.
+    """
+    wr = w * r
+    proj = wr.sum(axis=1) / (dim * rms)
+    np.multiply(r, proj[:, None], out=wr)
+    w /= rms[:, None]
+    w -= wr
+    return w
 
 
 def rmsnorm_backward(cache: ForwardCache, upstream) -> GradBundle:
     """Backward of gamma * x/rms(x). d_alpha and d_beta are exactly zero."""
     u = _check_upstream(cache, upstream, ("rmsnorm",))
     p = cache.params
-    d_gamma = np.sum(u * cache.r, axis=0)
-    w = p.gamma * u
+    ur = u * cache.r
+    d_gamma = ur.sum(axis=0)
+    w = np.multiply(u, p.gamma, out=ur)
     d_x = _rms_direction_backward(w, cache.r, cache.rms, cache.dim)
     d_alpha = 0.0 if p.alpha_is_scalar else np.zeros(p.dim)
     return GradBundle(d_gamma=d_gamma, d_alpha=d_alpha, d_beta=np.zeros(p.dim), d_x=d_x)
@@ -89,12 +101,17 @@ def layernorm_backward(cache: ForwardCache, upstream) -> GradBundle:
     """
     u = _check_upstream(cache, upstream, ("layernorm",))
     xhat = cache.r
-    d_gamma = np.sum(u * xhat, axis=0)
-    d_shift = np.sum(u, axis=0)
-    g = cache.params.gamma * u
-    g_mean = np.mean(g, axis=1, keepdims=True)
-    gx_mean = np.mean(g * xhat, axis=1, keepdims=True)
-    d_x = cache.inv_std[:, None] * (g - g_mean - xhat * gx_mean)
+    dim = cache.dim
+    scratch = u * xhat
+    d_gamma = scratch.sum(axis=0)
+    d_shift = u.sum(axis=0)
+    # np.mean written out as it computes it: the row sum over dim
+    d_x = np.multiply(u, cache.params.gamma)  # g, turned into d_x in place
+    g_mean = d_x.sum(axis=1, keepdims=True) / dim
+    gx_mean = np.multiply(d_x, xhat, out=scratch).sum(axis=1, keepdims=True) / dim
+    d_x -= g_mean
+    d_x -= np.multiply(xhat, gx_mean, out=scratch)
+    d_x *= cache.inv_std[:, None]
     return GradBundle(d_gamma=d_gamma, d_alpha=None, d_beta=d_shift, d_x=d_x)
 
 
@@ -108,12 +125,17 @@ def dyt_backward(cache: ForwardCache, upstream) -> GradBundle:
     u = _check_upstream(cache, upstream, ("dyt",))
     p = cache.params
     t = cache.tanh_ax
-    sech2 = 1.0 - t * t
-    gu = p.gamma * u
-    d_gamma = np.sum(u * t, axis=0)
-    d_shift = np.sum(u, axis=0)
-    d_alpha = float(np.sum(gu * cache.x * sech2))
-    d_x = gu * (p.alpha * sech2)
+    sech2 = t * t
+    np.subtract(1.0, sech2, out=sech2)
+    scratch = u * t
+    d_gamma = scratch.sum(axis=0)
+    d_shift = u.sum(axis=0)
+    d_x = np.multiply(u, p.gamma)  # gu, turned into d_x in place
+    np.multiply(d_x, cache.x, out=scratch)
+    scratch *= sech2
+    d_alpha = float(scratch.sum())
+    sech2 *= p.alpha
+    d_x *= sech2
     return GradBundle(d_gamma=d_gamma, d_alpha=d_alpha, d_beta=d_shift, d_x=d_x)
 
 
@@ -129,24 +151,26 @@ def _dynamic_backward(cache: ForwardCache, u: Matrix) -> GradBundle:
     sig_prime = p.activation.derivative(cache.tanh_arg, cache.sigma_val)
 
     ur = u * cache.r
-    d_gamma = np.sum(ur, axis=0)
+    d_gamma = ur.sum(axis=0)
 
-    d_alpha_full = per_head_product(cache.sigma_val, ur, head_dim)
+    # one (rows, dim) scratch serves the three per-head products in turn
+    scratch = per_head_product(cache.sigma_val, ur, head_dim)  # d_alpha per entry
     if p.alpha_is_scalar:
-        d_alpha = float(np.sum(d_alpha_full))
+        d_alpha = float(scratch.sum())
     else:
-        d_alpha = np.sum(d_alpha_full, axis=0)
+        d_alpha = scratch.sum(axis=0)
 
-    aur = p.alpha_row() * ur
+    aur = np.multiply(ur, p.alpha_row(), out=ur)
     head_sums = aur.reshape(rows, heads, head_dim).sum(axis=2)
     dyn = sig_prime * head_sums  # (rows, heads), spread over each head's channels
     inv_hd = 1.0 / head_dim if p.dim_scaled else 1.0
 
-    d_beta = np.sum(per_head_product(dyn, cache.x, head_dim), axis=0) * inv_hd
+    d_beta = per_head_product(dyn, cache.x, head_dim, out=scratch).sum(axis=0) * inv_hd
 
-    w = (cache.s + p.gamma) * u
-    d_x = (per_head_product(dyn, p.beta * inv_hd, head_dim)
-           + _rms_direction_backward(w, cache.r, cache.rms, dim))
+    w = np.add(cache.s, p.gamma, out=ur)
+    w *= u
+    d_x = _rms_direction_backward(w, cache.r, cache.rms, dim)
+    d_x += per_head_product(dyn, p.beta * inv_hd, head_dim, out=scratch)
     return GradBundle(d_gamma=d_gamma, d_alpha=d_alpha, d_beta=d_beta, d_x=d_x)
 
 

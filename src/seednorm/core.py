@@ -54,21 +54,26 @@ def rms_rows(x: Matrix, eps: float) -> np.ndarray:
     return np.sqrt((x * x).sum(axis=1) / x.shape[1] + eps)
 
 
-def per_head_product(per_head: np.ndarray, m, head_dim: int) -> Matrix:
+def per_head_product(
+    per_head: np.ndarray, m, head_dim: int, out: Matrix | None = None
+) -> Matrix:
     """``per_head`` (rows, heads) times ``m``, each head's value across its
     ``head_dim`` contiguous channels; shape (rows, heads * head_dim).
 
     ``m`` is a scalar, a (dim,) vector or a (rows, dim) matrix. The products
     are those of ``np.repeat(per_head, head_dim, axis=1) * m``, found by
     broadcasting over the (rows, heads, head_dim) view instead of building
-    the repeated matrix.
+    the repeated matrix. They are written into ``out`` when one is given:
+    a C-contiguous (rows, heads * head_dim) float64 array, whose reshape is
+    a view, so the caller can reuse a scratch array it owns.
     """
     rows, heads = per_head.shape
     if np.ndim(m):
         m = m.reshape(m.shape[:-1] + (heads, head_dim))
-    out = np.empty((rows, heads, head_dim))
-    np.multiply(per_head[:, :, None], m, out=out)
-    return out.reshape(rows, heads * head_dim)
+    if out is None:
+        out = np.empty((rows, heads * head_dim))
+    np.multiply(per_head[:, :, None], m, out=out.reshape(rows, heads, head_dim))
+    return out
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -5,6 +5,12 @@ The cache carries the parameters the layer ran with and every intermediate
 the matching backward pass needs, so backward never recomputes the forward
 and takes nothing but the cache and the upstream gradient.
 
+A forward allocates only its output, its cache entries and at most one
+(rows, dim) scratch array, and writes every other intermediate of that size
+into those in place. It never writes to its input or its parameters. Each
+element still goes through the operations of the formula in the same order,
+so the results are bitwise those of the formula written as one expression.
+
 The dynamic layers share one kernel. With r = x / rms(x) per row and the
 per-head coefficient c = activation(x_h . beta_h), the output row is
 
@@ -84,11 +90,13 @@ def layernorm_forward(x, p: NormParams, shift) -> tuple[Matrix, ForwardCache]:
     # centered rows with xhat
     dim = x.shape[1]
     mean = x.sum(axis=1) / dim
-    centered = x - mean[:, None]
-    var = (centered * centered).sum(axis=1) / dim
+    xhat = x - mean[:, None]  # centered; scaled to xhat in place below
+    out = xhat * xhat  # squares; overwritten with the output below
+    var = out.sum(axis=1) / dim
     inv_std = 1.0 / np.sqrt(var + p.eps)
-    xhat = centered * inv_std[:, None]
-    out = p.gamma * xhat + shift
+    xhat *= inv_std[:, None]
+    np.multiply(xhat, p.gamma, out=out)
+    out += shift
     cache = ForwardCache(kind="layernorm", x=x, params=p, r=xhat, inv_std=inv_std)
     return out, cache
 
@@ -105,8 +113,10 @@ def dyt_forward(x, alpha_scalar: float, gamma, shift) -> tuple[Matrix, ForwardCa
     shift = as_vector(shift, "shift")
     if p.dim != x.shape[1] or shift.shape[0] != x.shape[1]:
         raise ValueError("gamma/shift dim mismatch with input")
-    t = np.tanh(p.alpha * x)
-    out = p.gamma * t + shift
+    t = np.multiply(x, p.alpha)
+    np.tanh(t, out=t)
+    out = np.multiply(t, p.gamma)
+    out += shift
     cache = ForwardCache(kind="dyt", x=x, params=p, tanh_ax=t)
     return out, cache
 
@@ -130,12 +140,12 @@ def _dynamic_forward(
     bh = p.beta.reshape(heads, head_dim)
     tanh_arg = np.einsum("rhd,hd->rh", xh, bh)
     if p.dim_scaled:
-        tanh_arg = tanh_arg / head_dim
+        tanh_arg /= head_dim
     sigma_val = p.activation.apply(tanh_arg)
 
     s = per_head_product(sigma_val, p.alpha, head_dim)
-    scale = s + p.gamma if include_gamma else s + 1.0
-    out = scale * r
+    out = s + p.gamma if include_gamma else s + 1.0
+    out *= r
     cache = ForwardCache(
         kind=kind, x=x, params=p, rms=rms, r=r, tanh_arg=tanh_arg, sigma_val=sigma_val, s=s
     )
@@ -179,6 +189,7 @@ def ada_seednorm_forward(
     """
     if cond.dim != p.dim:
         raise ValueError(f"condition dim {cond.dim} != params dim {p.dim}")
-    core, cache = _dynamic_forward(x, p, "ada_seednorm", include_gamma=False)
-    out = core * (1.0 + cond.gamma_c) + cond.eta_c
+    out, cache = _dynamic_forward(x, p, "ada_seednorm", include_gamma=False)
+    out *= 1.0 + cond.gamma_c
+    out += cond.eta_c
     return out, cache

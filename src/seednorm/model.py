@@ -175,24 +175,37 @@ def _gelu_cdf(z):
     """Standard normal CDF Phi(z). The FFN's GELU is the exact, erf-based
     z * Phi(z), smooth everywhere, which keeps the whole-model
     finite-difference check clean."""
-    return 0.5 * (1.0 + erf(z * _INV_SQRT2))
+    cdf = np.multiply(z, _INV_SQRT2)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
 
 
-def _gelu_prime_from_cdf(z, cdf):
-    """d GELU / dz = Phi(z) + z * phi(z), given Phi(z)."""
-    return cdf + z * np.exp(-0.5 * z * z) * _INV_SQRT_2PI
+def _gelu_prime_from_cdf(z, cdf, out=None):
+    """d GELU / dz = Phi(z) + z * phi(z), given Phi(z); written into ``out``,
+    an array shaped like ``z``, when one is given."""
+    g = np.multiply(z, -0.5, out=out)
+    g *= z
+    np.exp(g, out=g)
+    g *= z
+    g *= _INV_SQRT_2PI
+    g += cdf
+    return g
 
 
 def softmax_cross_entropy(logits, targets):
     """Mean cross-entropy over rows plus d loss / d logits."""
     rows = logits.shape[0]
     m = logits.max(axis=1, keepdims=True)
-    ex = np.exp(logits - m)
+    ex = logits - m
+    np.exp(ex, out=ex)
     z = ex.sum(axis=1, keepdims=True)
     log_z = np.log(z) + m
     idx = np.arange(rows)
     loss = float(np.mean(log_z.ravel() - logits[idx, targets]))
-    dlogits = ex / z
+    dlogits = ex
+    dlogits /= z
     dlogits[idx, targets] -= 1.0
     dlogits /= rows
     return loss, dlogits
@@ -220,12 +233,13 @@ def _attn_forward(params, cfg, pfx, xn, sites=None):
     kn = kn_rows.reshape(b, heads, t, hd)
     vh = v.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
     inv_scale = 1.0 / np.sqrt(hd)
-    scores = (qn @ kn.swapaxes(-1, -2)) * inv_scale
-    causal = np.triu(np.ones((t, t), dtype=bool), k=1)
-    scores = np.where(causal, -np.inf, scores)
-    m = scores.max(axis=-1, keepdims=True)
-    ex = np.exp(scores - m)
-    att = ex / ex.sum(axis=-1, keepdims=True)
+    # scores, masked, then turned into the softmax in place
+    att = qn @ kn.swapaxes(-1, -2)
+    att *= inv_scale
+    np.copyto(att, -np.inf, where=np.triu(np.ones((t, t), dtype=bool), k=1))
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
     _note(sites, f"{pfx}.attn.softmax", att)
     o = att @ vh
     oc = o.transpose(0, 2, 1, 3).reshape(b * t, d)
@@ -249,10 +263,15 @@ def _attn_backward(params, cfg, pfx, cache, dout):
     att, vh, qn, kn = cache["att"], cache["vh"], cache["qn"], cache["kn"]
     datt = do @ vh.swapaxes(-1, -2)
     dvh = att.swapaxes(-1, -2) @ do
-    dscores = att * (datt - np.sum(datt * att, axis=-1, keepdims=True))
+    # softmax backward, in place: dscores = att * (datt - sum(datt * att))
+    dscores = datt
+    dscores -= (datt * att).sum(axis=-1, keepdims=True)
+    dscores *= att
     inv_scale = 1.0 / np.sqrt(hd)
-    dqn = (dscores @ kn) * inv_scale
-    dkn = (dscores.swapaxes(-1, -2) @ qn) * inv_scale
+    dqn = dscores @ kn
+    dqn *= inv_scale
+    dkn = dscores.swapaxes(-1, -2) @ qn
+    dkn *= inv_scale
     dqn_rows = dqn.reshape(b * heads * t, hd)
     dkn_rows = dkn.reshape(b * heads * t, hd)
     dq_rows, gq = _slot_backward(params, cfg, f"{pfx}.q_norm", cache["q_cache"], dqn_rows)
@@ -266,11 +285,10 @@ def _attn_backward(params, cfg, pfx, cache, dout):
     grads[f"{pfx}.attn.wq"] = x2.T @ dq
     grads[f"{pfx}.attn.wk"] = x2.T @ dk
     grads[f"{pfx}.attn.wv"] = x2.T @ dv
-    dx2 = (
-        dq @ params[f"{pfx}.attn.wq"].T
-        + dk @ params[f"{pfx}.attn.wk"].T
-        + dv @ params[f"{pfx}.attn.wv"].T
-    )
+    dx2 = dq @ params[f"{pfx}.attn.wq"].T
+    part = dk @ params[f"{pfx}.attn.wk"].T
+    dx2 += part
+    dx2 += np.matmul(dv, params[f"{pfx}.attn.wv"].T, out=part)
     return dx2.reshape(b, t, d), grads
 
 
@@ -285,9 +303,10 @@ def _ffn_forward(params, pfx, rows):
 
 def _ffn_backward(params, pfx, cache, dout):
     h1, cdf = cache["h1"], cache["cdf"]
-    grads = {f"{pfx}.ffn.w2": (h1 * cdf).T @ dout}
-    dact = dout @ params[f"{pfx}.ffn.w2"].T
-    dh1 = dact * _gelu_prime_from_cdf(h1, cdf)
+    act = h1 * cdf
+    grads = {f"{pfx}.ffn.w2": act.T @ dout}
+    dh1 = dout @ params[f"{pfx}.ffn.w2"].T  # dact, times GELU' in place
+    dh1 *= _gelu_prime_from_cdf(h1, cdf, out=act)
     grads[f"{pfx}.ffn.w1"] = cache["rows"].T @ dh1
     d_rows = dh1 @ params[f"{pfx}.ffn.w1"].T
     return d_rows, grads

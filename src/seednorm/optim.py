@@ -88,12 +88,23 @@ def adamw_step(
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
+        # two scratch arrays shaped like p (0-d for DyT's alpha) hold every
+        # temporary; each entry sees the same operations as in the formula
+        update = np.empty_like(p)
+        denom = np.empty_like(p)
         m *= hyper.beta1
-        m += (1.0 - hyper.beta1) * g
+        m += np.multiply(g, 1.0 - hyper.beta1, out=update)
         v *= hyper.beta2
-        v += (1.0 - hyper.beta2) * (g * g)
-        update = lr_t * (m / bc1) / (np.sqrt(v / bc2) + hyper.eps)
+        sq = np.multiply(g, g, out=update)
+        sq *= 1.0 - hyper.beta2
+        v += sq
+        np.divide(m, bc1, out=update)
+        update *= lr_t
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += hyper.eps
+        update /= denom
         if hyper.weight_decay != 0.0 and state.decay.get(name, False):
-            update = update + lr_t * hyper.weight_decay * p
+            update += np.multiply(p, lr_t * hyper.weight_decay, out=denom)
         p -= update
     return params

@@ -338,6 +338,72 @@ class TestWrittenOutRepeat:
         assert np.array_equal(b.d_x, d_x)
 
 
+def rmsnorm_expression_backward(cache, u):
+    p = cache.params
+    d_gamma = np.sum(u * cache.r, axis=0)
+    w = p.gamma * u
+    proj = np.sum(w * cache.r, axis=1) / (cache.dim * cache.rms)
+    d_x = w / cache.rms[:, None] - cache.r * proj[:, None]
+    return d_gamma, 0.0 if p.alpha_is_scalar else np.zeros(p.dim), np.zeros(p.dim), d_x
+
+
+def layernorm_expression_backward(cache, u):
+    xhat = cache.r
+    d_gamma = np.sum(u * xhat, axis=0)
+    d_shift = np.sum(u, axis=0)
+    g = cache.params.gamma * u
+    g_mean = np.mean(g, axis=1, keepdims=True)
+    gx_mean = np.mean(g * xhat, axis=1, keepdims=True)
+    d_x = cache.inv_std[:, None] * (g - g_mean - xhat * gx_mean)
+    return d_gamma, None, d_shift, d_x
+
+
+def dyt_expression_backward(cache, u):
+    p = cache.params
+    t = cache.tanh_ax
+    sech2 = 1.0 - t * t
+    gu = p.gamma * u
+    d_gamma = np.sum(u * t, axis=0)
+    d_shift = np.sum(u, axis=0)
+    d_alpha = float(np.sum(gu * cache.x * sech2))
+    d_x = gu * (p.alpha * sech2)
+    return d_gamma, d_alpha, d_shift, d_x
+
+
+class TestWrittenOutInPlace:
+    """The static layers' backwards compute in place; these pin them bitwise
+    to their formulas written as whole-array expressions, which return
+    (d_gamma, d_alpha, d_beta, d_x)."""
+
+    REFERENCES = {
+        "rmsnorm": (rmsnorm_forward, rmsnorm_backward, rmsnorm_expression_backward),
+        "layernorm": (layernorm_forward, layernorm_backward, layernorm_expression_backward),
+        "dyt": (dyt_forward, dyt_backward, dyt_expression_backward),
+    }
+
+    @pytest.mark.parametrize("variant", list(REFERENCES))
+    @pytest.mark.parametrize("dim", [2, 3, 16, 64])
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_matches_expression_form_bitwise(self, variant, dim, rows):
+        forward, backward, reference = self.REFERENCES[variant]
+        rng = make_rng(dim * 100 + rows)
+        x = rng.standard_normal((rows, dim)) * 2.0 + 0.3
+        u = rng.standard_normal((rows, dim))
+        gamma, shift = rng.standard_normal(dim), rng.standard_normal(dim)
+        if variant == "dyt":
+            _, cache = forward(x, float(rng.uniform(-1.25, 1.25)), gamma, shift)
+        elif variant == "layernorm":
+            _, cache = forward(x, NormParams(gamma, eps=1e-6), shift)
+        else:
+            _, cache = forward(x, NormParams(gamma, eps=1e-6))
+        b = backward(cache, u)
+        for name, want in zip(("d_gamma", "d_alpha", "d_beta", "d_x"), reference(cache, u)):
+            got = getattr(b, name)
+            assert type(got) is type(want), name
+            if want is not None:
+                assert np.array_equal(got, want), name
+
+
 class TestScalingLaws:
     """Behavior of the gradients under x -> k x, eps = 0."""
 

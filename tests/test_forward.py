@@ -162,9 +162,9 @@ class TestReductions:
 
 
 class TestWrittenOutReductions:
-    """The forwards compute np.mean and np.var without their wrappers and
-    broadcast in place of np.repeat; these pin them bitwise to the formulas
-    they replaced."""
+    """The forwards compute np.mean and np.var without their wrappers,
+    broadcast in place of np.repeat and write intermediates in place; these
+    pin them bitwise to the formulas they replaced."""
 
     # dim 1 is left out: its variance is exactly 0, so eps 0 divides by zero
     @pytest.mark.parametrize("dim", [2, 3, 5, 16, 64])
@@ -180,6 +180,18 @@ class TestWrittenOutReductions:
             assert np.array_equal(cache.inv_std, inv_std)
             assert np.array_equal(cache.r, xhat)
             assert np.array_equal(out, gamma * xhat + shift)
+
+    @pytest.mark.parametrize("dim", [1, 3, 16, 64])
+    def test_dyt_matches_expression_form(self, dim):
+        # dyt_forward writes tanh(alpha * x) and the affine map in place
+        rng = make_rng(50 + dim)
+        x = rng.standard_normal((4, dim)) * 2.0
+        gamma, shift = rng.standard_normal(dim), rng.standard_normal(dim)
+        alpha = float(rng.uniform(-1.25, 1.25))
+        out, cache = dyt_forward(x, alpha, gamma, shift)
+        t = np.tanh(alpha * x)
+        assert np.array_equal(cache.tanh_ax, t)
+        assert np.array_equal(out, gamma * t + shift)
 
     @pytest.mark.parametrize("dim,heads", [(4, 1), (4, 2), (4, 4), (16, 1), (16, 2), (16, 4),
                                            (64, 2), (64, 4)])

@@ -182,6 +182,24 @@ class TestLossAndGrads:
         assert loss == pytest.approx(want, rel=1e-12)
         np.testing.assert_allclose(dlogits.sum(axis=1), 0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("scale", [1.0, 30.0])
+    def test_softmax_cross_entropy_matches_expression_form_bitwise(self, scale):
+        # the loss computes exp, the normalization and the gradient in place
+        rng = make_rng(33)
+        logits = rng.normal(size=(7, 5)) * scale
+        targets = rng.integers(0, 5, size=7)
+        loss, dlogits = softmax_cross_entropy(logits, targets)
+        m = logits.max(axis=1, keepdims=True)
+        ex = np.exp(logits - m)
+        z = ex.sum(axis=1, keepdims=True)
+        log_z = np.log(z) + m
+        idx = np.arange(7)
+        want = ex / z
+        want[idx, targets] -= 1.0
+        want /= 7
+        assert loss == float(np.mean(log_z.ravel() - logits[idx, targets]))
+        assert np.array_equal(dlogits, want)
+
     def test_grads_cover_every_parameter(self):
         cfg = tiny_cfg()
         m = build_model(cfg, make_rng(0))
@@ -448,6 +466,55 @@ def reference_attention(params, cfg, pfx, xn, dout):
     return out, dx.reshape(b, t, d), grads
 
 
+def expression_attention(params, cfg, pfx, xn, dout):
+    """The attention block written as whole-array expressions, with the
+    contractions of ``_attn_forward``/``_attn_backward``, so the in-place
+    softmax, softmax backward, scalings and input-gradient sum must match it
+    bit for bit. Returns (att, out, dx, grads)."""
+    b, t, d = xn.shape
+    heads, hd = cfg.attn_heads, cfg.head_dim
+    x2 = xn.reshape(b * t, d)
+    wq, wk, wv, wo = (params[f"{pfx}.attn.{w}"] for w in ("wq", "wk", "wv", "wo"))
+    q_rows = (x2 @ wq).reshape(b, t, heads, hd).transpose(0, 2, 1, 3).reshape(b * heads * t, hd)
+    k_rows = (x2 @ wk).reshape(b, t, heads, hd).transpose(0, 2, 1, 3).reshape(b * heads * t, hd)
+    qn_rows, q_cache = _slot_forward(params, cfg, f"{pfx}.q_norm", q_rows, 1)
+    kn_rows, k_cache = _slot_forward(params, cfg, f"{pfx}.k_norm", k_rows, 1)
+    qn = qn_rows.reshape(b, heads, t, hd)
+    kn = kn_rows.reshape(b, heads, t, hd)
+    vh = (x2 @ wv).reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
+    inv_scale = 1.0 / np.sqrt(hd)
+    scores = (qn @ kn.swapaxes(-1, -2)) * inv_scale
+    scores = np.where(np.triu(np.ones((t, t), dtype=bool), k=1), -np.inf, scores)
+    m = scores.max(axis=-1, keepdims=True)
+    ex = np.exp(scores - m)
+    att = ex / ex.sum(axis=-1, keepdims=True)
+    oc = (att @ vh).transpose(0, 2, 1, 3).reshape(b * t, d)
+    out = (oc @ wo).reshape(b, t, d)
+
+    dout2 = dout.reshape(b * t, d)
+    grads = {f"{pfx}.attn.wo": oc.T @ dout2}
+    do = (dout2 @ wo.T).reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
+    datt = do @ vh.swapaxes(-1, -2)
+    dvh = att.swapaxes(-1, -2) @ do
+    dscores = att * (datt - np.sum(datt * att, axis=-1, keepdims=True))
+    dqn = (dscores @ kn) * inv_scale
+    dkn = (dscores.swapaxes(-1, -2) @ qn) * inv_scale
+    dq_rows, gq = _slot_backward(params, cfg, f"{pfx}.q_norm", q_cache,
+                                 dqn.reshape(b * heads * t, hd))
+    dk_rows, gk = _slot_backward(params, cfg, f"{pfx}.k_norm", k_cache,
+                                 dkn.reshape(b * heads * t, hd))
+    dq = dq_rows.reshape(b, heads, t, hd).transpose(0, 2, 1, 3).reshape(b * t, d)
+    dk = dk_rows.reshape(b, heads, t, hd).transpose(0, 2, 1, 3).reshape(b * t, d)
+    grads.update(gq)
+    grads.update(gk)
+    dv = dvh.transpose(0, 2, 1, 3).reshape(b * t, d)
+    grads[f"{pfx}.attn.wq"] = x2.T @ dq
+    grads[f"{pfx}.attn.wk"] = x2.T @ dk
+    grads[f"{pfx}.attn.wv"] = x2.T @ dv
+    dx = dq @ wq.T + dk @ wk.T + dv @ wv.T
+    return att, out, dx.reshape(b, t, d), grads
+
+
 def perturbed_model(cfg, seed):
     """A model whose norm parameters are moved off their identity init."""
     rng = make_rng(seed)
@@ -477,6 +544,24 @@ class TestBlockContractions:
         assert grads.keys() == ref_grads.keys()
         for name, g in grads.items():
             assert_rel_close(g, ref_grads[name])
+
+    @pytest.mark.parametrize("variant", VARIANT_LIST)
+    def test_attention_matches_expression_form_bitwise(self, variant):
+        cfg = ModelConfig(layers=1, hidden_dim=12, attn_heads=2, vocab=5, context=5,
+                          norm_variant=variant, norm_heads=2)
+        m, rng = perturbed_model(cfg, 34)
+        xn = rng.normal(size=(3, 5, 12)) * 3.0  # wide scores: some softmax rows saturate
+        dout = rng.normal(size=(3, 5, 12))
+        out, cache = _attn_forward(m.params, cfg, "layer0", xn)
+        dx, grads = _attn_backward(m.params, cfg, "layer0", cache, dout)
+        ref_att, ref_out, ref_dx, ref_grads = expression_attention(
+            m.params, cfg, "layer0", xn, dout)
+        assert np.array_equal(cache["att"], ref_att)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(dx, ref_dx)
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert np.array_equal(g, ref_grads[name]), name
 
     def test_ffn_matches_gelu_bitwise(self):
         cfg = ModelConfig(layers=1, hidden_dim=8, attn_heads=2, vocab=5, context=4)

@@ -85,6 +85,52 @@ class TestAdamWStep:
             assert params["w"][0] == pytest.approx(w, rel=1e-14)
 
 
+def expression_adamw(state, params, grads, hyper, lr):
+    """The AdamW update written as whole-array expressions: the reference
+    the in-place update must match bit for bit."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - hyper.beta1**t
+    bc2 = 1.0 - hyper.beta2**t
+    for name, p in params.items():
+        g, m, v = grads[name], state.m[name], state.v[name]
+        m *= hyper.beta1
+        m += (1.0 - hyper.beta1) * g
+        v *= hyper.beta2
+        v += (1.0 - hyper.beta2) * (g * g)
+        update = lr * (m / bc1) / (np.sqrt(v / bc2) + hyper.eps)
+        if hyper.weight_decay != 0.0 and state.decay.get(name, False):
+            update = update + lr * hyper.weight_decay * p
+        p -= update
+
+
+class TestWrittenOutUpdate:
+    # "alpha" is 0-d like DyT's scalar alpha; it is tried decayed and not
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.1], ids=["no_decay", "decay"])
+    @pytest.mark.parametrize("alpha_decays", [False, True])
+    def test_matches_expression_form_bitwise(self, weight_decay, alpha_decays):
+        rng = make_rng(5)
+        params = {"w": rng.standard_normal((3, 4)), "gamma": rng.standard_normal(4),
+                  "alpha": np.array(rng.standard_normal())}
+        decay = {"w": True, "gamma": False, "alpha": alpha_decays}
+        ref_params = {k: p.copy() for k, p in params.items()}
+        state = OptimizerState.init(params, decay)
+        ref_state = OptimizerState.init(ref_params, decay)
+        hyper = AdamWConfig(lr=0.01, weight_decay=weight_decay)
+        for lr in (None, 0.003, None):
+            grads = {k: np.asarray(rng.standard_normal(p.shape)) for k, p in params.items()}
+            kept = {k: g.copy() for k, g in grads.items()}
+            adamw_step(state, params, grads, hyper, lr=lr)
+            expression_adamw(ref_state, ref_params, grads, hyper,
+                             hyper.lr if lr is None else lr)
+            for k in params:
+                assert np.array_equal(grads[k], kept[k]), k  # gradients are read only
+                assert params[k].shape == ref_params[k].shape, k
+                assert np.array_equal(params[k], ref_params[k]), k
+                assert np.array_equal(state.m[k], ref_state.m[k]), k
+                assert np.array_equal(state.v[k], ref_state.v[k]), k
+
+
 DECAYED_NORM_PARAMS = {
     "rmsnorm": (),
     "layernorm": (),
