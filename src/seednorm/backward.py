@@ -10,6 +10,13 @@ upstream gradient, so one cache can be differentiated any number of times;
 every returned array is its own allocation. Nothing here calls an autodiff
 framework; the finite-difference oracle below is the independent check.
 
+The oracle calls only forwards. ``central_difference`` is its one generic
+loop: it perturbs one coordinate at a time and serves the parameters and
+the whole-model check. Every norm forward acts on each row alone, so the
+input directions are differentiated in bulk instead: the perturbed copies
+of x are stacked into a few large forwards whose per-copy sums are bitwise
+the loop's.
+
 Derivation sketch for the dynamic layers, one row at a time. Write
 r = x / rms(x), z_h = (x_h . beta_h) / (optional head width), c_h = act(z_h),
 s = c broadcast per head * alpha, out = (s + gamma) * r, and let u be the
@@ -41,6 +48,11 @@ from .forward import ForwardCache
 # The upstream gradient is just a matrix shaped like the layer input; it gets
 # a name only to make signatures self-describing.
 UpstreamGrad = Matrix
+
+# Cap on the elements of the stacked x that one oracle forward maps (one
+# coordinate's pair of copies at the least). It bounds the oracle's memory;
+# how the copies are chunked leaves every bit of the result unchanged.
+FD_CHUNK_ELEMENTS = 8192
 
 
 @dataclass
@@ -219,11 +231,16 @@ def finite_difference_jacobian(f, point: EvalPoint, step: float = 1e-5) -> GradB
     """Central differences of L = sum(u * f(x, gamma, alpha, beta)).
 
     f must be a pure function of the supplied arrays (any fixed state has to
-    be closed over). Every coordinate of every non-None array is perturbed by
-    +/- step through central_difference, which names the offending
-    coordinate when the objective goes non-finite.
+    be closed over) that acts on each row of x independently: the output row
+    i depends on input row i alone, and a row's bits do not depend on what
+    other rows are stacked with it. Every norm forward is such a function.
+    Every coordinate of every non-None array is perturbed by +/- step: those
+    of x through _input_differences, in stacked forwards, and the parameters
+    through central_difference, since a parameter touches every row. Either
+    names the offending coordinate when the objective goes non-finite.
     """
-    names = [n for n in ("x", "gamma", "beta", "alpha") if getattr(point, n) is not None]
+    d_x = _input_differences(f, point, step)
+    names = [n for n in ("gamma", "beta", "alpha") if getattr(point, n) is not None]
 
     def objective() -> float:
         return float((point.u * f(point.x, point.gamma, point.alpha, point.beta)).sum())
@@ -235,8 +252,49 @@ def finite_difference_jacobian(f, point: EvalPoint, step: float = 1e-5) -> GradB
     if d_alpha is not None and d_alpha.ndim == 0:
         d_alpha = float(d_alpha)
     return GradBundle(
-        d_gamma=grads.get("gamma"), d_alpha=d_alpha, d_beta=grads.get("beta"), d_x=grads["x"]
+        d_gamma=grads.get("gamma"), d_alpha=d_alpha, d_beta=grads.get("beta"), d_x=d_x
     )
+
+
+def _input_differences(f, point: EvalPoint, step: float) -> Matrix:
+    """The x part of finite_difference_jacobian, for an f that acts row by row.
+
+    Each coordinate's two copies of x (orig +/- step at that coordinate, as
+    central_difference builds them) are stacked, in chunks of at most
+    FD_CHUNK_ELEMENTS elements, into one (copies * rows, dim) matrix that f
+    maps in one call. A copy's
+    objective is one row of (u.ravel() * out.reshape(copies, -1)).sum(axis=1),
+    the pairwise sum that the flat .sum() of central_difference's objective
+    does, so the gradient is bitwise the one that loop gives. point.x is
+    never written to.
+    """
+    _check_step(step)
+    x, u = point.x, point.u.ravel()
+    rows, dim = x.shape
+    size = x.size
+    flat = x.ravel()
+    grad = np.empty(size)
+    per_chunk = max(1, FD_CHUNK_ELEMENTS // (2 * size or 1))
+    for lo in range(0, size, per_chunk):
+        n = min(per_chunk, size - lo)
+        copies = np.empty((n, 2, size))
+        copies[...] = flat
+        k = np.arange(n)
+        copies[k, 0, lo + k] = flat[lo:lo + n] + step
+        copies[k, 1, lo + k] = flat[lo:lo + n] - step
+        out = f(copies.reshape(2 * n * rows, dim), point.gamma, point.alpha, point.beta)
+        losses = (u * out.reshape(2 * n, -1)).sum(axis=1).reshape(n, 2)
+        if np.count_nonzero(np.isfinite(losses)) != losses.size:
+            first, side = (int(v) for v in np.argwhere(~np.isfinite(losses))[0])
+            i, j = divmod(lo + first, dim)
+            raise FloatingPointError(f"non-finite loss at x[{i}, {j}]{('+h', '-h')[side]}")
+        grad[lo:lo + n] = (losses[:, 0] - losses[:, 1]) / (2.0 * step)
+    return grad.reshape(rows, dim)
+
+
+def _check_step(step: float) -> None:
+    if step <= 0:
+        raise ValueError("step must be > 0")
 
 
 def central_difference(loss_fn, arrays, step: float = 1e-5, labels=None) -> list[np.ndarray]:
@@ -247,8 +305,7 @@ def central_difference(loss_fn, arrays, step: float = 1e-5, labels=None) -> list
     coordinate and the side of the step, as in ``x[0, 0]+h``, with arrays
     named by ``labels`` (default ``arrays[i]``).
     """
-    if step <= 0:
-        raise ValueError("step must be > 0")
+    _check_step(step)
     grads = []
     for i, arr in enumerate(arrays):
         label = labels[i] if labels is not None else f"arrays[{i}]"

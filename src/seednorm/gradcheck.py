@@ -124,6 +124,8 @@ def check_variant(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if any(h < 1 for h in heads):
         raise ValueError(f"heads must all be >= 1, got {list(heads)}")
+    if len(dims) == 0 or any(d < 1 for d in dims):
+        raise ValueError(f"dims must be one or more widths >= 1, got {list(dims)}")
     rng = make_rng(seed)
     worst: dict = {}
     extras: dict = {}
@@ -175,6 +177,8 @@ def run_gradcheck(
     timing: bool = False,
 ) -> dict:
     """Suite across variants. The report's pass flag is max error <= tolerance."""
+    if tolerance < 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     checks = [
         check_variant(v, dims=dims, trials=trials, seed=seed + i, heads=heads, step=step)
         for i, v in enumerate(variants)

@@ -195,9 +195,11 @@ def train_model(
 ) -> TrainResult:
     """Full training entry point; returns the curve, model, and optimizer.
 
-    Passing ``model`` resumes from existing parameters instead of building
-    fresh ones. Init and batch streams come from separate child seeds, so a
-    resumed run sees the same batch sequence as a fresh run of this seed.
+    Passing ``model`` starts from its parameters instead of building fresh
+    ones. That is not a resume: the optimizer state is new, and warmup and
+    the batch stream restart at step 0, so a run split in two differs from
+    one run of the same steps. Init and batch streams come from separate
+    child seeds, so the batches are those of a fresh run of this seed.
     """
     init_seed, data_seed = spawn_seeds(rng, 2)
     if model is None:

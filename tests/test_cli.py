@@ -86,6 +86,22 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "trials" in proc.stderr
 
+    @pytest.mark.parametrize("argv,word", [
+        (["gradcheck", "--dims", "0", "--variant", "dyt"], "dims"),
+        (["gradcheck", "--dims", "0", "--variant", "layernorm"], "dims"),
+        (["gradcheck", "--dims", "4", "-2", "--variant", "rmsnorm"], "dims"),
+        (["gradcheck", "--tol", "-1", "--variant", "rmsnorm", "--trials", "2"], "tolerance"),
+    ], ids=["dims-zero-dyt", "dims-zero-layernorm", "dims-negative", "tol-negative"])
+    def test_bad_gradcheck_width_or_tolerance_two(self, argv, word):
+        # a zero width used to fail inside NumPy (with a RuntimeWarning for
+        # layernorm), and a negative tolerance ran every trial to print FAIL
+        proc = run_process(argv)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert word in proc.stderr
+        assert "FAIL" not in proc.stdout
+
     @pytest.mark.parametrize("argv", [
         ["train", "--alpha-init", "nan", "--steps", "1"],
         ["train", "--lr", "nan", "--steps", "3", "--batch-size", "4"],
@@ -148,6 +164,13 @@ class TestConfigFile:
         assert rc == 0
         assert "trials=3" in out
         assert "dims=2,4" in out
+
+    def test_empty_dims_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dims =\n")
+        rc, _, err = run(["gradcheck", "--config", str(cfg)], capsys)
+        assert rc == 2
+        assert "dims" in err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -74,6 +74,12 @@ class TestCheckVariant:
         with pytest.raises(ValueError, match="trials"):
             check_variant("rmsnorm", dims=(4,), trials=trials)
 
+    @pytest.mark.parametrize("dims", [(), (0,), (4, -1)])
+    def test_bad_dims_rejected(self, dims):
+        # an empty or non-positive width used to fail inside NumPy
+        with pytest.raises(ValueError, match="dims"):
+            check_variant("dyt", dims=dims, trials=2)
+
     def test_multi_head_skips_invalid_head_counts(self):
         # dim 2 cannot host 4 heads; the suite must stay inside valid configs
         c = check_variant("mh_seednorm", dims=(2,), trials=5, seed=2, heads=(2, 4))
@@ -100,6 +106,14 @@ class TestRunGradcheck:
         report = run_gradcheck(variants=("rmsnorm",), dims=(4,), trials=2, seed=0,
                                tolerance=0.0)
         assert report["pass"] is False
+
+    def test_negative_tolerance_rejected_before_any_trial(self, monkeypatch):
+        # no error can be below a negative tolerance, so the run cannot pass
+        calls = []
+        monkeypatch.setattr(gradcheck, "run_trial", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="tolerance"):
+            run_gradcheck(variants=("rmsnorm",), dims=(4,), trials=2, tolerance=-1.0)
+        assert calls == []
 
     def test_reports_identical_across_runs(self):
         a = run_gradcheck(dims=(4,), trials=3, seed=9)
