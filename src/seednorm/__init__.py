@@ -20,7 +20,7 @@ from .backward import (
     rmsnorm_backward,
     seednorm_backward,
 )
-from .core import make_rng, spawn_seeds
+from .core import Workspace, make_rng, spawn_seeds
 from .forward import (
     ForwardCache,
     ada_seednorm_forward,
@@ -87,6 +87,7 @@ __all__ = [
     "TrainConfig",
     "TrainingDiverged",
     "VARIANTS",
+    "Workspace",
     "ada_seednorm_forward",
     "adamw_step",
     "build_model",

@@ -1,13 +1,17 @@
 """Hand-derived backward passes and the finite-difference oracle.
 
-Every backward is ``X_backward(cache, upstream)``: it consumes the
+Every backward is ``X_backward(cache, upstream, ws=FRESH)``: it consumes the
 ForwardCache of its own forward, which also holds the parameters that forward
 ran with, and an upstream gradient of the same shape as the input. It returns
 per-parameter gradients summed over rows next to the full input gradient.
 Like the forwards, a backward writes its (rows, dim) intermediates into its
 own output and at most two scratch arrays, never into the cache or the
-upstream gradient, so one cache can be differentiated any number of times;
-every returned array is its own allocation. Nothing here calls an autodiff
+upstream gradient, so one cache can be differentiated any number of times.
+Its arrays come from the buffer source ``ws``: with the default every
+returned array is its own allocation. In a workspace the parameter
+gradients are the arrays "d_<field>", and the input gradient is the array
+"out" of the forward: a model slot's caller has used the forward's output
+up before it runs the slot's backward. Nothing here calls an autodiff
 framework; the finite-difference oracle below is the independent check.
 
 The oracle calls only forwards. ``central_difference`` is its one generic
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matrix, Vector, as_matrix, per_head_product
+from .core import FRESH, Matrix, Vector, as_matrix, per_head_product
 from .forward import ForwardCache
 
 # The upstream gradient is just a matrix shaped like the layer input; it gets
@@ -80,13 +84,16 @@ def _check_upstream(cache: ForwardCache, upstream, kinds: tuple[str, ...]) -> Ma
     return u
 
 
-def _rms_direction_backward(w: Matrix, r: Matrix, rms: np.ndarray, dim: int) -> Matrix:
+def _rms_direction_backward(
+    w: Matrix, r: Matrix, rms: np.ndarray, dim: int, scratch: Matrix
+) -> Matrix:
     """Input gradient of the normalized direction: w/rms - r * (w.r)/(dim*rms).
 
     Overwrites ``w`` with the result and returns it, so the caller passes a
-    (rows, dim) array of its own that it no longer needs.
+    (rows, dim) array of its own that it no longer needs, and a scratch
+    array of that shape.
     """
-    wr = w * r
+    wr = np.multiply(w, r, out=scratch)
     proj = wr.sum(axis=1) / (dim * rms)
     np.multiply(r, proj[:, None], out=wr)
     w /= rms[:, None]
@@ -94,19 +101,20 @@ def _rms_direction_backward(w: Matrix, r: Matrix, rms: np.ndarray, dim: int) -> 
     return w
 
 
-def rmsnorm_backward(cache: ForwardCache, upstream) -> GradBundle:
+def rmsnorm_backward(cache: ForwardCache, upstream, ws=FRESH) -> GradBundle:
     """Backward of gamma * x/rms(x). d_alpha and d_beta are exactly zero."""
     u = _check_upstream(cache, upstream, ("rmsnorm",))
     p = cache.params
-    ur = u * cache.r
-    d_gamma = ur.sum(axis=0)
+    ur = np.multiply(u, cache.r, out=ws.out(("out", u.shape)))  # turned into d_x
+    d_gamma = ur.sum(axis=0, out=ws.out(("d_gamma", (p.dim,))))
     w = np.multiply(u, p.gamma, out=ur)
-    d_x = _rms_direction_backward(w, cache.r, cache.rms, cache.dim)
+    scratch = ws.shared("norm_backward.scratch", u.shape)
+    d_x = _rms_direction_backward(w, cache.r, cache.rms, cache.dim, scratch)
     d_alpha = 0.0 if p.alpha_is_scalar else np.zeros(p.dim)
     return GradBundle(d_gamma=d_gamma, d_alpha=d_alpha, d_beta=np.zeros(p.dim), d_x=d_x)
 
 
-def layernorm_backward(cache: ForwardCache, upstream) -> GradBundle:
+def layernorm_backward(cache: ForwardCache, upstream, ws=FRESH) -> GradBundle:
     """Backward of gamma * (x - mean)/sqrt(var + eps) + shift.
 
     The shift gradient is returned in the d_beta slot; there is no alpha.
@@ -114,11 +122,11 @@ def layernorm_backward(cache: ForwardCache, upstream) -> GradBundle:
     u = _check_upstream(cache, upstream, ("layernorm",))
     xhat = cache.r
     dim = cache.dim
-    scratch = u * xhat
-    d_gamma = scratch.sum(axis=0)
-    d_shift = u.sum(axis=0)
+    scratch = np.multiply(u, xhat, out=ws.shared("norm_backward.scratch", u.shape))
+    d_gamma = scratch.sum(axis=0, out=ws.out(("d_gamma", (dim,))))
+    d_shift = u.sum(axis=0, out=ws.out(("d_beta", (dim,))))
     # np.mean written out as it computes it: the row sum over dim
-    d_x = np.multiply(u, cache.params.gamma)  # g, turned into d_x in place
+    d_x = np.multiply(u, cache.params.gamma, out=ws.out(("out", u.shape)))  # g, then d_x
     g_mean = d_x.sum(axis=1, keepdims=True) / dim
     gx_mean = np.multiply(d_x, xhat, out=scratch).sum(axis=1, keepdims=True) / dim
     d_x -= g_mean
@@ -127,7 +135,7 @@ def layernorm_backward(cache: ForwardCache, upstream) -> GradBundle:
     return GradBundle(d_gamma=d_gamma, d_alpha=None, d_beta=d_shift, d_x=d_x)
 
 
-def dyt_backward(cache: ForwardCache, upstream) -> GradBundle:
+def dyt_backward(cache: ForwardCache, upstream, ws=FRESH) -> GradBundle:
     """Backward of gamma * tanh(alpha * x) + shift.
 
     d_alpha is the scalar sum over all entries; the shift gradient rides in
@@ -137,12 +145,12 @@ def dyt_backward(cache: ForwardCache, upstream) -> GradBundle:
     u = _check_upstream(cache, upstream, ("dyt",))
     p = cache.params
     t = cache.tanh_ax
-    sech2 = t * t
+    sech2 = np.multiply(t, t, out=ws.shared("dyt_backward.sech2", t.shape))
     np.subtract(1.0, sech2, out=sech2)
-    scratch = u * t
-    d_gamma = scratch.sum(axis=0)
-    d_shift = u.sum(axis=0)
-    d_x = np.multiply(u, p.gamma)  # gu, turned into d_x in place
+    scratch = np.multiply(u, t, out=ws.shared("norm_backward.scratch", u.shape))
+    d_gamma = scratch.sum(axis=0, out=ws.out(("d_gamma", (p.dim,))))
+    d_shift = u.sum(axis=0, out=ws.out(("d_beta", (p.dim,))))
+    d_x = np.multiply(u, p.gamma, out=ws.out(("out", u.shape)))  # gu, then d_x
     np.multiply(d_x, cache.x, out=scratch)
     scratch *= sech2
     d_alpha = float(scratch.sum())
@@ -154,7 +162,7 @@ def dyt_backward(cache: ForwardCache, upstream) -> GradBundle:
 _DYNAMIC_KINDS = ("seednorm", "mh_seednorm")
 
 
-def _dynamic_backward(cache: ForwardCache, u: Matrix) -> GradBundle:
+def _dynamic_backward(cache: ForwardCache, u: Matrix, ws) -> GradBundle:
     p = cache.params
     rows, dim = cache.x.shape
     heads = p.n_heads
@@ -162,46 +170,49 @@ def _dynamic_backward(cache: ForwardCache, u: Matrix) -> GradBundle:
 
     sig_prime = p.activation.derivative(cache.tanh_arg, cache.sigma_val)
 
-    ur = u * cache.r
-    d_gamma = ur.sum(axis=0)
+    ur = np.multiply(u, cache.r, out=ws.out(("out", u.shape)))  # turned into d_x
+    d_gamma = ur.sum(axis=0, out=ws.out(("d_gamma", (dim,))))
 
-    # one (rows, dim) scratch serves the three per-head products in turn
-    scratch = per_head_product(cache.sigma_val, ur, head_dim)  # d_alpha per entry
+    # one (rows, dim) scratch serves the three per-head products and the
+    # RMS direction in turn
+    scratch = per_head_product(  # d_alpha per entry
+        cache.sigma_val, ur, head_dim, out=ws.shared("norm_backward.scratch", u.shape))
     if p.alpha_is_scalar:
         d_alpha = float(scratch.sum())
     else:
-        d_alpha = scratch.sum(axis=0)
+        d_alpha = scratch.sum(axis=0, out=ws.out(("d_alpha", (dim,))))
 
     aur = np.multiply(ur, p.alpha_row(), out=ur)
     head_sums = aur.reshape(rows, heads, head_dim).sum(axis=2)
     dyn = sig_prime * head_sums  # (rows, heads), spread over each head's channels
     inv_hd = 1.0 / head_dim if p.dim_scaled else 1.0
 
-    d_beta = per_head_product(dyn, cache.x, head_dim, out=scratch).sum(axis=0) * inv_hd
+    d_beta = np.multiply(per_head_product(dyn, cache.x, head_dim, out=scratch).sum(axis=0),
+                         inv_hd, out=ws.out(("d_beta", (dim,))))
 
     w = np.add(cache.s, p.gamma, out=ur)
     w *= u
-    d_x = _rms_direction_backward(w, cache.r, cache.rms, dim)
+    d_x = _rms_direction_backward(w, cache.r, cache.rms, dim, scratch)
     d_x += per_head_product(dyn, p.beta * inv_hd, head_dim, out=scratch)
     return GradBundle(d_gamma=d_gamma, d_alpha=d_alpha, d_beta=d_beta, d_x=d_x)
 
 
-def seednorm_backward(cache: ForwardCache, upstream) -> GradBundle:
+def seednorm_backward(cache: ForwardCache, upstream, ws=FRESH) -> GradBundle:
     """Backward of the single-head self-rescaling norm (see module docstring)."""
     u = _check_upstream(cache, upstream, _DYNAMIC_KINDS)
     if cache.params.n_heads != 1:
         raise ValueError("multi-head cache: use mh_seednorm_backward")
-    return _dynamic_backward(cache, u)
+    return _dynamic_backward(cache, u, ws)
 
 
-def mh_seednorm_backward(cache: ForwardCache, upstream) -> GradBundle:
+def mh_seednorm_backward(cache: ForwardCache, upstream, ws=FRESH) -> GradBundle:
     """Backward of the multi-head variant.
 
     Coefficient-path gradients are head-isolated: channels of head h only
     receive d_beta and first-term d_x contributions from upstream entries in
     head h. The RMS path still couples the full row.
     """
-    return _dynamic_backward(cache, _check_upstream(cache, upstream, _DYNAMIC_KINDS))
+    return _dynamic_backward(cache, _check_upstream(cache, upstream, _DYNAMIC_KINDS), ws)
 
 
 @dataclass
@@ -243,7 +254,9 @@ def finite_difference_jacobian(f, point: EvalPoint, step: float = 1e-5) -> GradB
     names = [n for n in ("gamma", "beta", "alpha") if getattr(point, n) is not None]
 
     def objective() -> float:
-        return float((point.u * f(point.x, point.gamma, point.alpha, point.beta)).sum())
+        # np.add.reduce is the flat sum .sum() runs, without its Python wrapper
+        out = f(point.x, point.gamma, point.alpha, point.beta)
+        return float(np.add.reduce(point.u * out, axis=None))
 
     grads = dict(zip(names, central_difference(
         objective, [getattr(point, n) for n in names], step, labels=names
@@ -310,7 +323,7 @@ def central_difference(loss_fn, arrays, step: float = 1e-5, labels=None) -> list
     for i, arr in enumerate(arrays):
         label = labels[i] if labels is not None else f"arrays[{i}]"
         grad = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"], op_flags=["readonly"])
+        it = np.nditer(arr, flags=["multi_index", "zerosize_ok"], op_flags=["readonly"])
         for _ in it:
             idx = it.multi_index
             orig = arr[idx]

@@ -5,11 +5,15 @@ The cache carries the parameters the layer ran with and every intermediate
 the matching backward pass needs, so backward never recomputes the forward
 and takes nothing but the cache and the upstream gradient.
 
-A forward allocates only its output, its cache entries and at most one
-(rows, dim) scratch array, and writes every other intermediate of that size
-into those in place. It never writes to its input or its parameters. Each
-element still goes through the operations of the formula in the same order,
-so the results are bitwise those of the formula written as one expression.
+A forward takes its output, its cache entries and its scratch from the
+buffer source ``ws`` (see ``core.Workspace``): fresh arrays by default, or
+the arrays of a workspace that a training loop reuses from step to step.
+The output is ``ws``'s array "out" and each cache entry the array of its
+field's name; a model slot scopes them to the slot. Every other
+intermediate of (rows, dim) size goes into those in place. A forward never
+writes to its input or its parameters. Each element still goes through the
+operations of the formula in the same order, so the results are bitwise
+those of the formula written as one expression.
 
 The dynamic layers share one kernel. With r = x / rms(x) per row and the
 per-head coefficient c = activation(x_h . beta_h), the output row is
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Matrix, as_matrix, as_vector, per_head_product, rms_rows
+from .core import FRESH, Matrix, as_matrix, as_vector, per_head_product, rms_rows
 from .params import ConditionParams, NormParams
 
 
@@ -65,18 +69,19 @@ def _check_dim(p: NormParams, x: Matrix) -> None:
         raise ValueError(f"params dim {p.dim} != input dim {x.shape[1]}")
 
 
-def rmsnorm_forward(x, p: NormParams) -> tuple[Matrix, ForwardCache]:
+def rmsnorm_forward(x, p: NormParams, ws=FRESH) -> tuple[Matrix, ForwardCache]:
     """RMSNorm: gamma * x / sqrt(mean(x**2) + eps), per row."""
     x = as_matrix(x)
     _check_dim(p, x)
-    rms = rms_rows(x, p.eps)
-    r = x / rms[:, None]
-    out = p.gamma * r
+    r = ws.out(("r", x.shape))  # the squares first
+    rms = rms_rows(x, p.eps, out=ws.out(("rms", x.shape[:1])), scratch=r)
+    r = np.divide(x, rms[:, None], out=r)
+    out = np.multiply(p.gamma, r, out=ws.out(("out", x.shape)))
     cache = ForwardCache(kind="rmsnorm", x=x, params=p, rms=rms, r=r)
     return out, cache
 
 
-def layernorm_forward(x, p: NormParams, shift) -> tuple[Matrix, ForwardCache]:
+def layernorm_forward(x, p: NormParams, shift, ws=FRESH) -> tuple[Matrix, ForwardCache]:
     """LayerNorm: gamma * (x - mean)/sqrt(var + eps) + shift, per row.
 
     Population variance (denominator dim, not dim - 1).
@@ -88,12 +93,13 @@ def layernorm_forward(x, p: NormParams, shift) -> tuple[Matrix, ForwardCache]:
         raise ValueError(f"shift dim {shift.shape[0]} != input dim {x.shape[1]}")
     # np.mean and np.var written out as they compute them, sharing the
     # centered rows with xhat
-    dim = x.shape[1]
-    mean = x.sum(axis=1) / dim
-    xhat = x - mean[:, None]  # centered; scaled to xhat in place below
-    out = xhat * xhat  # squares; overwritten with the output below
-    var = out.sum(axis=1) / dim
-    inv_std = 1.0 / np.sqrt(var + p.eps)
+    rows, dim = x.shape
+    # np.add.reduce is the row sum .sum runs, without its Python wrapper
+    mean = np.add.reduce(x, axis=1) / dim
+    xhat = np.subtract(x, mean[:, None], out=ws.out(("r", x.shape)))  # scaled below
+    out = np.multiply(xhat, xhat, out=ws.out(("out", x.shape)))  # squares first
+    var = np.add.reduce(out, axis=1) / dim
+    inv_std = np.divide(1.0, np.sqrt(var + p.eps), out=ws.out(("inv_std", (rows,))))
     xhat *= inv_std[:, None]
     np.multiply(xhat, p.gamma, out=out)
     out += shift
@@ -101,7 +107,7 @@ def layernorm_forward(x, p: NormParams, shift) -> tuple[Matrix, ForwardCache]:
     return out, cache
 
 
-def dyt_forward(x, alpha_scalar: float, gamma, shift) -> tuple[Matrix, ForwardCache]:
+def dyt_forward(x, alpha_scalar: float, gamma, shift, ws=FRESH) -> tuple[Matrix, ForwardCache]:
     """Dynamic tanh, no normalization: gamma * tanh(alpha * x) + shift.
 
     alpha must be one finite number.
@@ -113,9 +119,9 @@ def dyt_forward(x, alpha_scalar: float, gamma, shift) -> tuple[Matrix, ForwardCa
     shift = as_vector(shift, "shift")
     if p.dim != x.shape[1] or shift.shape[0] != x.shape[1]:
         raise ValueError("gamma/shift dim mismatch with input")
-    t = np.multiply(x, p.alpha)
+    t = np.multiply(x, p.alpha, out=ws.out(("tanh_ax", x.shape)))
     np.tanh(t, out=t)
-    out = np.multiply(t, p.gamma)
+    out = np.multiply(t, p.gamma, out=ws.out(("out", x.shape)))
     out += shift
     cache = ForwardCache(kind="dyt", x=x, params=p, tanh_ax=t)
     return out, cache
@@ -126,6 +132,7 @@ def _dynamic_forward(
     p: NormParams,
     kind: str,
     include_gamma: bool,
+    ws=FRESH,
 ) -> tuple[Matrix, ForwardCache]:
     x = as_matrix(x)
     _check_dim(p, x)
@@ -133,18 +140,19 @@ def _dynamic_forward(
     heads = p.n_heads
     head_dim = dim // heads
 
-    rms = rms_rows(x, p.eps)
-    r = x / rms[:, None]
+    r = ws.out(("r", x.shape))  # the squares first
+    rms = rms_rows(x, p.eps, out=ws.out(("rms", (rows,))), scratch=r)
+    r = np.divide(x, rms[:, None], out=r)
 
     xh = x.reshape(rows, heads, head_dim)
     bh = p.beta.reshape(heads, head_dim)
-    tanh_arg = np.einsum("rhd,hd->rh", xh, bh)
+    tanh_arg = np.einsum("rhd,hd->rh", xh, bh, out=ws.out(("tanh_arg", (rows, heads))))
     if p.dim_scaled:
         tanh_arg /= head_dim
-    sigma_val = p.activation.apply(tanh_arg)
+    sigma_val = p.activation.apply(tanh_arg, out=ws.out(("sigma_val", (rows, heads))))
 
-    s = per_head_product(sigma_val, p.alpha, head_dim)
-    out = s + p.gamma if include_gamma else s + 1.0
+    s = per_head_product(sigma_val, p.alpha, head_dim, out=ws.out(("s", x.shape)))
+    out = np.add(s, p.gamma if include_gamma else 1.0, out=ws.out(("out", x.shape)))
     out *= r
     cache = ForwardCache(
         kind=kind, x=x, params=p, rms=rms, r=r, tanh_arg=tanh_arg, sigma_val=sigma_val, s=s
@@ -152,7 +160,7 @@ def _dynamic_forward(
     return out, cache
 
 
-def seednorm_forward(x, p: NormParams) -> tuple[Matrix, ForwardCache]:
+def seednorm_forward(x, p: NormParams, ws=FRESH) -> tuple[Matrix, ForwardCache]:
     """Single-head self-rescaling norm: (activation(x . beta) * alpha + gamma) * x/rms(x).
 
     The coefficient activation(x . beta) is one scalar per row that rescales
@@ -160,10 +168,10 @@ def seednorm_forward(x, p: NormParams) -> tuple[Matrix, ForwardCache]:
     """
     if p.n_heads != 1:
         raise ValueError("n_heads != 1: use mh_seednorm_forward")
-    return _dynamic_forward(x, p, "seednorm", include_gamma=True)
+    return _dynamic_forward(x, p, "seednorm", include_gamma=True, ws=ws)
 
 
-def mh_seednorm_forward(x, p: NormParams) -> tuple[Matrix, ForwardCache]:
+def mh_seednorm_forward(x, p: NormParams, ws=FRESH) -> tuple[Matrix, ForwardCache]:
     """Multi-head variant: per-head coefficients, full-row RMS.
 
     The row and beta split into n_heads contiguous chunks; each head's
@@ -171,7 +179,7 @@ def mh_seednorm_forward(x, p: NormParams) -> tuple[Matrix, ForwardCache]:
     The RMS stays a full-row reduction. With dim_scaled=True the dot product
     is divided by the head width before the activation.
     """
-    return _dynamic_forward(x, p, "mh_seednorm", include_gamma=True)
+    return _dynamic_forward(x, p, "mh_seednorm", include_gamma=True, ws=ws)
 
 
 def ada_seednorm_forward(

@@ -8,6 +8,17 @@ key projections, the FFN input, and the final output. Shapes follow
 (batch, time, dim); norm layers see flattened (rows, dim) views. Per-head
 query/key norms share one parameter vector of width dim/heads across every
 attention head.
+
+Every function of a step takes an optional buffer source ``ws`` and passes
+it on (see ``core.Workspace``). A training loop hands one workspace to every
+step, so the step's large arrays are allocated once. Arrays that must live
+on, a layer's forward cache and a parameter's gradient, are named after
+their layer or parameter. Scratch, used only while one function runs, is
+named after its role alone, so each block reuses the scratch of the one
+before. A backward also writes into arrays of its own layer's forward once
+it has read them for the last time: a norm slot's output, the FFN's h1,
+attention's oc and v, and the logits. With the default every array is
+fresh.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ from .backward import (  # noqa: F401
     rmsnorm_backward,
     seednorm_backward,
 )
+from .core import FRESH
 from .forward import (  # noqa: F401
     dyt_forward,
     layernorm_forward,
@@ -157,13 +169,17 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator) -> Model:
 _LAYER_FNS = sys.modules[__name__]
 
 
-def _slot_forward(params: dict, cfg: ModelConfig, prefix: str, rows, n_heads: int):
+def _slot_forward(params: dict, cfg: ModelConfig, prefix: str, rows, n_heads: int, ws=FRESH):
     norm = cfg.norm
-    return norm.forward(_LAYER_FNS, rows, *norm.arrays(params, prefix), cfg.norm_eps, n_heads)
+    return norm.forward(_LAYER_FNS, rows, *norm.arrays(params, prefix), cfg.norm_eps, n_heads,
+                        ws=ws.scope(prefix))
 
 
-def _slot_backward(params: dict, cfg: ModelConfig, prefix: str, cache, upstream):
-    b = getattr(_LAYER_FNS, f"{cfg.norm_variant.value}_backward")(cache, upstream)
+def _slot_backward(params: dict, cfg: ModelConfig, prefix: str, cache, upstream, ws=FRESH):
+    """The slot's input gradient and its parameter gradients. In a workspace
+    the input gradient overwrites the slot's forward output."""
+    backward = getattr(_LAYER_FNS, f"{cfg.norm_variant.value}_backward")
+    b = backward(cache, upstream, ws.scope(prefix))
     return b.d_x, cfg.norm.grads(prefix, b)
 
 
@@ -171,11 +187,11 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def _gelu_cdf(z):
-    """Standard normal CDF Phi(z). The FFN's GELU is the exact, erf-based
-    z * Phi(z), smooth everywhere, which keeps the whole-model
-    finite-difference check clean."""
-    cdf = np.multiply(z, _INV_SQRT2)
+def _gelu_cdf(z, out=None):
+    """Standard normal CDF Phi(z), written into ``out`` when given. The FFN's
+    GELU is the exact, erf-based z * Phi(z), smooth everywhere, which keeps
+    the whole-model finite-difference check clean."""
+    cdf = np.multiply(z, _INV_SQRT2, out=out)
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
@@ -194,16 +210,21 @@ def _gelu_prime_from_cdf(z, cdf, out=None):
     return g
 
 
-def softmax_cross_entropy(logits, targets):
-    """Mean cross-entropy over rows plus d loss / d logits."""
+def softmax_cross_entropy(logits, targets, ws=FRESH):
+    """Mean cross-entropy over rows plus d loss / d logits.
+
+    d loss / d logits is ``ws``'s array "logits": in a workspace it
+    overwrites the logits that ``model_forward`` left there.
+    """
     rows = logits.shape[0]
+    idx = np.arange(rows)
+    picked = logits[idx, targets]
     m = logits.max(axis=1, keepdims=True)
-    ex = logits - m
+    ex = np.subtract(logits, m, out=ws.empty("logits", logits.shape))
     np.exp(ex, out=ex)
     z = ex.sum(axis=1, keepdims=True)
     log_z = np.log(z) + m
-    idx = np.arange(rows)
-    loss = float(np.mean(log_z.ravel() - logits[idx, targets]))
+    loss = float(np.mean(log_z.ravel() - picked))
     dlogits = ex
     dlogits /= z
     dlogits[idx, targets] -= 1.0
@@ -216,142 +237,184 @@ def _note(sites, name, arr):
         sites.append((name, bool(np.all(np.isfinite(arr)))))
 
 
-def _attn_forward(params, cfg, pfx, xn, sites=None):
+def _grad(ws, name: str, params: dict) -> np.ndarray:
+    """The array that takes the gradient of parameter ``name``."""
+    return ws.empty(f"grad.{name}", params[name].shape)
+
+
+def _head_rows(a, b: int, t: int, heads: int, out):
+    """(b*t, heads*hd) rows -> (b*heads*t, hd), one row per head and position,
+    each head's positions contiguous; written into ``out``."""
+    hd = out.shape[-1]
+    np.copyto(out.reshape(b, heads, t, hd), a.reshape(b, t, heads, hd).transpose(0, 2, 1, 3))
+    return out
+
+
+def _merge_heads(a, b: int, t: int, heads: int, out):
+    """The inverse of ``_head_rows``: (b, heads, t, hd) or (b*heads*t, hd) ->
+    (b*t, heads*hd), written into ``out``."""
+    hd = out.shape[-1] // heads
+    np.copyto(out.reshape(b, t, heads, hd), a.reshape(b, heads, t, hd).transpose(0, 2, 1, 3))
+    return out
+
+
+def _attn_forward(params, cfg, pfx, xn, sites=None, ws=FRESH):
     b, t, d = xn.shape
     heads, hd = cfg.attn_heads, cfg.head_dim
+    lw = ws.scope(f"{pfx}.attn")
     x2 = xn.reshape(b * t, d)
-    q = x2 @ params[f"{pfx}.attn.wq"]
-    k = x2 @ params[f"{pfx}.attn.wk"]
-    v = x2 @ params[f"{pfx}.attn.wv"]
     # Each head's query/key slice is one row of a single-head norm at
     # head_dim width; the reduced width keeps the coefficient variance small.
-    q_rows = q.reshape(b, t, heads, hd).transpose(0, 2, 1, 3).reshape(b * heads * t, hd)
-    k_rows = k.reshape(b, t, heads, hd).transpose(0, 2, 1, 3).reshape(b * heads * t, hd)
-    qn_rows, q_cache = _slot_forward(params, cfg, f"{pfx}.q_norm", q_rows, 1)
-    kn_rows, k_cache = _slot_forward(params, cfg, f"{pfx}.k_norm", k_rows, 1)
+    proj = ws.shared("attn.proj", (b * t, d))
+    q_rows = _head_rows(np.matmul(x2, params[f"{pfx}.attn.wq"], out=proj), b, t, heads,
+                        lw.empty("q_rows", (b * heads * t, hd)))
+    k_rows = _head_rows(np.matmul(x2, params[f"{pfx}.attn.wk"], out=proj), b, t, heads,
+                        lw.empty("k_rows", (b * heads * t, hd)))
+    v = np.matmul(x2, params[f"{pfx}.attn.wv"], out=lw.empty("v", (b * t, d)))
+    qn_rows, q_cache = _slot_forward(params, cfg, f"{pfx}.q_norm", q_rows, 1, ws)
+    kn_rows, k_cache = _slot_forward(params, cfg, f"{pfx}.k_norm", k_rows, 1, ws)
     qn = qn_rows.reshape(b, heads, t, hd)
     kn = kn_rows.reshape(b, heads, t, hd)
     vh = v.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
     inv_scale = 1.0 / np.sqrt(hd)
     # scores, masked, then turned into the softmax in place
-    att = qn @ kn.swapaxes(-1, -2)
+    att = np.matmul(qn, kn.swapaxes(-1, -2), out=lw.empty("att", (b, heads, t, t)))
     att *= inv_scale
     np.copyto(att, -np.inf, where=np.triu(np.ones((t, t), dtype=bool), k=1))
     att -= att.max(axis=-1, keepdims=True)
     np.exp(att, out=att)
     att /= att.sum(axis=-1, keepdims=True)
     _note(sites, f"{pfx}.attn.softmax", att)
-    o = att @ vh
-    oc = o.transpose(0, 2, 1, 3).reshape(b * t, d)
-    out = oc @ params[f"{pfx}.attn.wo"]
+    o = np.matmul(att, vh, out=ws.shared("attn.heads", (b, heads, t, hd)))
+    oc = _merge_heads(o, b, t, heads, lw.empty("oc", (b * t, d)))
+    out = np.matmul(oc, params[f"{pfx}.attn.wo"], out=lw.empty("out", (b * t, d)))
     cache = {
-        "x2": x2, "q": q, "k": k, "v": v, "qn": qn, "kn": kn, "vh": vh,
-        "att": att, "oc": oc, "q_cache": q_cache, "k_cache": k_cache,
-        "shape": (b, t, d),
+        "x2": x2, "qn": qn, "kn": kn, "vh": vh, "att": att, "oc": oc,
+        "q_cache": q_cache, "k_cache": k_cache, "shape": (b, t, d),
     }
     return out.reshape(b, t, d), cache
 
 
-def _attn_backward(params, cfg, pfx, cache, dout):
+def _attn_backward(params, cfg, pfx, cache, dout, ws=FRESH):
+    """The layer's input gradient and the gradients of its four matrices.
+
+    In a workspace, several intermediates overwrite an array of this layer's
+    forward that the backward has read for the last time: the cached ``oc``
+    and ``v``, and the scratch of the forward's projections and heads.
+    """
     b, t, d = cache["shape"]
     heads, hd = cfg.attn_heads, cfg.head_dim
-    grads = {}
-    dout2 = dout.reshape(b * t, d)
-    grads[f"{pfx}.attn.wo"] = cache["oc"].T @ dout2
-    d_oc = dout2 @ params[f"{pfx}.attn.wo"].T
-    do = d_oc.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
+    lw = ws.scope(f"{pfx}.attn")
+    names = {w: f"{pfx}.attn.{w}" for w in ("wq", "wk", "wv", "wo")}
+    wq, wk, wv, wo = (params[names[w]] for w in ("wq", "wk", "wv", "wo"))
     att, vh, qn, kn = cache["att"], cache["vh"], cache["qn"], cache["kn"]
-    datt = do @ vh.swapaxes(-1, -2)
-    dvh = att.swapaxes(-1, -2) @ do
+    dout2 = dout.reshape(b * t, d)
+    grads = {names["wo"]: np.matmul(cache["oc"].T, dout2, out=_grad(ws, names["wo"], params))}
+    d_oc = np.matmul(dout2, wo.T, out=lw.empty("oc", (b * t, d)))
+    do = d_oc.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
+    datt = np.matmul(do, vh.swapaxes(-1, -2), out=ws.shared("attn_backward.datt", att.shape))
+    dvh = np.matmul(att.swapaxes(-1, -2), do, out=ws.shared("attn.heads", vh.shape))
+    dv = _merge_heads(dvh, b, t, heads, lw.empty("v", (b * t, d)))
     # softmax backward, in place: dscores = att * (datt - sum(datt * att))
     dscores = datt
-    dscores -= (datt * att).sum(axis=-1, keepdims=True)
+    datt_att = np.multiply(datt, att, out=ws.shared("attn_backward.datt_att", att.shape))
+    dscores -= datt_att.sum(axis=-1, keepdims=True)
     dscores *= att
     inv_scale = 1.0 / np.sqrt(hd)
-    dqn = dscores @ kn
+    dqn = np.matmul(dscores, kn, out=ws.shared("attn.heads", qn.shape))
     dqn *= inv_scale
-    dkn = dscores.swapaxes(-1, -2) @ qn
+    dkn = np.matmul(dscores.swapaxes(-1, -2), qn,
+                    out=lw.empty("oc", (b * t, d)).reshape(kn.shape))
     dkn *= inv_scale
     dqn_rows = dqn.reshape(b * heads * t, hd)
     dkn_rows = dkn.reshape(b * heads * t, hd)
-    dq_rows, gq = _slot_backward(params, cfg, f"{pfx}.q_norm", cache["q_cache"], dqn_rows)
-    dk_rows, gk = _slot_backward(params, cfg, f"{pfx}.k_norm", cache["k_cache"], dkn_rows)
-    dq = dq_rows.reshape(b, heads, t, hd).transpose(0, 2, 1, 3).reshape(b * t, d)
-    dk = dk_rows.reshape(b, heads, t, hd).transpose(0, 2, 1, 3).reshape(b * t, d)
+    dq_rows, gq = _slot_backward(params, cfg, f"{pfx}.q_norm", cache["q_cache"], dqn_rows, ws)
+    dk_rows, gk = _slot_backward(params, cfg, f"{pfx}.k_norm", cache["k_cache"], dkn_rows, ws)
+    dq = _merge_heads(dq_rows, b, t, heads, ws.shared("attn.proj", (b * t, d)))
+    dk = _merge_heads(dk_rows, b, t, heads, lw.empty("oc", (b * t, d)))
     grads.update(gq)
     grads.update(gk)
-    dv = dvh.transpose(0, 2, 1, 3).reshape(b * t, d)
     x2 = cache["x2"]
-    grads[f"{pfx}.attn.wq"] = x2.T @ dq
-    grads[f"{pfx}.attn.wk"] = x2.T @ dk
-    grads[f"{pfx}.attn.wv"] = x2.T @ dv
-    dx2 = dq @ params[f"{pfx}.attn.wq"].T
-    part = dk @ params[f"{pfx}.attn.wk"].T
+    for w, dw in (("wq", dq), ("wk", dk), ("wv", dv)):
+        grads[names[w]] = np.matmul(x2.T, dw, out=_grad(ws, names[w], params))
+    dx2 = np.matmul(dq, wq.T, out=ws.shared("attn_backward.dx", (b * t, d)))
+    part = np.matmul(dk, wk.T, out=dq)
     dx2 += part
-    dx2 += np.matmul(dv, params[f"{pfx}.attn.wv"].T, out=part)
+    dx2 += np.matmul(dv, wv.T, out=part)
     return dx2.reshape(b, t, d), grads
 
 
-def _ffn_forward(params, pfx, rows):
-    h1 = rows @ params[f"{pfx}.ffn.w1"]
-    cdf = _gelu_cdf(h1)
-    out = (h1 * cdf) @ params[f"{pfx}.ffn.w2"]
+def _ffn_forward(params, pfx, rows, ws=FRESH):
+    lw = ws.scope(f"{pfx}.ffn")
+    w1, w2 = params[f"{pfx}.ffn.w1"], params[f"{pfx}.ffn.w2"]
+    h1 = np.matmul(rows, w1, out=lw.empty("h1", (rows.shape[0], w1.shape[1])))
+    cdf = _gelu_cdf(h1, out=lw.empty("cdf", h1.shape))
+    act = np.multiply(h1, cdf, out=ws.shared("ffn.act", h1.shape))
+    out = np.matmul(act, w2, out=lw.empty("out", (rows.shape[0], w2.shape[1])))
     # Phi(h1) serves the backward's GELU and its derivative, so the cache
     # keeps it instead of the activation, which is one multiply away.
     return out, {"rows": rows, "h1": h1, "cdf": cdf}
 
 
-def _ffn_backward(params, pfx, cache, dout):
+def _ffn_backward(params, pfx, cache, dout, ws=FRESH):
+    lw = ws.scope(f"{pfx}.ffn")
+    n1, n2 = f"{pfx}.ffn.w1", f"{pfx}.ffn.w2"
+    w1, w2 = params[n1], params[n2]
     h1, cdf = cache["h1"], cache["cdf"]
-    act = h1 * cdf
-    grads = {f"{pfx}.ffn.w2": act.T @ dout}
-    dh1 = dout @ params[f"{pfx}.ffn.w2"].T  # dact, times GELU' in place
-    dh1 *= _gelu_prime_from_cdf(h1, cdf, out=act)
-    grads[f"{pfx}.ffn.w1"] = cache["rows"].T @ dh1
-    d_rows = dh1 @ params[f"{pfx}.ffn.w1"].T
+    act = np.multiply(h1, cdf, out=ws.shared("ffn.act", h1.shape))
+    grads = {n2: np.matmul(act.T, dout, out=_grad(ws, n2, params))}
+    gelu_prime = _gelu_prime_from_cdf(h1, cdf, out=act)
+    # dact, times GELU' in place; in a workspace it overwrites h1, read last above
+    dh1 = np.matmul(dout, w2.T, out=lw.empty("h1", h1.shape))
+    dh1 *= gelu_prime
+    grads[n1] = np.matmul(cache["rows"].T, dh1, out=_grad(ws, n1, params))
+    d_rows = np.matmul(dh1, w1.T, out=ws.shared("ffn_backward.d_rows", dout.shape))
     return d_rows, grads
 
 
-def _block_forward(params, cfg, i, x, sites=None):
+def _block_forward(params, cfg, i, x, sites=None, ws=FRESH):
     pfx = f"layer{i}"
     b, t, d = x.shape
     rows = x.reshape(b * t, d)
     hidden_heads = _hidden_slot_heads(cfg)
-    na, c_an = _slot_forward(params, cfg, f"{pfx}.attn_norm", rows, hidden_heads)
+    na, c_an = _slot_forward(params, cfg, f"{pfx}.attn_norm", rows, hidden_heads, ws)
     _note(sites, f"{pfx}.attn_norm", na)
-    attn_out, c_attn = _attn_forward(params, cfg, pfx, na.reshape(b, t, d), sites)
+    attn_out, c_attn = _attn_forward(params, cfg, pfx, na.reshape(b, t, d), sites, ws)
     _note(sites, f"{pfx}.attn", attn_out)
-    h = x + attn_out
+    h = np.add(x, attn_out, out=attn_out)
     h_rows = h.reshape(b * t, d)
-    nf, c_fn = _slot_forward(params, cfg, f"{pfx}.ffn_norm", h_rows, hidden_heads)
+    nf, c_fn = _slot_forward(params, cfg, f"{pfx}.ffn_norm", h_rows, hidden_heads, ws)
     _note(sites, f"{pfx}.ffn_norm", nf)
-    ffn_out, c_ffn = _ffn_forward(params, pfx, nf)
+    ffn_out, c_ffn = _ffn_forward(params, pfx, nf, ws)
     _note(sites, f"{pfx}.ffn", ffn_out)
-    out = h + ffn_out.reshape(b, t, d)
+    ffn_out = ffn_out.reshape(b, t, d)
+    out = np.add(h, ffn_out, out=ffn_out)
     cache = {"attn_norm": c_an, "attn": c_attn, "ffn_norm": c_fn, "ffn": c_ffn,
              "shape": (b, t, d)}
     return out, cache
 
 
-def _block_backward(params, cfg, i, cache, dout, grads):
+def _block_backward(params, cfg, i, cache, dout, grads, ws=FRESH):
     pfx = f"layer{i}"
     b, t, d = cache["shape"]
     d_ffn_out = dout.reshape(b * t, d)
-    d_nf, g_ffn = _ffn_backward(params, pfx, cache["ffn"], d_ffn_out)
+    d_nf, g_ffn = _ffn_backward(params, pfx, cache["ffn"], d_ffn_out, ws)
     grads.update(g_ffn)
-    d_h_rows, g_fn = _slot_backward(params, cfg, f"{pfx}.ffn_norm", cache["ffn_norm"], d_nf)
+    d_h_rows, g_fn = _slot_backward(params, cfg, f"{pfx}.ffn_norm", cache["ffn_norm"], d_nf, ws)
     grads.update(g_fn)
-    dh = dout + d_h_rows.reshape(b, t, d)
-    d_attn_in, g_attn = _attn_backward(params, cfg, pfx, cache["attn"], dh)
+    # the residual stream's gradient; the next block down updates it in place
+    dh = np.add(dout, d_h_rows.reshape(b, t, d), out=ws.shared("block_backward.dh", dout.shape))
+    d_attn_in, g_attn = _attn_backward(params, cfg, pfx, cache["attn"], dh, ws)
     grads.update(g_attn)
     d_rows, g_an = _slot_backward(
-        params, cfg, f"{pfx}.attn_norm", cache["attn_norm"], d_attn_in.reshape(b * t, d)
+        params, cfg, f"{pfx}.attn_norm", cache["attn_norm"], d_attn_in.reshape(b * t, d), ws
     )
     grads.update(g_an)
-    return dh + d_rows.reshape(b, t, d)
+    dh += d_rows.reshape(b, t, d)
+    return dh
 
 
-def model_forward(params, cfg: ModelConfig, tokens, sites=None):
+def model_forward(params, cfg: ModelConfig, tokens, sites=None, ws=FRESH):
     """Token ids (batch, time) -> logits (batch*time, vocab) plus caches."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
@@ -360,17 +423,24 @@ def model_forward(params, cfg: ModelConfig, tokens, sites=None):
         raise ValueError(f"sequence length {tokens.shape[1]} exceeds context {cfg.context}")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab:
         raise ValueError("token id out of range")
-    x = params["embed.weight"][tokens] + params["pos_embed.weight"][None, : tokens.shape[1], :]
+    b, t = tokens.shape
+    d = cfg.hidden_dim
+    # the ids were checked, so "clip" changes none; it lets take write into
+    # out without a buffer of its own, which the default "raise" needs
+    x = np.take(params["embed.weight"], tokens, axis=0, out=ws.empty("embed", (b, t, d)),
+                mode="clip")
+    x += params["pos_embed.weight"][None, :t, :]
     _note(sites, "embed", x)
     blocks = []
     for i in range(cfg.layers):
-        x, bc = _block_forward(params, cfg, i, x, sites)
+        x, bc = _block_forward(params, cfg, i, x, sites, ws)
         blocks.append(bc)
-    b, t, d = x.shape
     rows = x.reshape(b * t, d)
-    fn_out, fn_cache = _slot_forward(params, cfg, "final_norm", rows, _hidden_slot_heads(cfg))
+    fn_out, fn_cache = _slot_forward(params, cfg, "final_norm", rows, _hidden_slot_heads(cfg),
+                                     ws)
     _note(sites, "final_norm", fn_out)
-    logits = fn_out @ params["unembed.weight"]
+    logits = np.matmul(fn_out, params["unembed.weight"],
+                       out=ws.empty("logits", (b * t, cfg.vocab)))
     _note(sites, "logits", logits)
     caches = {
         "tokens": tokens, "shape": (b, t, d), "blocks": blocks,
@@ -379,20 +449,24 @@ def model_forward(params, cfg: ModelConfig, tokens, sites=None):
     return logits, caches
 
 
-def model_backward(params, cfg: ModelConfig, caches, dlogits):
+def model_backward(params, cfg: ModelConfig, caches, dlogits, ws=FRESH):
     b, t, d = caches["shape"]
-    grads = {"unembed.weight": caches["final_norm_out"].T @ dlogits}
-    d_fn = dlogits @ params["unembed.weight"].T
-    d_rows, g_fn = _slot_backward(params, cfg, "final_norm", caches["final_norm"], d_fn)
+    unembed = params["unembed.weight"]
+    grads = {"unembed.weight": np.matmul(caches["final_norm_out"].T, dlogits,
+                                         out=_grad(ws, "unembed.weight", params))}
+    d_fn = np.matmul(dlogits, unembed.T, out=ws.shared("model_backward.d_fn", (b * t, d)))
+    d_rows, g_fn = _slot_backward(params, cfg, "final_norm", caches["final_norm"], d_fn, ws)
     grads.update(g_fn)
     dx = d_rows.reshape(b, t, d)
     for i in reversed(range(cfg.layers)):
-        dx = _block_backward(params, cfg, i, caches["blocks"][i], dx, grads)
-    d_emb = np.zeros_like(params["embed.weight"])
+        dx = _block_backward(params, cfg, i, caches["blocks"][i], dx, grads, ws)
+    d_emb = _grad(ws, "embed.weight", params)
+    d_emb.fill(0.0)
     np.add.at(d_emb, caches["tokens"].ravel(), dx.reshape(b * t, d))
     grads["embed.weight"] = d_emb
-    d_pos = np.zeros_like(params["pos_embed.weight"])
-    d_pos[:t] = dx.sum(axis=0)
+    d_pos = _grad(ws, "pos_embed.weight", params)
+    d_pos[t:] = 0.0
+    dx.sum(axis=0, out=d_pos[:t])
     grads["pos_embed.weight"] = d_pos
     return grads
 
@@ -403,10 +477,16 @@ def model_loss(params, cfg: ModelConfig, tokens, targets) -> float:
     return loss
 
 
-def loss_and_grads(model: Model, tokens, targets):
-    logits, caches = model_forward(model.params, model.cfg, tokens)
-    loss, dlogits = softmax_cross_entropy(logits, np.asarray(targets).reshape(-1))
-    grads = model_backward(model.params, model.cfg, caches, dlogits)
+def loss_and_grads(model: Model, tokens, targets, ws=FRESH):
+    """The loss of one batch and its gradient for every parameter.
+
+    With a workspace ``ws`` (see ``core.Workspace``) the gradients and every
+    large intermediate are arrays of the workspace, valid until the next
+    call given it; by default they are fresh arrays.
+    """
+    logits, caches = model_forward(model.params, model.cfg, tokens, ws=ws)
+    loss, dlogits = softmax_cross_entropy(logits, np.asarray(targets).reshape(-1), ws)
+    grads = model_backward(model.params, model.cfg, caches, dlogits, ws)
     return loss, grads
 
 

@@ -23,27 +23,28 @@ from typing import Callable
 
 import numpy as np
 
+from .core import FRESH
 from .params import NormParams
 
 
-def _rmsnorm_fwd(fns, x, gamma, alpha, beta, eps, n_heads=1, **opts):
-    return fns.rmsnorm_forward(x, NormParams(gamma, eps=eps))
+def _rmsnorm_fwd(fns, x, gamma, alpha, beta, eps, n_heads=1, ws=FRESH, **opts):
+    return fns.rmsnorm_forward(x, NormParams(gamma, eps=eps), ws)
 
 
-def _layernorm_fwd(fns, x, gamma, alpha, beta, eps, n_heads=1, **opts):
-    return fns.layernorm_forward(x, NormParams(gamma, eps=eps), beta)
+def _layernorm_fwd(fns, x, gamma, alpha, beta, eps, n_heads=1, ws=FRESH, **opts):
+    return fns.layernorm_forward(x, NormParams(gamma, eps=eps), beta, ws)
 
 
-def _dyt_fwd(fns, x, gamma, alpha, beta, eps, n_heads=1, **opts):
-    return fns.dyt_forward(x, alpha, gamma, beta)
+def _dyt_fwd(fns, x, gamma, alpha, beta, eps, n_heads=1, ws=FRESH, **opts):
+    return fns.dyt_forward(x, alpha, gamma, beta, ws)
 
 
-def _seednorm_fwd(fns, x, gamma, alpha, beta, eps, n_heads=1, **opts):
-    return fns.seednorm_forward(x, NormParams(gamma, alpha, beta, eps, n_heads, **opts))
+def _seednorm_fwd(fns, x, gamma, alpha, beta, eps, n_heads=1, ws=FRESH, **opts):
+    return fns.seednorm_forward(x, NormParams(gamma, alpha, beta, eps, n_heads, **opts), ws)
 
 
-def _mh_seednorm_fwd(fns, x, gamma, alpha, beta, eps, n_heads=1, **opts):
-    return fns.mh_seednorm_forward(x, NormParams(gamma, alpha, beta, eps, n_heads, **opts))
+def _mh_seednorm_fwd(fns, x, gamma, alpha, beta, eps, n_heads=1, ws=FRESH, **opts):
+    return fns.mh_seednorm_forward(x, NormParams(gamma, alpha, beta, eps, n_heads, **opts), ws)
 
 
 def _draw_shift(rng, dim, scalar_alpha):
@@ -71,7 +72,7 @@ class NormSpec:
     drawn in the order the suite has always used."""
 
     params: tuple  # ((suffix, EvalPoint/GradBundle field), ...), canonical order
-    forward: Callable  # (fns, x, gamma, alpha, beta, eps, n_heads=1, **opts) -> (out, cache)
+    forward: Callable  # (fns, x, gamma, alpha, beta, eps, n_heads=1, ws=, **opts) -> (out, cache)
     draw: Callable  # (rng, dim, scalar_alpha) -> {field: array}
     decay: tuple = ()  # parameter suffixes that take weight decay
     multi_head: bool = False  # slots pass the model's norm_heads

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import FRESH
 from .model import ModelConfig, parameter_specs
 
 
@@ -47,17 +48,18 @@ def decay_flags(cfg: ModelConfig) -> dict:
     }
 
 
-def clip_gradients(grads: dict, max_norm: float) -> float:
+def clip_gradients(grads: dict, max_norm: float, ws=FRESH) -> float:
     """Scale all gradients so the global L2 norm is min(norm, max_norm).
 
     A single shared scalar multiply preserves the gradient direction exactly.
     max_norm <= 0 disables clipping, and a non-finite norm leaves the
     gradients as they are for the caller to reject. Returns the pre-clip
-    global norm.
+    global norm. The squares go into scratch arrays of ``ws``, those that
+    ``adamw_step`` uses too.
     """
     total_sq = 0.0
     for g in grads.values():
-        total_sq += float(np.sum(g * g))
+        total_sq += float(np.multiply(g, g, out=ws.shared("optim.update", g.shape)).sum())
     total = float(np.sqrt(total_sq))
     if max_norm > 0 and max_norm < total < np.inf:
         scale = max_norm / total
@@ -68,7 +70,7 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
 
 def adamw_step(
     state: OptimizerState, params: dict, grads: dict, hyper: AdamWConfig,
-    lr: float | None = None,
+    lr: float | None = None, ws=FRESH,
 ) -> dict:
     """One AdamW update, in place. ``lr`` overrides hyper.lr for schedules.
 
@@ -88,10 +90,10 @@ def adamw_step(
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        # two scratch arrays shaped like p (0-d for DyT's alpha) hold every
-        # temporary; each entry sees the same operations as in the formula
-        update = np.empty_like(p)
-        denom = np.empty_like(p)
+        # two scratch arrays of ws shaped like p (0-d for DyT's alpha) hold
+        # every temporary; each entry sees the same operations as in the formula
+        update = ws.shared("optim.update", p.shape)
+        denom = ws.shared("optim.denom", p.shape)
         m *= hyper.beta1
         m += np.multiply(g, 1.0 - hyper.beta1, out=update)
         v *= hyper.beta2

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import make_rng, spawn_seeds
+from .core import Workspace, make_rng, spawn_seeds
 from .model import (
     Model,
     ModelConfig,
@@ -200,6 +200,9 @@ def train_model(
     the batch stream restart at step 0, so a run split in two differs from
     one run of the same steps. Init and batch streams come from separate
     child seeds, so the batches are those of a fresh run of this seed.
+
+    The call owns one ``Workspace``, which every step reuses, so the steps
+    after the first allocate no large array.
     """
     init_seed, data_seed = spawn_seeds(rng, 2)
     if model is None:
@@ -215,11 +218,12 @@ def train_model(
         eps=train_cfg.adam_eps, weight_decay=train_cfg.weight_decay,
     )
     curve = LossCurve(ema_coef=train_cfg.ema)
+    ws = Workspace()
     started = time.perf_counter()
     for step in range(train_cfg.steps):
         tokens, targets = task.batch(data_rng, train_cfg.batch_size)
         try:
-            loss, grads = loss_and_grads(model, tokens, targets)
+            loss, grads = loss_and_grads(model, tokens, targets, ws)
         except (ValueError, FloatingPointError):
             site = first_nonfinite_site(model.params, cfg, tokens) or "loss"
             raise TrainingDiverged(step, site) from None
@@ -230,7 +234,7 @@ def train_model(
             for name in grads:
                 if name.endswith(suffix):
                     grads[name] = np.zeros_like(grads[name])
-        grad_norm = clip_gradients(grads, train_cfg.grad_clip)
+        grad_norm = clip_gradients(grads, train_cfg.grad_clip, ws)
         if not math.isfinite(grad_norm):
             bad = (n for n, g in grads.items() if not np.all(np.isfinite(g)))
             raise TrainingDiverged(step, next(bad, "grad_norm"), quantity="gradient")
@@ -238,7 +242,7 @@ def train_model(
             lr_t = train_cfg.lr * min(1.0, (step + 1) / train_cfg.warmup_steps)
         else:
             lr_t = train_cfg.lr
-        adamw_step(state, model.params, grads, hyper, lr=lr_t)
+        adamw_step(state, model.params, grads, hyper, lr=lr_t, ws=ws)
         curve.append(step, loss, grad_norm, time.perf_counter() - started)
     return TrainResult(curve=curve, model=model, opt_state=state)
 

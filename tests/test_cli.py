@@ -142,8 +142,8 @@ class TestExitCodes:
         real = training.loss_and_grads
         calls = []
 
-        def poisoned(model, tokens, targets):
-            loss, grads = real(model, tokens, targets)
+        def poisoned(model, tokens, targets, *ws):
+            loss, grads = real(model, tokens, targets, *ws)
             calls.append(loss)
             if len(calls) == 2:
                 grads["layer0.ffn.w1"][0, 0] = np.inf

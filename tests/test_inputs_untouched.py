@@ -4,16 +4,19 @@ These tests pin the other side of that: a forward or backward leaves its
 input, its upstream gradient, the parameters and the cache as it found
 them, so one cache can be differentiated twice with equal results; and no
 returned gradient shares memory with a parameter or with another gradient,
-because ``clip_gradients`` scales every gradient in place.
+because ``clip_gradients`` scales every gradient in place. A workspace
+keeps that last promise too, and gives every forward cache arrays of its
+own.
 """
 
 import dataclasses
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from seednorm import model
-from seednorm.core import make_rng
+from seednorm.core import Workspace, make_rng
 from seednorm.model import (
     ModelConfig,
     _attn_backward,
@@ -22,6 +25,7 @@ from seednorm.model import (
     _ffn_forward,
     build_model,
     loss_and_grads,
+    model_forward,
     softmax_cross_entropy,
 )
 from seednorm.norms import NORMS
@@ -187,3 +191,48 @@ def test_loss_and_grads_leaves_params_and_tokens_unchanged(variant):
     assert loss == loss2
     assert_equal_results(grads, grads2)
     assert_no_aliasing({"grads": grads}, inputs)
+
+
+def model_case(variant, seed):
+    cfg = ModelConfig(layers=2, hidden_dim=8, attn_heads=2, vocab=6, context=4,
+                      norm_variant=variant, norm_heads=2)
+    m, rng = perturbed_params(cfg, seed)
+    return cfg, m, rng.integers(0, 6, size=(3, 4)), rng.integers(0, 6, size=(3, 4))
+
+
+@pytest.mark.parametrize("variant", list(NORMS))
+def test_workspace_gradients_alias_nothing(variant):
+    cfg, m, tokens, targets = model_case(variant, 76)
+    inputs = {"params": m.params, "tokens": tokens, "targets": targets}
+    before = snapshot(inputs)
+    ws = Workspace()
+    for _ in range(2):
+        _, grads = loss_and_grads(m, tokens, targets, ws)
+        assert_unchanged(before, inputs)
+        assert_no_aliasing({"grads": grads}, {"params": m.params})
+
+
+def forward_caches(caches, logits) -> dict:
+    """The model forward's caches, one entry per layer, slot and output."""
+    units = {"final_norm": caches["final_norm"],
+             "final_norm_out": caches["final_norm_out"], "logits": logits}
+    for i, block in enumerate(caches["blocks"]):
+        attn = dict(block["attn"])
+        units[f"layer{i}.q_norm"] = attn.pop("q_cache")
+        units[f"layer{i}.k_norm"] = attn.pop("k_cache")
+        units[f"layer{i}.attn"] = attn
+        for part in ("attn_norm", "ffn_norm", "ffn"):
+            units[f"layer{i}.{part}"] = block[part]
+    return units
+
+
+@pytest.mark.parametrize("variant", list(NORMS))
+def test_workspace_forward_caches_share_no_memory(variant):
+    cfg, m, tokens, _ = model_case(variant, 77)
+    logits, caches = model_forward(m.params, cfg, tokens, ws=Workspace())
+    units = forward_caches(caches, logits)
+    assert "layer1.k_norm" in units
+    for a, b in combinations(units, 2):
+        for path_a, arr_a in arrays_in(units[a], a):
+            for path_b, arr_b in arrays_in(units[b], b):
+                assert not np.shares_memory(arr_a, arr_b), f"{path_a} and {path_b}"

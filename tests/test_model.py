@@ -217,9 +217,9 @@ class TestLossAndGrads:
         original = getattr(model, name)
         kinds = []
 
-        def spy(cache, upstream):
+        def spy(cache, upstream, *ws):
             kinds.append(cache.kind)
-            return original(cache, upstream)
+            return original(cache, upstream, *ws)
 
         monkeypatch.setattr(model, name, spy)
         m = build_model(tiny_cfg(variant), make_rng(0))

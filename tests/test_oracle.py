@@ -169,3 +169,20 @@ class TestBatchedInputDifferences:
         got = finite_difference_jacobian(f, p)
         assert {n: getattr(p, n).tobytes() for n in before} == before
         assert not np.shares_memory(got.d_x, p.x)
+
+
+class TestEmptyArrays:
+    """An empty array has an empty gradient, not an iteration error."""
+
+    def test_central_difference_of_empty_arrays(self):
+        grads = central_difference(lambda: 0.0, [np.zeros(0), np.zeros((2, 0))])
+        assert [g.shape for g in grads] == [(0,), (2, 0)]
+
+    def test_zero_width_gamma(self):
+        def f(xx, g, a, b):
+            return xx * (1.0 + g.sum())
+
+        point = EvalPoint(x=np.ones((2, 3)), u=np.ones((2, 3)), gamma=np.zeros(0))
+        got = finite_difference_jacobian(f, point)
+        assert got.d_gamma.shape == (0,)
+        assert np.allclose(got.d_x, 1.0)
