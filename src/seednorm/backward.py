@@ -11,8 +11,11 @@ Its arrays come from the buffer source ``ws``: with the default every
 returned array is its own allocation. In a workspace the parameter
 gradients are the arrays "d_<field>", and the input gradient is the array
 "out" of the forward: a model slot's caller has used the forward's output
-up before it runs the slot's backward. Nothing here calls an autodiff
-framework; the finite-difference oracle below is the independent check.
+up before it runs the slot's backward. An upstream gradient that shares
+memory with that array, such as the forward's output handed back as its own
+gradient, is copied before the array is written. Nothing here calls an
+autodiff framework; the finite-difference oracle below is the independent
+check.
 
 The oracle calls only forwards. ``central_difference`` is its one generic
 loop: it perturbs one coordinate at a time and serves the parameters and
@@ -75,13 +78,21 @@ class GradBundle:
     d_x: Matrix
 
 
-def _check_upstream(cache: ForwardCache, upstream, kinds: tuple[str, ...]) -> Matrix:
+def _check_upstream(
+    cache: ForwardCache, upstream, kinds: tuple[str, ...], ws
+) -> tuple[Matrix, Matrix | None]:
+    """The upstream gradient as a matrix, and the ``out=`` target of the
+    input gradient. When the two may share memory the upstream gradient is
+    copied, so that writing the input gradient cannot change it."""
     if cache.kind not in kinds:
         raise ValueError(f"cache kind {cache.kind!r} not usable here (need {kinds})")
     u = as_matrix(upstream, "upstream")
     if u.shape != cache.x.shape:
         raise ValueError(f"upstream shape {u.shape} != input shape {cache.x.shape}")
-    return u
+    d_x = ws.out("out", u.shape)
+    if d_x is not None and np.may_share_memory(u, d_x):
+        u = u.copy()
+    return u, d_x
 
 
 def _rms_direction_backward(
@@ -103,10 +114,10 @@ def _rms_direction_backward(
 
 def rmsnorm_backward(cache: ForwardCache, upstream, ws=FRESH) -> GradBundle:
     """Backward of gamma * x/rms(x). d_alpha and d_beta are exactly zero."""
-    u = _check_upstream(cache, upstream, ("rmsnorm",))
+    u, d_x = _check_upstream(cache, upstream, ("rmsnorm",), ws)
     p = cache.params
-    ur = np.multiply(u, cache.r, out=ws.out(("out", u.shape)))  # turned into d_x
-    d_gamma = ur.sum(axis=0, out=ws.out(("d_gamma", (p.dim,))))
+    ur = np.multiply(u, cache.r, out=d_x)  # turned into d_x
+    d_gamma = ur.sum(axis=0, out=ws.out("d_gamma", (p.dim,)))
     w = np.multiply(u, p.gamma, out=ur)
     scratch = ws.shared("norm_backward.scratch", u.shape)
     d_x = _rms_direction_backward(w, cache.r, cache.rms, cache.dim, scratch)
@@ -119,14 +130,14 @@ def layernorm_backward(cache: ForwardCache, upstream, ws=FRESH) -> GradBundle:
 
     The shift gradient is returned in the d_beta slot; there is no alpha.
     """
-    u = _check_upstream(cache, upstream, ("layernorm",))
+    u, d_x = _check_upstream(cache, upstream, ("layernorm",), ws)
     xhat = cache.r
     dim = cache.dim
     scratch = np.multiply(u, xhat, out=ws.shared("norm_backward.scratch", u.shape))
-    d_gamma = scratch.sum(axis=0, out=ws.out(("d_gamma", (dim,))))
-    d_shift = u.sum(axis=0, out=ws.out(("d_beta", (dim,))))
+    d_gamma = scratch.sum(axis=0, out=ws.out("d_gamma", (dim,)))
+    d_shift = u.sum(axis=0, out=ws.out("d_beta", (dim,)))
     # np.mean written out as it computes it: the row sum over dim
-    d_x = np.multiply(u, cache.params.gamma, out=ws.out(("out", u.shape)))  # g, then d_x
+    d_x = np.multiply(u, cache.params.gamma, out=d_x)  # g, then d_x
     g_mean = d_x.sum(axis=1, keepdims=True) / dim
     gx_mean = np.multiply(d_x, xhat, out=scratch).sum(axis=1, keepdims=True) / dim
     d_x -= g_mean
@@ -142,15 +153,15 @@ def dyt_backward(cache: ForwardCache, upstream, ws=FRESH) -> GradBundle:
     the d_beta slot. Saturated entries (|alpha * x| large) contribute zero to
     d_x through sech^2 -> 0.
     """
-    u = _check_upstream(cache, upstream, ("dyt",))
+    u, d_x = _check_upstream(cache, upstream, ("dyt",), ws)
     p = cache.params
     t = cache.tanh_ax
     sech2 = np.multiply(t, t, out=ws.shared("dyt_backward.sech2", t.shape))
     np.subtract(1.0, sech2, out=sech2)
     scratch = np.multiply(u, t, out=ws.shared("norm_backward.scratch", u.shape))
-    d_gamma = scratch.sum(axis=0, out=ws.out(("d_gamma", (p.dim,))))
-    d_shift = u.sum(axis=0, out=ws.out(("d_beta", (p.dim,))))
-    d_x = np.multiply(u, p.gamma, out=ws.out(("out", u.shape)))  # gu, then d_x
+    d_gamma = scratch.sum(axis=0, out=ws.out("d_gamma", (p.dim,)))
+    d_shift = u.sum(axis=0, out=ws.out("d_beta", (p.dim,)))
+    d_x = np.multiply(u, p.gamma, out=d_x)  # gu, then d_x
     np.multiply(d_x, cache.x, out=scratch)
     scratch *= sech2
     d_alpha = float(scratch.sum())
@@ -162,7 +173,7 @@ def dyt_backward(cache: ForwardCache, upstream, ws=FRESH) -> GradBundle:
 _DYNAMIC_KINDS = ("seednorm", "mh_seednorm")
 
 
-def _dynamic_backward(cache: ForwardCache, u: Matrix, ws) -> GradBundle:
+def _dynamic_backward(cache: ForwardCache, u: Matrix, d_x: Matrix | None, ws) -> GradBundle:
     p = cache.params
     rows, dim = cache.x.shape
     heads = p.n_heads
@@ -170,8 +181,8 @@ def _dynamic_backward(cache: ForwardCache, u: Matrix, ws) -> GradBundle:
 
     sig_prime = p.activation.derivative(cache.tanh_arg, cache.sigma_val)
 
-    ur = np.multiply(u, cache.r, out=ws.out(("out", u.shape)))  # turned into d_x
-    d_gamma = ur.sum(axis=0, out=ws.out(("d_gamma", (dim,))))
+    ur = np.multiply(u, cache.r, out=d_x)  # turned into d_x
+    d_gamma = ur.sum(axis=0, out=ws.out("d_gamma", (dim,)))
 
     # one (rows, dim) scratch serves the three per-head products and the
     # RMS direction in turn
@@ -180,7 +191,7 @@ def _dynamic_backward(cache: ForwardCache, u: Matrix, ws) -> GradBundle:
     if p.alpha_is_scalar:
         d_alpha = float(scratch.sum())
     else:
-        d_alpha = scratch.sum(axis=0, out=ws.out(("d_alpha", (dim,))))
+        d_alpha = scratch.sum(axis=0, out=ws.out("d_alpha", (dim,)))
 
     aur = np.multiply(ur, p.alpha_row(), out=ur)
     head_sums = aur.reshape(rows, heads, head_dim).sum(axis=2)
@@ -188,7 +199,7 @@ def _dynamic_backward(cache: ForwardCache, u: Matrix, ws) -> GradBundle:
     inv_hd = 1.0 / head_dim if p.dim_scaled else 1.0
 
     d_beta = np.multiply(per_head_product(dyn, cache.x, head_dim, out=scratch).sum(axis=0),
-                         inv_hd, out=ws.out(("d_beta", (dim,))))
+                         inv_hd, out=ws.out("d_beta", (dim,)))
 
     w = np.add(cache.s, p.gamma, out=ur)
     w *= u
@@ -199,10 +210,10 @@ def _dynamic_backward(cache: ForwardCache, u: Matrix, ws) -> GradBundle:
 
 def seednorm_backward(cache: ForwardCache, upstream, ws=FRESH) -> GradBundle:
     """Backward of the single-head self-rescaling norm (see module docstring)."""
-    u = _check_upstream(cache, upstream, _DYNAMIC_KINDS)
+    u, d_x = _check_upstream(cache, upstream, _DYNAMIC_KINDS, ws)
     if cache.params.n_heads != 1:
         raise ValueError("multi-head cache: use mh_seednorm_backward")
-    return _dynamic_backward(cache, u, ws)
+    return _dynamic_backward(cache, u, d_x, ws)
 
 
 def mh_seednorm_backward(cache: ForwardCache, upstream, ws=FRESH) -> GradBundle:
@@ -212,7 +223,8 @@ def mh_seednorm_backward(cache: ForwardCache, upstream, ws=FRESH) -> GradBundle:
     receive d_beta and first-term d_x contributions from upstream entries in
     head h. The RMS path still couples the full row.
     """
-    return _dynamic_backward(cache, _check_upstream(cache, upstream, _DYNAMIC_KINDS), ws)
+    u, d_x = _check_upstream(cache, upstream, _DYNAMIC_KINDS, ws)
+    return _dynamic_backward(cache, u, d_x, ws)
 
 
 @dataclass

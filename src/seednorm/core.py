@@ -43,22 +43,26 @@ def as_vector(v, name: str = "v") -> Vector:
 class Workspace:
     """Float64 arrays that outlive a call, one per (name, shape).
 
-    ``empty(name, shape)`` returns the array stored under that key, made on
-    the first request; its contents are whatever its last user left there.
-    Kernels write their results into such arrays with ``out=``, so a loop
-    that hands the same workspace to every training step allocates the
-    step's large arrays once, in its first step. Every array a call returns
-    from a workspace stays valid only until the next call given the same
-    workspace.
+    A workspace hands out the array stored under a key, made on the first
+    request; its contents are whatever its last user left there. Kernels
+    write their results into such arrays, so a loop that hands the same
+    workspace to every training step allocates the step's large arrays once,
+    in its first step. Every array a call returns from a workspace stays
+    valid only until the next call given the same workspace.
 
-    ``scope(prefix)`` is a view of the same arrays whose ``empty`` names
-    start with ``prefix``: a model slot's forward cache and gradients live
-    under the slot's name, so no two slots share one. ``shared`` ignores the
-    prefix. It is for scratch that a kernel uses only while it runs, which
-    every slot of the same shape then reuses. ``out((name, shape))`` is
-    ``empty(name, shape)`` written for a NumPy ``out=`` argument; the
-    buffer source of calls given no workspace, ``FRESH``, answers it with
-    None, so that NumPy allocates the result.
+    ``scope(prefix)`` is a view of the same arrays whose names start with
+    ``prefix``: a model slot's forward cache and gradients live under the
+    slot's name, so no two slots share one. Three requests cover every use:
+
+    - ``out(name, shape)``: an array of the scope for a NumPy ``out=``
+      argument, which NumPy fills whole;
+    - ``empty(name, shape)``: the same array, for a caller that fills it
+      itself (by slices, ``copyto`` or ``fill``);
+    - ``shared(name, shape)``: scratch that a kernel uses only while it
+      runs, outside any scope, so every slot of the same shape reuses it.
+
+    Calls given no workspace get ``FRESH``, which answers ``out`` with None,
+    so that NumPy allocates the result, and the other two with new arrays.
     """
 
     __slots__ = ("_arrays", "_prefix")
@@ -70,12 +74,10 @@ class Workspace:
     def scope(self, prefix: str) -> "Workspace":
         return Workspace(self._arrays, f"{self._prefix}{prefix}.")
 
-    def empty(self, name: str, shape: tuple) -> np.ndarray:
+    def out(self, name: str, shape: tuple) -> np.ndarray:
         return self.shared(self._prefix + name, shape)
 
-    def out(self, key: tuple) -> np.ndarray:
-        """``empty(*key)``, as the ``out=`` argument of a NumPy call."""
-        return self.empty(*key)
+    empty = out
 
     def shared(self, name: str, shape: tuple) -> np.ndarray:
         key = (name, shape)
@@ -93,41 +95,34 @@ class _Fresh:
     def scope(self, prefix: str) -> "_Fresh":
         return self
 
+    def out(self, name: str, shape: tuple) -> None:
+        return None
+
     def empty(self, name: str, shape: tuple) -> np.ndarray:
         return np.empty(shape)
 
     shared = empty
 
-    # None for every key, so the NumPy call that gets it as ``out=``
-    # allocates its result. An empty dict's ``get`` returns it without a
-    # Python-level call, which would cost the finite-difference oracle a
-    # few percent: it runs a small forward per perturbed coordinate.
-    out = {}.get
-
 
 FRESH = _Fresh()
 
 
-def rms_rows(
-    x: Matrix, eps: float, out: np.ndarray | None = None, scratch: Matrix | None = None
-) -> np.ndarray:
+def rms_rows(x: Matrix, eps: float, scratch: Matrix | None = None) -> np.ndarray:
     """Per-row RMS of a matrix, shape (rows,): sqrt(mean(x**2) + eps).
 
     eps sits inside the radical so a zero row maps to sqrt(eps) rather than
     dividing by zero downstream. The mean is the row sum over dim, which is
     exactly what ``np.mean`` computes, without its Python-level wrapper;
     ``np.add.reduce`` is the reduction ``ndarray.sum`` runs, without its
-    wrapper either. The result goes into ``out`` and the squares into
-    ``scratch``, an array shaped like x, when they are given. The (rows,)
-    steps in between are not made in place: on the oracle's one-row inputs
-    an in-place operation costs more than a new one-element array.
+    wrapper either. The squares go into ``scratch``, an array shaped like x,
+    when one is given.
     """
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError(f"expected (rows, dim>=1) matrix, got shape {x.shape}")
     if eps < 0:
         raise ValueError("eps must be >= 0")
     sq = np.multiply(x, x, out=scratch)
-    return np.sqrt(np.add.reduce(sq, axis=1) / x.shape[1] + eps, out=out)
+    return np.sqrt(np.add.reduce(sq, axis=1) / x.shape[1] + eps)
 
 
 def per_head_product(

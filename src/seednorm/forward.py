@@ -5,12 +5,13 @@ The cache carries the parameters the layer ran with and every intermediate
 the matching backward pass needs, so backward never recomputes the forward
 and takes nothing but the cache and the upstream gradient.
 
-A forward takes its output, its cache entries and its scratch from the
-buffer source ``ws`` (see ``core.Workspace``): fresh arrays by default, or
-the arrays of a workspace that a training loop reuses from step to step.
-The output is ``ws``'s array "out" and each cache entry the array of its
-field's name; a model slot scopes them to the slot. Every other
-intermediate of (rows, dim) size goes into those in place. A forward never
+A forward takes its (rows, dim) arrays, its output and the cache entries
+of that shape, from the buffer source ``ws`` (see ``core.Workspace``):
+fresh arrays by default, or the arrays of a workspace that a training loop
+reuses from step to step. The output is ``ws``'s array "out" and each cache
+entry the array of its field's name; a model slot scopes them to the slot.
+Every other intermediate of that size goes into those in place; the
+per-row ones, (rows,) or (rows, heads), are new arrays. A forward never
 writes to its input or its parameters. Each element still goes through the
 operations of the formula in the same order, so the results are bitwise
 those of the formula written as one expression.
@@ -73,10 +74,10 @@ def rmsnorm_forward(x, p: NormParams, ws=FRESH) -> tuple[Matrix, ForwardCache]:
     """RMSNorm: gamma * x / sqrt(mean(x**2) + eps), per row."""
     x = as_matrix(x)
     _check_dim(p, x)
-    r = ws.out(("r", x.shape))  # the squares first
-    rms = rms_rows(x, p.eps, out=ws.out(("rms", x.shape[:1])), scratch=r)
+    r = ws.out("r", x.shape)  # the squares first
+    rms = rms_rows(x, p.eps, scratch=r)
     r = np.divide(x, rms[:, None], out=r)
-    out = np.multiply(p.gamma, r, out=ws.out(("out", x.shape)))
+    out = np.multiply(p.gamma, r, out=ws.out("out", x.shape))
     cache = ForwardCache(kind="rmsnorm", x=x, params=p, rms=rms, r=r)
     return out, cache
 
@@ -93,13 +94,13 @@ def layernorm_forward(x, p: NormParams, shift, ws=FRESH) -> tuple[Matrix, Forwar
         raise ValueError(f"shift dim {shift.shape[0]} != input dim {x.shape[1]}")
     # np.mean and np.var written out as they compute them, sharing the
     # centered rows with xhat
-    rows, dim = x.shape
+    dim = x.shape[1]
     # np.add.reduce is the row sum .sum runs, without its Python wrapper
     mean = np.add.reduce(x, axis=1) / dim
-    xhat = np.subtract(x, mean[:, None], out=ws.out(("r", x.shape)))  # scaled below
-    out = np.multiply(xhat, xhat, out=ws.out(("out", x.shape)))  # squares first
+    xhat = np.subtract(x, mean[:, None], out=ws.out("r", x.shape))  # scaled below
+    out = np.multiply(xhat, xhat, out=ws.out("out", x.shape))  # squares first
     var = np.add.reduce(out, axis=1) / dim
-    inv_std = np.divide(1.0, np.sqrt(var + p.eps), out=ws.out(("inv_std", (rows,))))
+    inv_std = 1.0 / np.sqrt(var + p.eps)
     xhat *= inv_std[:, None]
     np.multiply(xhat, p.gamma, out=out)
     out += shift
@@ -119,9 +120,9 @@ def dyt_forward(x, alpha_scalar: float, gamma, shift, ws=FRESH) -> tuple[Matrix,
     shift = as_vector(shift, "shift")
     if p.dim != x.shape[1] or shift.shape[0] != x.shape[1]:
         raise ValueError("gamma/shift dim mismatch with input")
-    t = np.multiply(x, p.alpha, out=ws.out(("tanh_ax", x.shape)))
+    t = np.multiply(x, p.alpha, out=ws.out("tanh_ax", x.shape))
     np.tanh(t, out=t)
-    out = np.multiply(t, p.gamma, out=ws.out(("out", x.shape)))
+    out = np.multiply(t, p.gamma, out=ws.out("out", x.shape))
     out += shift
     cache = ForwardCache(kind="dyt", x=x, params=p, tanh_ax=t)
     return out, cache
@@ -140,19 +141,19 @@ def _dynamic_forward(
     heads = p.n_heads
     head_dim = dim // heads
 
-    r = ws.out(("r", x.shape))  # the squares first
-    rms = rms_rows(x, p.eps, out=ws.out(("rms", (rows,))), scratch=r)
+    r = ws.out("r", x.shape)  # the squares first
+    rms = rms_rows(x, p.eps, scratch=r)
     r = np.divide(x, rms[:, None], out=r)
 
     xh = x.reshape(rows, heads, head_dim)
     bh = p.beta.reshape(heads, head_dim)
-    tanh_arg = np.einsum("rhd,hd->rh", xh, bh, out=ws.out(("tanh_arg", (rows, heads))))
+    tanh_arg = np.einsum("rhd,hd->rh", xh, bh)
     if p.dim_scaled:
         tanh_arg /= head_dim
-    sigma_val = p.activation.apply(tanh_arg, out=ws.out(("sigma_val", (rows, heads))))
+    sigma_val = p.activation.apply(tanh_arg)
 
-    s = per_head_product(sigma_val, p.alpha, head_dim, out=ws.out(("s", x.shape)))
-    out = np.add(s, p.gamma if include_gamma else 1.0, out=ws.out(("out", x.shape)))
+    s = per_head_product(sigma_val, p.alpha, head_dim, out=ws.out("s", x.shape))
+    out = np.add(s, p.gamma if include_gamma else 1.0, out=ws.out("out", x.shape))
     out *= r
     cache = ForwardCache(
         kind=kind, x=x, params=p, rms=rms, r=r, tanh_arg=tanh_arg, sigma_val=sigma_val, s=s

@@ -220,7 +220,7 @@ def softmax_cross_entropy(logits, targets, ws=FRESH):
     idx = np.arange(rows)
     picked = logits[idx, targets]
     m = logits.max(axis=1, keepdims=True)
-    ex = np.subtract(logits, m, out=ws.empty("logits", logits.shape))
+    ex = np.subtract(logits, m, out=ws.out("logits", logits.shape))
     np.exp(ex, out=ex)
     z = ex.sum(axis=1, keepdims=True)
     log_z = np.log(z) + m
@@ -237,9 +237,9 @@ def _note(sites, name, arr):
         sites.append((name, bool(np.all(np.isfinite(arr)))))
 
 
-def _grad(ws, name: str, params: dict) -> np.ndarray:
-    """The array that takes the gradient of parameter ``name``."""
-    return ws.empty(f"grad.{name}", params[name].shape)
+def _grad(ws, name: str, params: dict) -> np.ndarray | None:
+    """The ``out=`` target of the gradient of parameter ``name``."""
+    return ws.out(f"grad.{name}", params[name].shape)
 
 
 def _head_rows(a, b: int, t: int, heads: int, out):
@@ -270,7 +270,7 @@ def _attn_forward(params, cfg, pfx, xn, sites=None, ws=FRESH):
                         lw.empty("q_rows", (b * heads * t, hd)))
     k_rows = _head_rows(np.matmul(x2, params[f"{pfx}.attn.wk"], out=proj), b, t, heads,
                         lw.empty("k_rows", (b * heads * t, hd)))
-    v = np.matmul(x2, params[f"{pfx}.attn.wv"], out=lw.empty("v", (b * t, d)))
+    v = np.matmul(x2, params[f"{pfx}.attn.wv"], out=lw.out("v", (b * t, d)))
     qn_rows, q_cache = _slot_forward(params, cfg, f"{pfx}.q_norm", q_rows, 1, ws)
     kn_rows, k_cache = _slot_forward(params, cfg, f"{pfx}.k_norm", k_rows, 1, ws)
     qn = qn_rows.reshape(b, heads, t, hd)
@@ -278,7 +278,7 @@ def _attn_forward(params, cfg, pfx, xn, sites=None, ws=FRESH):
     vh = v.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
     inv_scale = 1.0 / np.sqrt(hd)
     # scores, masked, then turned into the softmax in place
-    att = np.matmul(qn, kn.swapaxes(-1, -2), out=lw.empty("att", (b, heads, t, t)))
+    att = np.matmul(qn, kn.swapaxes(-1, -2), out=lw.out("att", (b, heads, t, t)))
     att *= inv_scale
     np.copyto(att, -np.inf, where=np.triu(np.ones((t, t), dtype=bool), k=1))
     att -= att.max(axis=-1, keepdims=True)
@@ -287,7 +287,7 @@ def _attn_forward(params, cfg, pfx, xn, sites=None, ws=FRESH):
     _note(sites, f"{pfx}.attn.softmax", att)
     o = np.matmul(att, vh, out=ws.shared("attn.heads", (b, heads, t, hd)))
     oc = _merge_heads(o, b, t, heads, lw.empty("oc", (b * t, d)))
-    out = np.matmul(oc, params[f"{pfx}.attn.wo"], out=lw.empty("out", (b * t, d)))
+    out = np.matmul(oc, params[f"{pfx}.attn.wo"], out=lw.out("out", (b * t, d)))
     cache = {
         "x2": x2, "qn": qn, "kn": kn, "vh": vh, "att": att, "oc": oc,
         "q_cache": q_cache, "k_cache": k_cache, "shape": (b, t, d),
@@ -310,7 +310,7 @@ def _attn_backward(params, cfg, pfx, cache, dout, ws=FRESH):
     att, vh, qn, kn = cache["att"], cache["vh"], cache["qn"], cache["kn"]
     dout2 = dout.reshape(b * t, d)
     grads = {names["wo"]: np.matmul(cache["oc"].T, dout2, out=_grad(ws, names["wo"], params))}
-    d_oc = np.matmul(dout2, wo.T, out=lw.empty("oc", (b * t, d)))
+    d_oc = np.matmul(dout2, wo.T, out=lw.out("oc", (b * t, d)))
     do = d_oc.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
     datt = np.matmul(do, vh.swapaxes(-1, -2), out=ws.shared("attn_backward.datt", att.shape))
     dvh = np.matmul(att.swapaxes(-1, -2), do, out=ws.shared("attn.heads", vh.shape))
@@ -347,10 +347,10 @@ def _attn_backward(params, cfg, pfx, cache, dout, ws=FRESH):
 def _ffn_forward(params, pfx, rows, ws=FRESH):
     lw = ws.scope(f"{pfx}.ffn")
     w1, w2 = params[f"{pfx}.ffn.w1"], params[f"{pfx}.ffn.w2"]
-    h1 = np.matmul(rows, w1, out=lw.empty("h1", (rows.shape[0], w1.shape[1])))
-    cdf = _gelu_cdf(h1, out=lw.empty("cdf", h1.shape))
+    h1 = np.matmul(rows, w1, out=lw.out("h1", (rows.shape[0], w1.shape[1])))
+    cdf = _gelu_cdf(h1, out=lw.out("cdf", h1.shape))
     act = np.multiply(h1, cdf, out=ws.shared("ffn.act", h1.shape))
-    out = np.matmul(act, w2, out=lw.empty("out", (rows.shape[0], w2.shape[1])))
+    out = np.matmul(act, w2, out=lw.out("out", (rows.shape[0], w2.shape[1])))
     # Phi(h1) serves the backward's GELU and its derivative, so the cache
     # keeps it instead of the activation, which is one multiply away.
     return out, {"rows": rows, "h1": h1, "cdf": cdf}
@@ -365,7 +365,7 @@ def _ffn_backward(params, pfx, cache, dout, ws=FRESH):
     grads = {n2: np.matmul(act.T, dout, out=_grad(ws, n2, params))}
     gelu_prime = _gelu_prime_from_cdf(h1, cdf, out=act)
     # dact, times GELU' in place; in a workspace it overwrites h1, read last above
-    dh1 = np.matmul(dout, w2.T, out=lw.empty("h1", h1.shape))
+    dh1 = np.matmul(dout, w2.T, out=lw.out("h1", h1.shape))
     dh1 *= gelu_prime
     grads[n1] = np.matmul(cache["rows"].T, dh1, out=_grad(ws, n1, params))
     d_rows = np.matmul(dh1, w1.T, out=ws.shared("ffn_backward.d_rows", dout.shape))
@@ -427,7 +427,7 @@ def model_forward(params, cfg: ModelConfig, tokens, sites=None, ws=FRESH):
     d = cfg.hidden_dim
     # the ids were checked, so "clip" changes none; it lets take write into
     # out without a buffer of its own, which the default "raise" needs
-    x = np.take(params["embed.weight"], tokens, axis=0, out=ws.empty("embed", (b, t, d)),
+    x = np.take(params["embed.weight"], tokens, axis=0, out=ws.out("embed", (b, t, d)),
                 mode="clip")
     x += params["pos_embed.weight"][None, :t, :]
     _note(sites, "embed", x)
@@ -440,7 +440,7 @@ def model_forward(params, cfg: ModelConfig, tokens, sites=None, ws=FRESH):
                                      ws)
     _note(sites, "final_norm", fn_out)
     logits = np.matmul(fn_out, params["unembed.weight"],
-                       out=ws.empty("logits", (b * t, cfg.vocab)))
+                       out=ws.out("logits", (b * t, cfg.vocab)))
     _note(sites, "logits", logits)
     caches = {
         "tokens": tokens, "shape": (b, t, d), "blocks": blocks,
@@ -460,11 +460,11 @@ def model_backward(params, cfg: ModelConfig, caches, dlogits, ws=FRESH):
     dx = d_rows.reshape(b, t, d)
     for i in reversed(range(cfg.layers)):
         dx = _block_backward(params, cfg, i, caches["blocks"][i], dx, grads, ws)
-    d_emb = _grad(ws, "embed.weight", params)
+    d_emb = ws.empty("grad.embed.weight", params["embed.weight"].shape)
     d_emb.fill(0.0)
     np.add.at(d_emb, caches["tokens"].ravel(), dx.reshape(b * t, d))
     grads["embed.weight"] = d_emb
-    d_pos = _grad(ws, "pos_embed.weight", params)
+    d_pos = ws.empty("grad.pos_embed.weight", params["pos_embed.weight"].shape)
     d_pos[t:] = 0.0
     dx.sum(axis=0, out=d_pos[:t])
     grads["pos_embed.weight"] = d_pos

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FRESH
+from .core import FRESH, Workspace
 from .model import ModelConfig, parameter_specs
 
 
@@ -21,12 +21,18 @@ class AdamWConfig:
 
 @dataclass
 class OptimizerState:
-    """First/second moments per parameter, step count, and the decay set."""
+    """First/second moments per parameter, step count, and the decay set.
+
+    ``scratch`` holds the two arrays per parameter shape that ``adamw_step``
+    computes its update in, kept from one step to the next; it carries no
+    state and is not saved with a checkpoint.
+    """
 
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     step: int = 0
     decay: dict = field(default_factory=dict)
+    scratch: Workspace = field(default_factory=Workspace, repr=False, compare=False)
 
     @classmethod
     def init(cls, params: dict, decay: dict) -> "OptimizerState":
@@ -54,12 +60,11 @@ def clip_gradients(grads: dict, max_norm: float, ws=FRESH) -> float:
     A single shared scalar multiply preserves the gradient direction exactly.
     max_norm <= 0 disables clipping, and a non-finite norm leaves the
     gradients as they are for the caller to reject. Returns the pre-clip
-    global norm. The squares go into scratch arrays of ``ws``, those that
-    ``adamw_step`` uses too.
+    global norm. The squares go into scratch arrays of the buffer source ``ws``.
     """
     total_sq = 0.0
     for g in grads.values():
-        total_sq += float(np.multiply(g, g, out=ws.shared("optim.update", g.shape)).sum())
+        total_sq += float(np.multiply(g, g, out=ws.shared("clip.squares", g.shape)).sum())
     total = float(np.sqrt(total_sq))
     if max_norm > 0 and max_norm < total < np.inf:
         scale = max_norm / total
@@ -70,7 +75,7 @@ def clip_gradients(grads: dict, max_norm: float, ws=FRESH) -> float:
 
 def adamw_step(
     state: OptimizerState, params: dict, grads: dict, hyper: AdamWConfig,
-    lr: float | None = None, ws=FRESH,
+    lr: float | None = None,
 ) -> dict:
     """One AdamW update, in place. ``lr`` overrides hyper.lr for schedules.
 
@@ -90,10 +95,11 @@ def adamw_step(
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        # two scratch arrays of ws shaped like p (0-d for DyT's alpha) hold
-        # every temporary; each entry sees the same operations as in the formula
-        update = ws.shared("optim.update", p.shape)
-        denom = ws.shared("optim.denom", p.shape)
+        # two scratch arrays of the state shaped like p (0-d for DyT's alpha)
+        # hold every temporary; each entry sees the same operations as in the
+        # formula
+        update = state.scratch.shared("update", p.shape)
+        denom = state.scratch.shared("denom", p.shape)
         m *= hyper.beta1
         m += np.multiply(g, 1.0 - hyper.beta1, out=update)
         v *= hyper.beta2

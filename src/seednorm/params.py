@@ -24,16 +24,12 @@ class Activation(str, Enum):
     SIGMOID = "sigmoid"
     HARDTANH = "hardtanh"
 
-    def apply(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """activation(z), written into ``out`` (shaped like z) when given."""
+    def apply(self, z: np.ndarray) -> np.ndarray:
         if self is Activation.TANH:
-            return np.tanh(z, out=out)
+            return np.tanh(z)
         if self is Activation.SIGMOID:
-            e = np.negative(z, out=out)
-            np.exp(e, out=e)
-            np.add(1.0, e, out=e)
-            return np.divide(1.0, e, out=e)
-        return np.clip(z, -1.0, 1.0, out=out)
+            return 1.0 / (1.0 + np.exp(-z))
+        return np.clip(z, -1.0, 1.0)
 
     def derivative(self, z: np.ndarray, value: np.ndarray) -> np.ndarray:
         """d(activation)/dz given both the argument and the cached value.

@@ -201,8 +201,9 @@ def train_model(
     one run of the same steps. Init and batch streams come from separate
     child seeds, so the batches are those of a fresh run of this seed.
 
-    The call owns one ``Workspace``, which every step reuses, so the steps
-    after the first allocate no large array.
+    The call owns one ``Workspace``, which every step reuses, and the
+    optimizer state keeps its own scratch, so the steps after the first
+    allocate no large array.
     """
     init_seed, data_seed = spawn_seeds(rng, 2)
     if model is None:
@@ -242,7 +243,7 @@ def train_model(
             lr_t = train_cfg.lr * min(1.0, (step + 1) / train_cfg.warmup_steps)
         else:
             lr_t = train_cfg.lr
-        adamw_step(state, model.params, grads, hyper, lr=lr_t, ws=ws)
+        adamw_step(state, model.params, grads, hyper, lr=lr_t)
         curve.append(step, loss, grad_norm, time.perf_counter() - started)
     return TrainResult(curve=curve, model=model, opt_state=state)
 

@@ -2,8 +2,8 @@
 allocates fresh arrays, and after its first step allocates nothing large.
 
 ``train_model`` hands one ``Workspace`` to every step; the same step through
-``loss_and_grads``, ``clip_gradients`` and ``adamw_step`` given no workspace
-is the reference. NumPy reports its data buffers to ``tracemalloc``, so the
+``loss_and_grads`` and ``clip_gradients`` given no workspace, then
+``adamw_step``, is the reference. NumPy reports its data buffers to ``tracemalloc``, so the
 traced peak of a step bounds what the step allocates.
 """
 
@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from seednorm import model as layer_fns
 from seednorm.core import FRESH, Workspace, make_rng, spawn_seeds
 from seednorm.model import ModelConfig, build_model, loss_and_grads
 from seednorm.norms import NORMS
@@ -93,14 +94,39 @@ def test_workspace_keys_by_name_and_shape():
     ws = Workspace()
     a = ws.empty("a", (2, 3))
     assert ws.empty("a", (2, 3)) is a
-    assert ws.out(("a", (2, 3))) is a
+    assert ws.out("a", (2, 3)) is a
     assert ws.empty("a", (3, 2)) is not a
     slot = ws.scope("layer0").scope("q_norm")
-    assert slot.empty("a", (2, 3)) is not a
-    assert slot.empty("a", (2, 3)) is ws.empty("layer0.q_norm.a", (2, 3))
+    assert slot.out("a", (2, 3)) is not a
+    assert slot.out("a", (2, 3)) is ws.empty("layer0.q_norm.a", (2, 3))
     assert slot.shared("a", (2, 3)) is a
     assert FRESH.empty("a", (2, 3)) is not FRESH.empty("a", (2, 3))
-    assert FRESH.out(("a", (2, 3))) is None
+    assert FRESH.shared("a", (2, 3)) is not FRESH.shared("a", (2, 3))
+    assert FRESH.out("a", (2, 3)) is None
+    assert FRESH.scope("layer0") is FRESH
+
+
+@pytest.mark.parametrize("variant", list(NORMS))
+def test_backward_reads_an_upstream_that_is_its_forwards_output(variant):
+    # In a workspace the input gradient is written into the forward's output
+    # array; handed back as the upstream gradient, that array must be read
+    # before it is overwritten, as the loss 0.5 * ||y||^2 does.
+    norm = NORMS[variant]
+    rng = make_rng(35)
+    x = rng.standard_normal((5, 8))
+    fields = {"gamma": rng.standard_normal(8), **norm.draw(rng, 8, variant == "dyt")}
+    args = (fields["gamma"], fields.get("alpha"), fields.get("beta"), 1e-6)
+    heads = 2 if variant == "mh_seednorm" else 1
+    backward = getattr(layer_fns, f"{variant}_backward")
+
+    y, cache = norm.forward(layer_fns, x, *args, heads)
+    want = backward(cache, y.copy())
+    ws = Workspace().scope("slot")
+    y_ws, cache_ws = norm.forward(layer_fns, x, *args, heads, ws=ws)
+    assert y_ws is ws.out("out", x.shape)
+    got = backward(cache_ws, y_ws, ws)
+    for name in ("d_x", "d_gamma", "d_alpha", "d_beta"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class _TracedTask:
