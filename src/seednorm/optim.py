@@ -23,9 +23,9 @@ class AdamWConfig:
 class OptimizerState:
     """First/second moments per parameter, step count, and the decay set.
 
-    ``scratch`` holds the two arrays per parameter shape that ``adamw_step``
-    computes its update in, kept from one step to the next; it carries no
-    state and is not saved with a checkpoint.
+    ``scratch`` holds the two arrays per parameter shape, "update" and
+    "denom", that ``adamw_step`` computes its update in, kept from one step
+    to the next; it carries no state and is not saved with a checkpoint.
     """
 
     m: dict = field(default_factory=dict)
@@ -60,11 +60,13 @@ def clip_gradients(grads: dict, max_norm: float, ws=FRESH) -> float:
     A single shared scalar multiply preserves the gradient direction exactly.
     max_norm <= 0 disables clipping, and a non-finite norm leaves the
     gradients as they are for the caller to reject. Returns the pre-clip
-    global norm. The squares go into scratch arrays of the buffer source ``ws``.
+    global norm. The squares go into the scratch arrays "update" of the
+    buffer source ``ws``; ``train_model`` passes the optimizer state's
+    scratch, whose arrays ``adamw_step`` overwrites next.
     """
     total_sq = 0.0
     for g in grads.values():
-        total_sq += float(np.multiply(g, g, out=ws.shared("clip.squares", g.shape)).sum())
+        total_sq += float(np.multiply(g, g, out=ws.shared("update", g.shape)).sum())
     total = float(np.sqrt(total_sq))
     if max_norm > 0 and max_norm < total < np.inf:
         scale = max_norm / total

@@ -201,9 +201,9 @@ def train_model(
     one run of the same steps. Init and batch streams come from separate
     child seeds, so the batches are those of a fresh run of this seed.
 
-    The call owns one ``Workspace``, which every step reuses, and the
-    optimizer state keeps its own scratch, so the steps after the first
-    allocate no large array.
+    The call owns one ``Workspace``, which every step's ``loss_and_grads``
+    reuses. Clipping and the AdamW update share the optimizer state's
+    scratch, so the steps after the first allocate no large array.
     """
     init_seed, data_seed = spawn_seeds(rng, 2)
     if model is None:
@@ -235,7 +235,7 @@ def train_model(
             for name in grads:
                 if name.endswith(suffix):
                     grads[name] = np.zeros_like(grads[name])
-        grad_norm = clip_gradients(grads, train_cfg.grad_clip, ws)
+        grad_norm = clip_gradients(grads, train_cfg.grad_clip, state.scratch)
         if not math.isfinite(grad_norm):
             bad = (n for n, g in grads.items() if not np.all(np.isfinite(g)))
             raise TrainingDiverged(step, next(bad, "grad_norm"), quantity="gradient")
