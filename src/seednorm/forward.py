@@ -1,9 +1,12 @@
 """Forward passes for the normalization family.
 
-All layers take a (rows, dim) float64 matrix and return (output, cache).
-The cache carries the parameters the layer ran with and every intermediate
-the matching backward pass needs, so backward never recomputes the forward
-and takes nothing but the cache and the upstream gradient.
+Every layer of the variant table is ``<variant>_forward(x, p, ws=FRESH)``:
+a (rows, dim) float64 matrix, the layer's NormParams and a buffer source,
+returning (output, cache). LayerNorm and DyT read their shift from
+``p.beta``; the conditioned layer also takes its ConditionParams. The cache
+carries the parameters the layer ran with and every intermediate the
+matching backward pass needs, so backward never recomputes the forward and
+takes nothing but the cache and the upstream gradient.
 
 A forward takes its (rows, dim) arrays, its output and the cache entries
 of that shape, from the buffer source ``ws`` (see ``core.Workspace``):
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FRESH, Matrix, as_matrix, as_vector, per_head_product, rms_rows
+from .core import FRESH, Matrix, as_matrix, per_head_product, rms_rows
 from .params import ConditionParams, NormParams
 
 
@@ -41,8 +44,8 @@ from .params import ConditionParams, NormParams
 class ForwardCache:
     """Intermediates captured by a forward pass, and the parameters it ran with.
 
-    ``params`` is the NormParams the forward was given; DyT stores its gamma
-    and scalar alpha there. The backward reads every parameter and layer
+    ``params`` is the NormParams the forward was given; for LayerNorm and
+    DyT its beta is the shift. The backward reads every parameter and layer
     setting from it, so it can only differentiate the forward that made the
     cache. Other fields are populated per layer kind; unused ones stay None.
     ``s`` is the per-channel dynamic coefficient activation(x . beta) * alpha,
@@ -82,16 +85,13 @@ def rmsnorm_forward(x, p: NormParams, ws=FRESH) -> tuple[Matrix, ForwardCache]:
     return out, cache
 
 
-def layernorm_forward(x, p: NormParams, shift, ws=FRESH) -> tuple[Matrix, ForwardCache]:
-    """LayerNorm: gamma * (x - mean)/sqrt(var + eps) + shift, per row.
+def layernorm_forward(x, p: NormParams, ws=FRESH) -> tuple[Matrix, ForwardCache]:
+    """LayerNorm: gamma * (x - mean)/sqrt(var + eps) + beta, per row.
 
-    Population variance (denominator dim, not dim - 1).
+    beta is the shift. Population variance (denominator dim, not dim - 1).
     """
     x = as_matrix(x)
     _check_dim(p, x)
-    shift = as_vector(shift, "shift")
-    if shift.shape[0] != p.dim:
-        raise ValueError(f"shift dim {shift.shape[0]} != input dim {x.shape[1]}")
     # np.mean and np.var written out as they compute them, sharing the
     # centered rows with xhat
     dim = x.shape[1]
@@ -103,27 +103,25 @@ def layernorm_forward(x, p: NormParams, shift, ws=FRESH) -> tuple[Matrix, Forwar
     inv_std = 1.0 / np.sqrt(var + p.eps)
     xhat *= inv_std[:, None]
     np.multiply(xhat, p.gamma, out=out)
-    out += shift
+    out += p.beta
     cache = ForwardCache(kind="layernorm", x=x, params=p, r=xhat, inv_std=inv_std)
     return out, cache
 
 
-def dyt_forward(x, alpha_scalar: float, gamma, shift, ws=FRESH) -> tuple[Matrix, ForwardCache]:
-    """Dynamic tanh, no normalization: gamma * tanh(alpha * x) + shift.
+def dyt_forward(x, p: NormParams, ws=FRESH) -> tuple[Matrix, ForwardCache]:
+    """Dynamic tanh, no normalization: gamma * tanh(alpha * x) + beta.
 
-    alpha must be one finite number.
+    beta is the shift and alpha must be one number; eps and the head
+    settings are not used.
     """
     x = as_matrix(x)
-    if np.ndim(alpha_scalar) != 0:
-        raise ValueError(f"dyt alpha must be a scalar, got shape {np.shape(alpha_scalar)}")
-    p = NormParams(gamma, alpha_scalar)
-    shift = as_vector(shift, "shift")
-    if p.dim != x.shape[1] or shift.shape[0] != x.shape[1]:
-        raise ValueError("gamma/shift dim mismatch with input")
+    if not p.alpha_is_scalar:
+        raise ValueError(f"dyt alpha must be a scalar, got shape {np.shape(p.alpha)}")
+    _check_dim(p, x)
     t = np.multiply(x, p.alpha, out=ws.out("tanh_ax", x.shape))
     np.tanh(t, out=t)
     out = np.multiply(t, p.gamma, out=ws.out("out", x.shape))
-    out += shift
+    out += p.beta
     cache = ForwardCache(kind="dyt", x=x, params=p, tanh_ax=t)
     return out, cache
 

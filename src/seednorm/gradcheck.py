@@ -90,10 +90,11 @@ def run_trial(
     gamma, alpha, beta = (fields.get(k) for k in ("gamma", "alpha", "beta"))
     eps = eps or norm.oracle_zero_eps
     layer = {"n_heads": n_heads, "dim_scaled": dim_scaled, "activation": activation}
-    _, cache = norm.forward(_LAYER_FNS, x, gamma, alpha, beta, eps, **layer)
+    forward = getattr(_LAYER_FNS, f"{variant}_forward")
+    _, cache = forward(x, NormParams(gamma, alpha, beta, eps, **layer))
     analytic = getattr(_LAYER_FNS, f"{variant}_backward")(cache, u)
     numeric = finite_difference_jacobian(
-        lambda xx, g, a, b: norm.forward(_LAYER_FNS, xx, g, a, b, eps, **layer)[0],
+        lambda xx, g, a, b: forward(xx, NormParams(g, a, b, eps, **layer))[0],
         EvalPoint(x=x, u=u, **fields),
         step,
     )

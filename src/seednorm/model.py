@@ -50,6 +50,7 @@ from .forward import (  # noqa: F401
     seednorm_forward,
 )
 from .norms import NORMS, NormSpec
+from .params import NormParams
 
 # One member per row of the variant table, e.g. NormVariant.MH_SEEDNORM.
 NormVariant = Enum("NormVariant", [(name.upper(), name) for name in NORMS],
@@ -170,9 +171,9 @@ _LAYER_FNS = sys.modules[__name__]
 
 
 def _slot_forward(params: dict, cfg: ModelConfig, prefix: str, rows, n_heads: int, ws=FRESH):
-    norm = cfg.norm
-    return norm.forward(_LAYER_FNS, rows, *norm.arrays(params, prefix), cfg.norm_eps, n_heads,
-                        ws=ws.scope(prefix))
+    forward = getattr(_LAYER_FNS, f"{cfg.norm_variant.value}_forward")
+    p = NormParams(*cfg.norm.arrays(params, prefix), cfg.norm_eps, n_heads)
+    return forward(rows, p, ws.scope(prefix))
 
 
 def _slot_backward(params: dict, cfg: ModelConfig, prefix: str, cache, upstream, ws=FRESH):

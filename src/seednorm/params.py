@@ -48,17 +48,16 @@ ScalarOrVector = Union[float, np.ndarray]
 
 @dataclass
 class NormParams:
-    """Learnable state shared by the RMS-based layers.
+    """Learnable state and settings of a norm layer.
 
     gamma is the static per-channel scale. alpha and beta drive the dynamic
     coefficient activation(x . beta) * alpha; a scalar alpha is accepted and
-    broadcast. Every entry must be finite. DyT's forward takes its scalar
-    alpha, gamma and shift directly and keeps gamma and alpha in one of these
-    for its backward; its shift, like LayerNorm's, is not part of it.
+    broadcast, and None means 0. For LayerNorm and DyT, beta is the shift,
+    and DyT's alpha is its scalar tanh slope. Every entry must be finite.
     """
 
     gamma: Vector
-    alpha: ScalarOrVector = 0.0
+    alpha: ScalarOrVector | None = 0.0
     beta: Vector | None = None
     eps: float = 1e-6
     n_heads: int = 1
@@ -75,7 +74,7 @@ class NormParams:
             if self.beta.shape[0] != dim:
                 raise ValueError(f"beta dim {self.beta.shape[0]} != gamma dim {dim}")
         if np.ndim(self.alpha) == 0:
-            self.alpha = float(self.alpha)
+            self.alpha = 0.0 if self.alpha is None else float(self.alpha)
             if not math.isfinite(self.alpha):
                 raise ValueError(f"alpha must be finite, got {self.alpha}")
         else:
@@ -100,21 +99,6 @@ class NormParams:
     def alpha_row(self) -> np.ndarray:
         """alpha as something broadcastable across channels."""
         return np.asarray(self.alpha, dtype=np.float64)
-
-    @classmethod
-    def default(cls, dim: int, alpha_init: float = 1.0, **kwargs) -> "NormParams":
-        """Standard initialization: gamma = 1, beta = 0, alpha = alpha_init.
-
-        beta starts at zero so the layer begins as plain RMSNorm; alpha and
-        beta must not both start at zero or the dynamic path never receives
-        gradient signal.
-        """
-        return cls(
-            gamma=np.ones(dim),
-            alpha=np.full(dim, float(alpha_init)),
-            beta=np.zeros(dim),
-            **kwargs,
-        )
 
 
 @dataclass

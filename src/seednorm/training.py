@@ -35,9 +35,6 @@ class TrainConfig:
     weight_decay: float = 0.1
     grad_clip: float = 1.0
     ema: float = 0.99
-    beta1: float = 0.9
-    beta2: float = 0.95
-    adam_eps: float = 1e-8
     # Flip off to reproduce the no-decay ablation on the dynamic vectors.
     decay_dynamic: bool = True
     # Param-name suffixes whose gradients are zeroed (e.g. ".beta" pins the
@@ -136,9 +133,6 @@ class LossCurve:
     def __len__(self) -> int:
         return len(self.records)
 
-    def steps(self) -> np.ndarray:
-        return np.array([r.step for r in self.records], dtype=np.int64)
-
     def losses(self) -> np.ndarray:
         return np.array([r.loss for r in self.records])
 
@@ -214,10 +208,7 @@ def train_model(
     if not train_cfg.decay_dynamic:
         flags = {k: f and not cfg.norm.decays(k) for k, f in flags.items()}
     state = OptimizerState.init(model.params, flags)
-    hyper = AdamWConfig(
-        lr=train_cfg.lr, beta1=train_cfg.beta1, beta2=train_cfg.beta2,
-        eps=train_cfg.adam_eps, weight_decay=train_cfg.weight_decay,
-    )
+    hyper = AdamWConfig(lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
     curve = LossCurve(ema_coef=train_cfg.ema)
     ws = Workspace()
     started = time.perf_counter()

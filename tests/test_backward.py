@@ -96,13 +96,12 @@ class TestLayernorm:
         rng = make_rng(200 + dim)
         x = rng.standard_normal((rows, dim))
         u = rng.standard_normal((rows, dim))
-        p = NormParams(gamma=rng.standard_normal(dim), eps=1e-6)
-        shift = rng.standard_normal(dim)
-        _, cache = layernorm_forward(x, p, shift)
+        p = NormParams(gamma=rng.standard_normal(dim), beta=rng.standard_normal(dim), eps=1e-6)
+        _, cache = layernorm_forward(x, p)
         got = layernorm_backward(cache, u)
         want = finite_difference_jacobian(
-            lambda xx, g, a, b: layernorm_forward(xx, NormParams(gamma=g, eps=1e-6), b)[0],
-            EvalPoint(x=x, u=u, gamma=p.gamma, beta=shift),
+            lambda xx, g, a, b: layernorm_forward(xx, NormParams(g, beta=b, eps=1e-6))[0],
+            EvalPoint(x=x, u=u, gamma=p.gamma, beta=p.beta),
         )
         assert_bundle_close(got, want, check=("d_gamma", "d_beta", "d_x"))
 
@@ -111,7 +110,7 @@ class TestLayernorm:
         x = rng.standard_normal((3, 4))
         u = rng.standard_normal((3, 4))
         p = NormParams(gamma=np.ones(4), eps=1e-6)
-        _, cache = layernorm_forward(x, p, np.zeros(4))
+        _, cache = layernorm_forward(x, p)
         g = layernorm_backward(cache, u)
         np.testing.assert_allclose(g.d_beta, u.sum(axis=0), rtol=1e-15)
 
@@ -124,10 +123,10 @@ class TestDyt:
         gamma = rng.standard_normal(5)
         shift = rng.standard_normal(5)
         alpha = 0.7
-        _, cache = dyt_forward(x, alpha, gamma, shift)
+        _, cache = dyt_forward(x, NormParams(gamma, alpha, shift))
         got = dyt_backward(cache, u)
         want = finite_difference_jacobian(
-            lambda xx, g, a, b: dyt_forward(xx, float(a), g, b)[0],
+            lambda xx, g, a, b: dyt_forward(xx, NormParams(g, a, b))[0],
             EvalPoint(x=x, u=u, gamma=gamma, alpha=np.array(alpha), beta=shift),
         )
         assert isinstance(got.d_alpha, float)
@@ -135,7 +134,7 @@ class TestDyt:
 
     def test_saturation_kills_input_gradient(self):
         x = np.array([[50.0, -50.0, 0.0]])
-        _, cache = dyt_forward(x, 1.0, np.ones(3), np.zeros(3))
+        _, cache = dyt_forward(x, NormParams(np.ones(3), 1.0))
         g = dyt_backward(cache, np.ones((1, 3)))
         assert abs(g.d_x[0, 0]) < 1e-15
         assert abs(g.d_x[0, 1]) < 1e-15
@@ -390,12 +389,9 @@ class TestWrittenOutInPlace:
         x = rng.standard_normal((rows, dim)) * 2.0 + 0.3
         u = rng.standard_normal((rows, dim))
         gamma, shift = rng.standard_normal(dim), rng.standard_normal(dim)
-        if variant == "dyt":
-            _, cache = forward(x, float(rng.uniform(-1.25, 1.25)), gamma, shift)
-        elif variant == "layernorm":
-            _, cache = forward(x, NormParams(gamma, eps=1e-6), shift)
-        else:
-            _, cache = forward(x, NormParams(gamma, eps=1e-6))
+        alpha = float(rng.uniform(-1.25, 1.25)) if variant == "dyt" else None
+        beta = None if variant == "rmsnorm" else shift
+        _, cache = forward(x, NormParams(gamma, alpha, beta, 1e-6))
         b = backward(cache, u)
         for name, want in zip(("d_gamma", "d_alpha", "d_beta", "d_x"), reference(cache, u)):
             got = getattr(b, name)
@@ -457,8 +453,8 @@ X4 = np.array([[1.0, -2.0, 3.0, 0.5]])
 P4 = NormParams(gamma=np.ones(4), alpha=np.ones(4), beta=np.full(4, 0.25))
 CACHES = {
     "rmsnorm": lambda: rmsnorm_forward(X4, P4)[1],
-    "layernorm": lambda: layernorm_forward(X4, P4, np.zeros(4))[1],
-    "dyt": lambda: dyt_forward(X4, 0.5, np.ones(4), np.zeros(4))[1],
+    "layernorm": lambda: layernorm_forward(X4, P4)[1],
+    "dyt": lambda: dyt_forward(X4, NormParams(np.ones(4), 0.5))[1],
     "seednorm": lambda: seednorm_forward(X4, P4)[1],
     "mh_seednorm": lambda: mh_seednorm_forward(X4, P4)[1],
     "ada_seednorm": lambda: ada_seednorm_forward(

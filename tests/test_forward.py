@@ -50,12 +50,12 @@ class TestFrozenValues:
         assert out[0, 0] == pytest.approx(1.6568140870146532581, rel=0, abs=1e-15)
 
     def test_dyt_frozen(self):
-        out, _ = dyt_forward(np.array([[1.0]]), 1.0, np.array([3.0]), np.array([1.0]))
+        out, _ = dyt_forward(np.array([[1.0]]), params(1, gamma=[3.0], alpha=1.0, beta=[1.0]))
         assert out[0, 0] == pytest.approx(3.2847824678672946644, rel=0, abs=1e-15)
 
     def test_layernorm_one_three(self):
         p = params(2, eps=0.0)
-        out, _ = layernorm_forward(np.array([[1.0, 3.0]]), p, np.zeros(2))
+        out, _ = layernorm_forward(np.array([[1.0, 3.0]]), p)
         np.testing.assert_allclose(out, [[-1.0, 1.0]], rtol=0, atol=1e-15)
 
     def test_ada_affine_composition(self):
@@ -173,7 +173,7 @@ class TestWrittenOutReductions:
         x = rng.standard_normal((4, dim)) * 2.0 + 0.5
         gamma, shift = rng.standard_normal(dim), rng.standard_normal(dim)
         for eps in (0.0, 1e-6):
-            out, cache = layernorm_forward(x, params(dim, gamma=gamma, eps=eps), shift)
+            out, cache = layernorm_forward(x, params(dim, gamma=gamma, beta=shift, eps=eps))
             mean = np.mean(x, axis=1)
             inv_std = 1.0 / np.sqrt(np.var(x, axis=1) + eps)
             xhat = (x - mean[:, None]) * inv_std[:, None]
@@ -188,7 +188,7 @@ class TestWrittenOutReductions:
         x = rng.standard_normal((4, dim)) * 2.0
         gamma, shift = rng.standard_normal(dim), rng.standard_normal(dim)
         alpha = float(rng.uniform(-1.25, 1.25))
-        out, cache = dyt_forward(x, alpha, gamma, shift)
+        out, cache = dyt_forward(x, params(dim, gamma=gamma, alpha=alpha, beta=shift))
         t = np.tanh(alpha * x)
         assert np.array_equal(cache.tanh_ax, t)
         assert np.array_equal(out, gamma * t + shift)
@@ -251,33 +251,35 @@ class TestValidationErrors:
         with pytest.raises(ValueError, match="condition"):
             ada_seednorm_forward(X34, p, cond)
 
-    def test_layernorm_shift_dim(self):
-        with pytest.raises(ValueError, match="shift"):
-            layernorm_forward(X34, params(2), np.zeros(3))
+    @pytest.mark.parametrize("forward", [layernorm_forward, dyt_forward],
+                             ids=["layernorm", "dyt"])
+    def test_shift_dim(self, forward):
+        # the shift rides in beta, whose width NormParams checks
+        with pytest.raises(ValueError, match="beta dim 3 != gamma dim 2"):
+            forward(X34, params(2, alpha=1.0, beta=np.zeros(3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_dyt_rejects_non_finite_alpha(self, bad):
         # at x = 0, tanh(inf * 0) would be nan
         with pytest.raises(ValueError, match="alpha must be finite"):
-            dyt_forward(np.array([[1.0, -2.0, 0.0]]), bad, np.ones(3), np.zeros(3))
+            dyt_forward(np.array([[1.0, -2.0, 0.0]]), params(3, alpha=bad))
 
-    @pytest.mark.parametrize("alpha", [np.ones(3), np.ones(1)], ids=["dim", "one"])
-    def test_dyt_rejects_vector_alpha(self, alpha):
+    @pytest.mark.parametrize("dim", [3, 1], ids=["dim", "one"])
+    def test_dyt_rejects_vector_alpha(self, dim):
         with pytest.raises(ValueError, match="dyt alpha must be a scalar"):
-            dyt_forward(np.ones((1, 3)), alpha, np.ones(3), np.zeros(3))
+            dyt_forward(np.ones((1, dim)), params(dim, alpha=np.ones(dim)))
 
 
 class TestCacheParams:
     def test_cache_holds_the_params_it_ran_with(self):
         p = params(4, alpha=np.ones(4), beta=np.full(4, 0.25), n_heads=2)
-        for fwd in (rmsnorm_forward, mh_seednorm_forward):
+        for fwd in (rmsnorm_forward, layernorm_forward, mh_seednorm_forward):
             assert fwd(np.ones((1, 4)), p)[1].params is p
-        assert layernorm_forward(np.ones((1, 4)), p, np.zeros(4))[1].params is p
 
-    def test_dyt_cache_holds_gamma_and_scalar_alpha(self):
-        gamma = np.array([1.0, -2.0, 3.0])
-        _, cache = dyt_forward(np.ones((1, 3)), np.float64(0.5), gamma, np.zeros(3))
-        assert np.array_equal(cache.params.gamma, gamma)
+    def test_dyt_cache_holds_the_params_it_ran_with(self):
+        p = params(3, gamma=[1.0, -2.0, 3.0], alpha=np.float64(0.5), beta=np.ones(3))
+        _, cache = dyt_forward(np.ones((1, 3)), p)
+        assert cache.params is p
         assert type(cache.params.alpha) is float and cache.params.alpha == 0.5
 
 
@@ -298,6 +300,10 @@ class TestNormParams:
     def test_activation_string_coerced(self):
         p = params(2, activation="sigmoid")
         assert p.activation is Activation.SIGMOID
+
+    def test_alpha_none_is_zero(self):
+        p = params(3, alpha=None)
+        assert type(p.alpha) is float and p.alpha == 0.0
 
     def test_default_beta_is_zero(self):
         p = params(3)

@@ -31,21 +31,34 @@ class TestRunTrial:
         res = run_trial("rmsnorm", dim=4, rows=1, rng=make_rng(3))
         assert set(res) == {"d_gamma", "d_x"}
 
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_reaches_swapped_backward(self, variant, monkeypatch):
-        # a tracer or a mutation test swaps the layer backward in the
-        # gradcheck module; the trial must call the swapped one
-        name = f"{variant}_backward"
+    def test_reaches_swapped_layer(self, variant, direction, monkeypatch):
+        # a tracer or a mutation test swaps a layer function in the gradcheck
+        # module; the trial's analytic pass and every oracle forward must
+        # call the swapped one
+        name = f"{variant}_{direction}"
         original = getattr(gradcheck, name)
-        kinds = []
+        oracle = gradcheck.finite_difference_jacobian
+        kinds, evals = [], []
 
-        def spy(cache, upstream):
-            kinds.append(cache.kind)
-            return original(cache, upstream)
+        def spy(*args):
+            result = original(*args)
+            kinds.append((result[1] if direction == "forward" else args[0]).kind)
+            return result
+
+        def counted_oracle(f, point, step):
+            def counted(*args):
+                evals.append(1)
+                return f(*args)
+
+            return oracle(counted, point, step)
 
         monkeypatch.setattr(gradcheck, name, spy)
+        monkeypatch.setattr(gradcheck, "finite_difference_jacobian", counted_oracle)
         run_trial(variant, dim=4, rows=1, rng=make_rng(4))
-        assert kinds == [variant]
+        assert evals
+        assert kinds == [variant] * (1 + len(evals) if direction == "forward" else 1)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,7 @@ from seednorm.model import (
     softmax_cross_entropy,
 )
 from seednorm.norms import NORMS
+from seednorm.params import NormParams
 
 
 def arrays_in(obj, path="arg"):
@@ -91,7 +92,8 @@ def test_norm_layers_leave_inputs_and_cache_unchanged(variant, scalar_alpha):
     inputs = {"x": x, "u": u, "gamma": gamma, "alpha": alpha, "beta": beta}
     before = snapshot(inputs)
 
-    out, cache = norm.forward(model, x, gamma, alpha, beta, 1e-6, 2 if norm.multi_head else 1)
+    p = NormParams(gamma, alpha, beta, 1e-6, 2 if norm.multi_head else 1)
+    out, cache = getattr(model, f"{variant}_forward")(x, p)
     assert_unchanged(before, inputs)
     cached = snapshot(cache)
     backward = getattr(model, f"{variant}_backward")

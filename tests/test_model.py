@@ -209,22 +209,24 @@ class TestLossAndGrads:
         for k, g in grads.items():
             assert g.shape == m.params[k].shape, k
 
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
     @pytest.mark.parametrize("variant", VARIANT_LIST)
-    def test_slot_backward_reaches_swapped_layer(self, variant, monkeypatch):
-        # a tracer or a mutation test swaps the layer backward in the model
+    def test_slot_reaches_swapped_layer(self, variant, direction, monkeypatch):
+        # a tracer or a mutation test swaps a layer function in the model
         # module; every norm slot must call the swapped one
-        name = f"{variant}_backward"
+        name = f"{variant}_{direction}"
         original = getattr(model, name)
         kinds = []
 
-        def spy(cache, upstream, *ws):
-            kinds.append(cache.kind)
-            return original(cache, upstream, *ws)
+        def spy(*args):
+            result = original(*args)
+            kinds.append((result[1] if direction == "forward" else args[0]).kind)
+            return result
 
         monkeypatch.setattr(model, name, spy)
         m = build_model(tiny_cfg(variant), make_rng(0))
         loss_and_grads(m, np.array([[1, 2]]), np.array([[2, 3]]))
-        assert kinds == [variant] * 5  # final norm, then ffn, attn, k and q norms
+        assert kinds == [variant] * 5  # the attn, q, k, ffn and final norm slots
 
     # Floor 1e-5 for whole-model checks: central differences on an O(1) loss
     # carry ~1e-11 absolute noise, so gradient entries smaller than the floor

@@ -15,7 +15,7 @@ from seednorm import backward, forward
 from seednorm.backward import EvalPoint, central_difference, finite_difference_jacobian
 from seednorm.core import make_rng
 from seednorm.norms import NORMS
-from seednorm.params import Activation
+from seednorm.params import Activation, NormParams
 
 
 def layer_configs():
@@ -44,8 +44,10 @@ def layer_fn(variant, n_heads, dim_scaled, activation, eps):
     layer = {"n_heads": n_heads, "dim_scaled": dim_scaled, "activation": activation}
     eps = eps or norm.oracle_zero_eps
 
+    layer_forward = getattr(forward, f"{variant}_forward")
+
     def f(xx, g, a, b):
-        return norm.forward(forward, xx, g, a, b, eps, **layer)[0]
+        return layer_forward(xx, NormParams(g, a, b, eps, **layer))[0]
 
     return f
 

@@ -23,6 +23,7 @@ from seednorm.optim import (
     clip_gradients,
     decay_flags,
 )
+from seednorm.params import NormParams
 from seednorm.training import CopyTask, TrainConfig, train_model
 
 
@@ -39,8 +40,7 @@ def workspace_free_run(cfg, tcfg, task, rng):
     model = build_model(cfg, make_rng(init_seed))
     data_rng = make_rng(data_seed)
     state = OptimizerState.init(model.params, decay_flags(cfg))
-    hyper = AdamWConfig(lr=tcfg.lr, beta1=tcfg.beta1, beta2=tcfg.beta2, eps=tcfg.adam_eps,
-                        weight_decay=tcfg.weight_decay)
+    hyper = AdamWConfig(lr=tcfg.lr, weight_decay=tcfg.weight_decay)
     losses, norms = [], []
     for step in range(tcfg.steps):
         tokens, targets = task.batch(data_rng, tcfg.batch_size)
@@ -115,14 +115,15 @@ def test_backward_reads_an_upstream_that_is_its_forwards_output(variant):
     rng = make_rng(35)
     x = rng.standard_normal((5, 8))
     fields = {"gamma": rng.standard_normal(8), **norm.draw(rng, 8, variant == "dyt")}
-    args = (fields["gamma"], fields.get("alpha"), fields.get("beta"), 1e-6)
     heads = 2 if variant == "mh_seednorm" else 1
+    p = NormParams(fields["gamma"], fields.get("alpha"), fields.get("beta"), 1e-6, heads)
+    forward = getattr(layer_fns, f"{variant}_forward")
     backward = getattr(layer_fns, f"{variant}_backward")
 
-    y, cache = norm.forward(layer_fns, x, *args, heads)
+    y, cache = forward(x, p)
     want = backward(cache, y.copy())
     ws = Workspace().scope("slot")
-    y_ws, cache_ws = norm.forward(layer_fns, x, *args, heads, ws=ws)
+    y_ws, cache_ws = forward(x, p, ws)
     assert y_ws is ws.out("out", x.shape)
     got = backward(cache_ws, y_ws, ws)
     for name in ("d_x", "d_gamma", "d_alpha", "d_beta"):
