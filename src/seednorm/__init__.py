@@ -44,7 +44,7 @@ from .model import (
     save_checkpoint,
 )
 from .optim import AdamWConfig, OptimizerState, adamw_step, clip_gradients, decay_flags
-from .params import Activation, ConditionParams, NormParams
+from .params import ConditionParams, NormParams
 from .probes import (
     CostEstimate,
     ProbeReport,
@@ -67,7 +67,6 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Activation",
     "AdamWConfig",
     "ByteFileTask",
     "ConditionParams",

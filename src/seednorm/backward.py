@@ -25,9 +25,9 @@ of x are stacked into a few large forwards whose per-copy sums are bitwise
 the loop's.
 
 Derivation sketch for the dynamic layers, one row at a time. Write
-r = x / rms(x), z_h = (x_h . beta_h) / (optional head width), c_h = act(z_h),
+r = x / rms(x), z_h = (x_h . beta_h) / (optional head width), c_h = tanh(z_h),
 s = c broadcast per head * alpha, out = (s + gamma) * r, and let u be the
-upstream row. Then with w = (s + gamma) * u and S_h = act'(z_h) *
+upstream row. Then with w = (s + gamma) * u and S_h = (1 - c_h^2) *
 sum_{k in head h} u_k alpha_k r_k:
 
     d_gamma   = u * r
@@ -113,7 +113,7 @@ def _rms_direction_backward(
 
 
 def rmsnorm_backward(cache: ForwardCache, upstream, ws=FRESH) -> GradBundle:
-    """Backward of gamma * x/rms(x). d_alpha and d_beta are exactly zero."""
+    """Backward of gamma * x/rms(x). The layer has no alpha or beta: both are None."""
     u, d_x = _check_upstream(cache, upstream, ("rmsnorm",), ws)
     p = cache.params
     ur = np.multiply(u, cache.r, out=d_x)  # turned into d_x
@@ -121,8 +121,7 @@ def rmsnorm_backward(cache: ForwardCache, upstream, ws=FRESH) -> GradBundle:
     w = np.multiply(u, p.gamma, out=ur)
     scratch = ws.shared("norm_backward.scratch", u.shape)
     d_x = _rms_direction_backward(w, cache.r, cache.rms, cache.dim, scratch)
-    d_alpha = 0.0 if p.alpha_is_scalar else np.zeros(p.dim)
-    return GradBundle(d_gamma=d_gamma, d_alpha=d_alpha, d_beta=np.zeros(p.dim), d_x=d_x)
+    return GradBundle(d_gamma=d_gamma, d_alpha=None, d_beta=None, d_x=d_x)
 
 
 def layernorm_backward(cache: ForwardCache, upstream, ws=FRESH) -> GradBundle:
@@ -179,7 +178,7 @@ def _dynamic_backward(cache: ForwardCache, u: Matrix, d_x: Matrix | None, ws) ->
     heads = p.n_heads
     head_dim = dim // heads
 
-    sig_prime = p.activation.derivative(cache.tanh_arg, cache.sigma_val)
+    sig_prime = 1.0 - cache.sigma_val * cache.sigma_val  # tanh' from the cached tanh
 
     ur = np.multiply(u, cache.r, out=d_x)  # turned into d_x
     d_gamma = ur.sum(axis=0, out=ws.out("d_gamma", (dim,)))
@@ -193,7 +192,7 @@ def _dynamic_backward(cache: ForwardCache, u: Matrix, d_x: Matrix | None, ws) ->
     else:
         d_alpha = scratch.sum(axis=0, out=ws.out("d_alpha", (dim,)))
 
-    aur = np.multiply(ur, p.alpha_row(), out=ur)
+    aur = np.multiply(ur, p.alpha, out=ur)
     head_sums = aur.reshape(rows, heads, head_dim).sum(axis=2)
     dyn = sig_prime * head_sums  # (rows, heads), spread over each head's channels
     inv_hd = 1.0 / head_dim if p.dim_scaled else 1.0

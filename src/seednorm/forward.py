@@ -20,7 +20,7 @@ operations of the formula in the same order, so the results are bitwise
 those of the formula written as one expression.
 
 The dynamic layers share one kernel. With r = x / rms(x) per row and the
-per-head coefficient c = activation(x_h . beta_h), the output row is
+per-head coefficient c = tanh(x_h . beta_h), the output row is
 
     out = (c * alpha + gamma) * r
 
@@ -28,6 +28,11 @@ where the coefficient of each head broadcasts across that head's contiguous
 channel chunk and the RMS is always taken over the full row. Plain RMSNorm
 is the beta = 0 special case and reuses the identical r and multiply, which
 keeps the reduction identity exact down to the last bit.
+
+The coefficient is bounded on purpose: |c| <= 1 whatever the input's scale,
+so under x -> k x the output moves by at most 2 |alpha| |r| (the bound
+``probes.probe_scale_insensitivity`` checks). An unbounded gate, such as
+GELU or Swish, would let the coefficient blow up with the input's scale.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ class ForwardCache:
     DyT its beta is the shift. The backward reads every parameter and layer
     setting from it, so it can only differentiate the forward that made the
     cache. Other fields are populated per layer kind; unused ones stay None.
-    ``s`` is the per-channel dynamic coefficient activation(x . beta) * alpha,
+    ``s`` is the per-channel dynamic coefficient tanh(x . beta) * alpha,
     each head's value broadcast across that head's channels.
     """
 
@@ -58,7 +63,7 @@ class ForwardCache:
     rms: np.ndarray | None = None          # (rows,)
     r: Matrix | None = None                # x / rms, or (x - mean)/std for layernorm
     tanh_arg: np.ndarray | None = None     # (rows, n_heads), after dim scaling
-    sigma_val: np.ndarray | None = None    # activation(tanh_arg), (rows, n_heads)
+    sigma_val: np.ndarray | None = None    # tanh(tanh_arg), (rows, n_heads)
     s: Matrix | None = None                # dynamic coefficient per channel
     tanh_ax: Matrix | None = None          # DyT: tanh(alpha * x)
     inv_std: np.ndarray | None = None      # LayerNorm: 1 / sqrt(var + eps)
@@ -148,7 +153,7 @@ def _dynamic_forward(
     tanh_arg = np.einsum("rhd,hd->rh", xh, bh)
     if p.dim_scaled:
         tanh_arg /= head_dim
-    sigma_val = p.activation.apply(tanh_arg)
+    sigma_val = np.tanh(tanh_arg)
 
     s = per_head_product(sigma_val, p.alpha, head_dim, out=ws.out("s", x.shape))
     out = np.add(s, p.gamma if include_gamma else 1.0, out=ws.out("out", x.shape))
@@ -160,9 +165,9 @@ def _dynamic_forward(
 
 
 def seednorm_forward(x, p: NormParams, ws=FRESH) -> tuple[Matrix, ForwardCache]:
-    """Single-head self-rescaling norm: (activation(x . beta) * alpha + gamma) * x/rms(x).
+    """Single-head self-rescaling norm: (tanh(x . beta) * alpha + gamma) * x/rms(x).
 
-    The coefficient activation(x . beta) is one scalar per row that rescales
+    The coefficient tanh(x . beta) is one scalar per row that rescales
     the whole normalized row; beta = 0 reduces the layer to RMSNorm exactly.
     """
     if p.n_heads != 1:
@@ -174,9 +179,9 @@ def mh_seednorm_forward(x, p: NormParams, ws=FRESH) -> tuple[Matrix, ForwardCach
     """Multi-head variant: per-head coefficients, full-row RMS.
 
     The row and beta split into n_heads contiguous chunks; each head's
-    coefficient activation(x_h . beta_h) rescales only that head's channels.
+    coefficient tanh(x_h . beta_h) rescales only that head's channels.
     The RMS stays a full-row reduction. With dim_scaled=True the dot product
-    is divided by the head width before the activation.
+    is divided by the head width before the tanh.
     """
     return _dynamic_forward(x, p, "mh_seednorm", include_gamma=True, ws=ws)
 
@@ -189,7 +194,7 @@ def ada_seednorm_forward(
     The internal gamma is the constant 1; a resolved conditioning pair
     (gamma_c, eta_c) applies afterwards:
 
-        out = [(activation(x . beta) * alpha + 1) * x/rms(x)] * (1 + gamma_c) + eta_c
+        out = [(tanh(x . beta) * alpha + 1) * x/rms(x)] * (1 + gamma_c) + eta_c
 
     gamma_c = eta_c = 0 reduces to the single-head layer with gamma = 1.
     p.gamma is ignored here by construction.

@@ -35,7 +35,7 @@ from .forward import (  # noqa: F401
     seednorm_forward,
 )
 from .norms import NORMS
-from .params import Activation, NormParams
+from .params import NormParams
 
 VARIANTS = tuple(NORMS)
 DEFAULT_DIMS = (2, 4, 8, 16, 64)
@@ -76,7 +76,6 @@ def run_trial(
     n_heads: int = 1,
     eps: float = 0.0,
     dim_scaled: bool = False,
-    activation: Activation = Activation.TANH,
     scalar_alpha: bool = False,
     step: float = 1e-5,
 ) -> dict:
@@ -89,7 +88,7 @@ def run_trial(
     fields = {"gamma": rng.standard_normal(dim), **norm.draw(rng, dim, scalar_alpha)}
     gamma, alpha, beta = (fields.get(k) for k in ("gamma", "alpha", "beta"))
     eps = eps or norm.oracle_zero_eps
-    layer = {"n_heads": n_heads, "dim_scaled": dim_scaled, "activation": activation}
+    layer = {"n_heads": n_heads, "dim_scaled": dim_scaled}
     forward = getattr(_LAYER_FNS, f"{variant}_forward")
     _, cache = forward(x, NormParams(gamma, alpha, beta, eps, **layer))
     analytic = getattr(_LAYER_FNS, f"{variant}_backward")(cache, u)

@@ -35,7 +35,7 @@ def _draw_dyt(rng, dim, scalar_alpha):
 
 
 def _draw_dynamic(rng, dim, scalar_alpha):
-    # beta at 1/sqrt(dim) scale keeps the pre-activation x.beta O(1), the
+    # beta at 1/sqrt(dim) scale keeps the tanh argument x.beta O(1), the
     # regime the coefficient operates in; saturation behavior has its own
     # closed-form checks that do not rely on differences
     beta = rng.standard_normal(dim) / np.sqrt(dim)

@@ -114,9 +114,9 @@ def probe_scale_insensitivity(
     """Output drift of the dynamic layer under x -> k x, against its bound.
 
     The normalized direction cancels k exactly, so the whole drift lives in
-    the coefficient: out(kx) - out(x) = (act(k z) - act(z)) * alpha * r(x)
-    per head, which is bounded elementwise by 2 |alpha| |r(x)| for any
-    bounded activation. The probe evaluates that closed form (statistic
+    the coefficient: out(kx) - out(x) = (tanh(k z) - tanh(z)) * alpha * r(x)
+    per head, which is bounded elementwise by 2 |alpha| |r(x)| since tanh is
+    bounded by 1. The probe evaluates that closed form (statistic
     includes the drift/bound tightness ratio, worst case over trials), and
     cross-checks the actual forward outputs against it, which verifies the
     r-cancellation to 1e-12. Runs at eps = 0, where the cancellation is
@@ -140,10 +140,10 @@ def probe_scale_insensitivity(
     for _ in range(trials):
         x = rng.standard_normal((1, p0.dim))
         out1, cache1 = mh_seednorm_forward(x, p0)
-        bound = 2.0 * np.abs(np.asarray(p0.alpha_row()) * np.ones(p0.dim)) * np.abs(cache1.r)
+        bound = 2.0 * np.abs(p0.alpha * np.ones(p0.dim)) * np.abs(cache1.r)
         scale_ref = max(1.0, float(np.max(np.abs(out1))))
         for k in k_values:
-            sig_k = p0.activation.apply(k * cache1.tanh_arg)
+            sig_k = np.tanh(k * cache1.tanh_arg)
             closed = per_head_product(sig_k - cache1.sigma_val, p0.alpha, head_dim) * cache1.r
             out_k, cache_k = mh_seednorm_forward(k * x, p0)
             actual = out_k - out1
@@ -262,7 +262,7 @@ def probe_dot_variance(
     rng: np.random.Generator,
     dist: str = "normal",
 ) -> ProbeReport:
-    """Monte Carlo variance of the coefficient's pre-activation dot product.
+    """Monte Carlo variance of the dot product x . beta inside the coefficient's tanh.
 
     For x and beta with i.i.d. zero-mean entries of variance sigma^2, the dot
     product x . beta has variance dim * sigma^4: it grows with width, it does

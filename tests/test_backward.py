@@ -2,8 +2,8 @@
 
 Each layer's analytic gradients were frozen only after agreeing with central
 differences of sum(upstream * forward(...)); these tests keep that agreement
-executable. Seeds are fixed so the sampled points stay away from activation
-kinks and from coordinates where both gradients vanish.
+executable. Seeds are fixed so the sampled points stay away from coordinates
+where both gradients vanish.
 """
 
 import math
@@ -30,7 +30,7 @@ from seednorm.forward import (
     rmsnorm_forward,
     seednorm_forward,
 )
-from seednorm.params import Activation, ConditionParams, NormParams
+from seednorm.params import ConditionParams, NormParams
 
 TOL = 1e-6
 
@@ -83,11 +83,12 @@ class TestRmsnorm:
         assert np.all(dots <= 1e-12 * np.maximum(scale, 1.0))
 
     def test_alpha_beta_grads_are_zero(self):
+        # the layer has no alpha or beta, so neither gradient is computed
         p = NormParams(gamma=np.ones(3))
         _, cache = rmsnorm_forward(np.array([[1.0, 2.0, 3.0]]), p)
         g = rmsnorm_backward(cache, np.ones((1, 3)))
-        assert np.all(np.asarray(g.d_alpha) == 0.0)
-        assert np.all(np.asarray(g.d_beta) == 0.0)
+        assert g.d_alpha is None
+        assert g.d_beta is None
 
 
 class TestLayernorm:
@@ -175,34 +176,35 @@ class TestSeednorm:
                                                        alpha=np.array(0.9), beta=p.beta))
         assert_bundle_close(got, want)
 
-    @pytest.mark.parametrize("act", [Activation.SIGMOID, Activation.HARDTANH])
-    def test_fd_agreement_other_activations(self, act):
-        # seed chosen so no hardtanh pre-activation sits within 1e-3 of a kink
+    @pytest.mark.parametrize("beta_scale", [0.05, 2.0], ids=["near-linear", "curved"])
+    def test_fd_agreement_beta_scales(self, beta_scale):
+        # small beta keeps tanh near its linear part; large beta pushes the
+        # arguments out to where tanh bends toward saturation
         rng = make_rng(53)
         x = rng.standard_normal((3, 4))
         u = rng.standard_normal((3, 4))
-        p = draw_params(rng, 4, eps=0.0, activation=act)
+        p = draw_params(rng, 4, eps=0.0)
+        p = NormParams(gamma=p.gamma, alpha=p.alpha, beta=beta_scale * p.beta, eps=0.0)
         _, cache = seednorm_forward(x, p)
-        assert np.all(np.abs(np.abs(cache.tanh_arg) - 1.0) > 1e-3)
         got = seednorm_backward(cache, u)
 
         def f(xx, g, a, b):
-            return seednorm_forward(
-                xx, NormParams(gamma=g, alpha=a, beta=b, eps=0.0, activation=act)
-            )[0]
+            return seednorm_forward(xx, NormParams(gamma=g, alpha=a, beta=b, eps=0.0))[0]
 
         want = finite_difference_jacobian(f, EvalPoint(x=x, u=u, gamma=p.gamma,
                                                        alpha=p.alpha, beta=p.beta))
         assert_bundle_close(got, want)
 
-    def test_hardtanh_saturated_region_zero_coefficient_grad(self):
-        # past the clip the activation is flat: beta and the coefficient part
-        # of d_x stop responding
-        p = NormParams(gamma=np.ones(2), alpha=np.ones(2), beta=np.array([5.0, 5.0]),
-                       eps=0.0, activation=Activation.HARDTANH)
-        x = np.array([[2.0, 3.0]])  # z = 25, deep in the flat region
-        _, cache = seednorm_forward(x, p)
-        g = seednorm_backward(cache, np.ones((1, 2)))
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_tanh_saturated_region_zero_coefficient_grad(self, heads):
+        # tanh(25) rounds to 1.0, so 1 - tanh^2 is exactly 0: beta stops
+        # responding once every head's argument is saturated
+        p = NormParams(gamma=np.ones(4), alpha=np.ones(4), beta=np.full(4, 5.0),
+                       eps=0.0, n_heads=heads)
+        x = np.array([[2.0, 3.0, 2.0, 3.0]]) / (2.0 if heads == 1 else 1.0)
+        _, cache = mh_seednorm_forward(x, p)
+        assert np.all(cache.tanh_arg == 25.0)
+        g = mh_seednorm_backward(cache, np.ones((1, 4)))
         assert np.all(g.d_beta == 0.0)
 
     def test_beta_zero_matches_rmsnorm_backward_bitwise(self):
@@ -304,8 +306,9 @@ def repeat_backward(cache, u):
     ur = u * cache.r
     d_alpha_full = ur * np.repeat(cache.sigma_val, head_dim, axis=1)
     d_alpha = float(np.sum(d_alpha_full)) if p.alpha_is_scalar else np.sum(d_alpha_full, axis=0)
-    sig_prime = p.activation.derivative(cache.tanh_arg, cache.sigma_val)
-    head_sums = (p.alpha_row() * ur).reshape(rows, p.n_heads, head_dim).sum(axis=2)
+    c = cache.sigma_val
+    sig_prime = 1.0 - c * c
+    head_sums = (p.alpha * ur).reshape(rows, p.n_heads, head_dim).sum(axis=2)
     dyn = np.repeat(sig_prime * head_sums, head_dim, axis=1)
     inv_hd = 1.0 / head_dim if p.dim_scaled else 1.0
     d_beta = np.sum(dyn * cache.x, axis=0) * inv_hd
@@ -343,7 +346,7 @@ def rmsnorm_expression_backward(cache, u):
     w = p.gamma * u
     proj = np.sum(w * cache.r, axis=1) / (cache.dim * cache.rms)
     d_x = w / cache.rms[:, None] - cache.r * proj[:, None]
-    return d_gamma, 0.0 if p.alpha_is_scalar else np.zeros(p.dim), np.zeros(p.dim), d_x
+    return d_gamma, None, None, d_x
 
 
 def layernorm_expression_backward(cache, u):

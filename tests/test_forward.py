@@ -20,7 +20,7 @@ from seednorm.forward import (
     rmsnorm_forward,
     seednorm_forward,
 )
-from seednorm.params import Activation, ConditionParams, NormParams
+from seednorm.params import ConditionParams, NormParams
 
 X34 = np.array([[3.0, 4.0]])
 R34 = np.array([[0.84852813742385702928, 1.131370849898476039]])
@@ -43,11 +43,12 @@ class TestFrozenValues:
         expect = np.array([[1.6928600942044132526, 2.2571467922725510035]])
         np.testing.assert_allclose(out, expect, rtol=0, atol=1e-15)
 
-    def test_seednorm_sigmoid_activation(self):
-        p = params(2, alpha=np.array([1.0, 1.0]), beta=np.array([1.0, 0.0]),
-                   eps=0.0, activation=Activation.SIGMOID)
+    def test_seednorm_negative_argument(self):
+        # z = x . beta = -4 from the second coordinate: scale = 1 + tanh(-4)
+        p = params(2, alpha=np.array([1.0, 1.0]), beta=np.array([0.0, -1.0]), eps=0.0)
         out, _ = seednorm_forward(X34, p)
-        assert out[0, 0] == pytest.approx(1.6568140870146532581, rel=0, abs=1e-15)
+        expect = np.array([[5.691080431791362330e-4, 7.588107242388483107e-4]])
+        np.testing.assert_allclose(out, expect, rtol=0, atol=1e-15)
 
     def test_dyt_frozen(self):
         out, _ = dyt_forward(np.array([[1.0]]), params(1, gamma=[3.0], alpha=1.0, beta=[1.0]))
@@ -203,7 +204,11 @@ class TestWrittenOutReductions:
         p = params(dim, gamma=rng.standard_normal(dim), alpha=alpha,
                    beta=rng.standard_normal(dim) / np.sqrt(dim), eps=1e-6, n_heads=heads)
         out, cache = mh_seednorm_forward(x, p)
-        s = np.repeat(cache.sigma_val, dim // heads, axis=1) * p.alpha_row()
+        head_dim = dim // heads
+        sigma = np.tanh(np.einsum("rhd,hd->rh", x.reshape(3, heads, head_dim),
+                                  p.beta.reshape(heads, head_dim)))
+        assert cache.sigma_val.tobytes() == sigma.tobytes()
+        s = np.repeat(cache.sigma_val, head_dim, axis=1) * p.alpha
         assert np.array_equal(cache.s, s)
         assert np.array_equal(out, (s + p.gamma) * cache.r)
 
@@ -234,6 +239,20 @@ class TestScaleBehavior:
         small, _ = seednorm_forward(0.1 * x, p)
         large, _ = seednorm_forward(10.0 * x, p)
         assert np.linalg.norm(large) > np.linalg.norm(small)
+
+    @pytest.mark.parametrize("variant,heads", [("seednorm", 1), ("mh_seednorm", 2)])
+    @pytest.mark.parametrize("k", [1.0, 1e4, 1e12])
+    def test_tanh_coefficient_bounds_output_at_any_scale(self, variant, heads, k):
+        # |tanh| <= 1, so |out| <= (|alpha| + |gamma|) |r| elementwise however
+        # large x grows; rounding is monotone, so the bound holds in floats too
+        rng = make_rng(17)
+        x = k * rng.standard_normal((4, 8))
+        p = params(8, gamma=rng.standard_normal(8), alpha=rng.standard_normal(8),
+                   beta=rng.standard_normal(8), eps=1e-6, n_heads=heads)
+        forward = seednorm_forward if variant == "seednorm" else mh_seednorm_forward
+        out, cache = forward(x, p)
+        assert np.all(np.abs(cache.sigma_val) <= 1.0)
+        assert np.all(np.abs(out) <= (np.abs(p.alpha) + np.abs(p.gamma)) * np.abs(cache.r))
 
 
 class TestValidationErrors:
@@ -296,10 +315,6 @@ class TestNormParams:
     def test_rejects_non_finite_scalar_alpha(self, bad):
         with pytest.raises(ValueError, match="alpha must be finite"):
             NormParams(gamma=np.ones(3), alpha=bad, beta=np.zeros(3))
-
-    def test_activation_string_coerced(self):
-        p = params(2, activation="sigmoid")
-        assert p.activation is Activation.SIGMOID
 
     def test_alpha_none_is_zero(self):
         p = params(3, alpha=None)

@@ -15,11 +15,11 @@ from seednorm import backward, forward
 from seednorm.backward import EvalPoint, central_difference, finite_difference_jacobian
 from seednorm.core import make_rng
 from seednorm.norms import NORMS
-from seednorm.params import Activation, NormParams
+from seednorm.params import NormParams
 
 
 def layer_configs():
-    """(variant, n_heads, dim_scaled, activation, scalar_alpha, eps) per case."""
+    """(variant, n_heads, dim_scaled, scalar_alpha, eps) per case."""
     for variant, norm in NORMS.items():
         dynamic = "beta" in dict(norm.params)  # draws a vector or a scalar alpha
         shapes = [(1, False)]
@@ -28,20 +28,17 @@ def layer_configs():
         for eps in (0.0, 1e-6):
             for n_heads, dim_scaled in shapes:
                 for scalar_alpha in ((False, True) if dynamic else (False,)):
-                    yield variant, n_heads, dim_scaled, Activation.TANH, scalar_alpha, eps
-        if norm.multi_head:
-            for act in (Activation.SIGMOID, Activation.HARDTANH):
-                yield variant, 2, True, act, False, 1e-6
+                    yield variant, n_heads, dim_scaled, scalar_alpha, eps
 
 
 CONFIGS = list(layer_configs())
-IDS = [f"{v}-h{h}{'-scaled' if s else ''}-{a.value}{'-scalar' if sa else ''}-eps{e:g}"
-       for v, h, s, a, sa, e in CONFIGS]
+IDS = [f"{v}-h{h}{'-scaled' if s else ''}-tanh{'-scalar' if sa else ''}-eps{e:g}"
+       for v, h, s, sa, e in CONFIGS]
 
 
-def layer_fn(variant, n_heads, dim_scaled, activation, eps):
+def layer_fn(variant, n_heads, dim_scaled, eps):
     norm = NORMS[variant]
-    layer = {"n_heads": n_heads, "dim_scaled": dim_scaled, "activation": activation}
+    layer = {"n_heads": n_heads, "dim_scaled": dim_scaled}
     eps = eps or norm.oracle_zero_eps
 
     layer_forward = getattr(forward, f"{variant}_forward")
@@ -69,11 +66,10 @@ def looped_dx(f, point, step=1e-5):
 
 
 class TestRowSeparable:
-    @pytest.mark.parametrize("variant,n_heads,dim_scaled,activation,scalar_alpha,eps",
-                             CONFIGS, ids=IDS)
+    @pytest.mark.parametrize("variant,n_heads,dim_scaled,scalar_alpha,eps", CONFIGS, ids=IDS)
     def test_stacked_rows_match_single_rows_bitwise(self, variant, n_heads, dim_scaled,
-                                                    activation, scalar_alpha, eps):
-        f = layer_fn(variant, n_heads, dim_scaled, activation, eps)
+                                                    scalar_alpha, eps):
+        f = layer_fn(variant, n_heads, dim_scaled, eps)
         for rows, dim in ((96, 8), (7, 64)):
             p = draw_point(variant, rows, dim, seed=rows + dim, scalar_alpha=scalar_alpha)
             stacked = f(p.x, p.gamma, p.alpha, p.beta)
@@ -83,13 +79,12 @@ class TestRowSeparable:
 
 
 class TestBatchedInputDifferences:
-    @pytest.mark.parametrize("variant,n_heads,dim_scaled,activation,scalar_alpha,eps",
-                             CONFIGS, ids=IDS)
+    @pytest.mark.parametrize("variant,n_heads,dim_scaled,scalar_alpha,eps", CONFIGS, ids=IDS)
     @pytest.mark.parametrize("rows,dim", [(1, 4), (3, 64)], ids=["one-chunk", "chunks"])
     def test_matches_central_difference_bitwise(self, rows, dim, variant, n_heads,
-                                                dim_scaled, activation, scalar_alpha, eps):
+                                                dim_scaled, scalar_alpha, eps):
         # 3 x 64 needs 2 * 192 copies of 192 elements: ten chunks of the cap
-        f = layer_fn(variant, n_heads, dim_scaled, activation, eps)
+        f = layer_fn(variant, n_heads, dim_scaled, eps)
         p = draw_point(variant, rows, dim, seed=7 * rows + dim, scalar_alpha=scalar_alpha)
         got = finite_difference_jacobian(f, p).d_x
         assert got.tobytes() == looped_dx(f, p).tobytes()
@@ -97,7 +92,7 @@ class TestBatchedInputDifferences:
     @pytest.mark.parametrize("cap", [1, 30, 64, 10 ** 6])
     def test_chunk_cap_bounds_each_forward_and_keeps_bits(self, cap, monkeypatch):
         monkeypatch.setattr(backward, "FD_CHUNK_ELEMENTS", cap)
-        f = layer_fn("mh_seednorm", 2, True, Activation.TANH, 0.0)
+        f = layer_fn("mh_seednorm", 2, True, 0.0)
         p = draw_point("mh_seednorm", 3, 4, seed=11)
         stacked = []  # elements of x per forward
 
@@ -163,8 +158,7 @@ class TestBatchedInputDifferences:
 
     @pytest.mark.parametrize("variant", list(NORMS))
     def test_point_keeps_its_bytes(self, variant):
-        f = layer_fn(variant, 2 if NORMS[variant].multi_head else 1, False,
-                     Activation.TANH, 1e-6)
+        f = layer_fn(variant, 2 if NORMS[variant].multi_head else 1, False, 1e-6)
         p = draw_point(variant, 3, 8, seed=5)
         names = ("x", "u", "gamma", "alpha", "beta")
         before = {n: getattr(p, n).tobytes() for n in names if getattr(p, n) is not None}
