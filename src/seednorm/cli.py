@@ -19,6 +19,7 @@ both unless `--timing` is passed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -59,7 +60,9 @@ class Opt:
     """One option: drives both the argparse flag and config-file parsing."""
 
     name: str
-    kind: str  # int | float | str | bool | path | int_list | float_list | str_list
+    # int | float | str | bool | path | int_list | float_list | str_list;
+    # a path is a file the command writes, checked before any work is done
+    kind: str
     default: object
     help: str
     choices: tuple = ()
@@ -168,12 +171,33 @@ def _resolve(opts, args) -> dict:
         cli_val = getattr(args, o.name)
         if cli_val is not None:
             values[o.name] = cli_val
+    for o in opts:
+        if o.kind == "path" and values[o.name]:
+            _check_output_path(o.flag, values[o.name])
     return values
+
+
+def _check_output_path(flag: str, path: str) -> None:
+    """A file the command will write: not a directory, in one that exists."""
+    if os.path.isdir(path):
+        raise UsageError(f"{flag}: {path!r} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise UsageError(f"{flag}: directory {parent!r} does not exist")
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Writing an output file: a failure is a usage error, not a traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def _write_json(path: str, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _writing(path), open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text + "\n")
 
 
@@ -196,7 +220,7 @@ GRADCHECK_OPTS = (
     Opt("step", "float", 1e-5, "finite-difference step"),
     Opt("heads", "int_list", [2, 4], "head counts sampled for the multi-head layer"),
     Opt("timing", "bool", False, "include wall-clock timing in the report"),
-    Opt("json", "str", None, "write the JSON report here"),
+    Opt("json", "path", None, "write the JSON report here"),
 )
 
 
@@ -246,7 +270,7 @@ PROBE_OPTS = (
     Opt("trials", "int", 8, "random inputs for the drift probe"),
     Opt("beta_zero", "bool", False, "zero the coefficient projection in the drift probe"),
     Opt("alpha_init", "float", 1.0, "alpha fill value for the drift probe"),
-    Opt("json", "str", None, "write the JSON report here"),
+    Opt("json", "path", None, "write the JSON report here"),
 )
 
 
@@ -305,7 +329,7 @@ COST_OPTS = (
     Opt("heads", "int", 1, "attention heads (sets the query/key norm width)"),
     Opt("check", "bool", False,
         "cross-check extra_params against a built model's parameter-count delta"),
-    Opt("json", "str", None, "write the JSON report here"),
+    Opt("json", "path", None, "write the JSON report here"),
 )
 
 
@@ -386,9 +410,9 @@ TRAIN_OPTS = (
     + MODEL_OPTS
     + HYPER_OPTS
     + (
-        Opt("csv", "str", None, "write the loss curve as CSV here"),
-        Opt("json", "str", None, "write the JSON report here"),
-        Opt("checkpoint", "str", None, "save model + optimizer state here"),
+        Opt("csv", "path", None, "write the loss curve as CSV here"),
+        Opt("json", "path", None, "write the JSON report here"),
+        Opt("checkpoint", "path", None, "save model + optimizer state here"),
     )
 )
 
@@ -404,8 +428,8 @@ COMPARE_OPTS = (
     + MODEL_OPTS
     + HYPER_OPTS
     + (
-        Opt("csv", "str", None, "write the paired loss curves as CSV here"),
-        Opt("json", "str", None, "write the JSON report here"),
+        Opt("csv", "path", None, "write the paired loss curves as CSV here"),
+        Opt("json", "path", None, "write the JSON report here"),
     )
 )
 
@@ -468,7 +492,7 @@ def cmd_train(args) -> int:
     else:
         print("no steps run")
     if v["csv"]:
-        with open(v["csv"], "w", encoding="utf-8", newline="") as fh:
+        with _writing(v["csv"]), open(v["csv"], "w", encoding="utf-8", newline="") as fh:
             curve.to_csv(fh, include_wall_time=v["timing"])
     if v["json"]:
         payload = {
@@ -483,7 +507,8 @@ def cmd_train(args) -> int:
         }
         _write_json(v["json"], payload)
     if v["checkpoint"]:
-        save_checkpoint(result.model, v["checkpoint"], opt_state=result.opt_state)
+        with _writing(v["checkpoint"]):
+            save_checkpoint(result.model, v["checkpoint"], opt_state=result.opt_state)
         print(f"checkpoint written to {v['checkpoint']}")
     return 0
 
@@ -518,7 +543,7 @@ def cmd_compare(args) -> int:
         winner = "tie"
         print("no steps run")
     if v["csv"]:
-        with open(v["csv"], "w", encoding="utf-8", newline="") as fh:
+        with _writing(v["csv"]), open(v["csv"], "w", encoding="utf-8", newline="") as fh:
             paired.to_csv(fh)
     if v["json"]:
         _write_json(v["json"], {
@@ -535,22 +560,25 @@ def cmd_compare(args) -> int:
 # --------------------------------------------------------------------- main
 
 
+# (name, help, options, handler) of each subcommand
+COMMANDS = (
+    ("gradcheck", "verify analytic gradients against finite differences",
+     GRADCHECK_OPTS, cmd_gradcheck),
+    ("probe", "run one executable analysis probe", PROBE_OPTS, cmd_probe),
+    ("train", "train the desk-scale transformer", TRAIN_OPTS, cmd_train),
+    ("compare", "train two norm variants on identical batches",
+     COMPARE_OPTS, cmd_compare),
+    ("cost", "closed-form overhead of the dynamic layers", COST_OPTS, cmd_cost),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seednorm",
         description="dynamic normalization layers: checks, probes, and training",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = (
-        ("gradcheck", "verify analytic gradients against finite differences",
-         GRADCHECK_OPTS, cmd_gradcheck),
-        ("probe", "run one executable analysis probe", PROBE_OPTS, cmd_probe),
-        ("train", "train the desk-scale transformer", TRAIN_OPTS, cmd_train),
-        ("compare", "train two norm variants on identical batches",
-         COMPARE_OPTS, cmd_compare),
-        ("cost", "closed-form overhead of the dynamic layers", COST_OPTS, cmd_cost),
-    )
-    for name, help_text, opts, fn in specs:
+    for name, help_text, opts, fn in COMMANDS:
         p = sub.add_parser(name, help=help_text)
         _add_to_parser(p, opts)
         p.set_defaults(fn=fn)

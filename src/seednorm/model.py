@@ -19,6 +19,10 @@ before. A backward also writes into arrays of its own layer's forward once
 it has read them for the last time: a norm slot's output, the FFN's h1,
 attention's oc and v, and the logits. With the default every array is
 fresh.
+
+The FFN's GELU is the exact, erf-based one. ``_erf`` computes its erf in
+NumPy with Cephes' algorithm, the one ``scipy.special.erf`` runs, and
+returns the same bits, so the library needs no SciPy.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
-from scipy.special import erf
 
 # The norm slots call these through this module (see _LAYER_FNS), so a test
 # or a tracer can swap one here.
@@ -187,13 +190,98 @@ def _slot_backward(params: dict, cfg: ModelConfig, prefix: str, cache, upstream,
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
+# Cephes' erf and erfc (ndtr.c), the coefficients scipy.special.erf uses:
+# erf(x) = x T(x^2) / U(x^2) for |x| <= 1; past 1, erf(x) = +-(1 - erfc(|x|))
+# with erfc(a) = exp(-a^2) P(a) / Q(a) below 8 and R(a) / S(a) from 8 on.
+# U, Q and S are monic, their leading 1 left out, as p1evl expects.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_MAXLOG = 7.09782712893383996843E2  # exp(-a^2) underflows past this
+# The |x| <= 1 rational runs over blocks of this many elements, so its three
+# scratch arrays stay under 1 MB whatever the input's size.
+_ERF_BLOCK = 32768
 
-def _gelu_cdf(z, out=None):
-    """Standard normal CDF Phi(z), written into ``out`` when given. The FFN's
-    GELU is the exact, erf-based z * Phi(z), smooth everywhere, which keeps
-    the whole-model finite-difference check clean."""
+
+def _horner(x, coef, monic, out=None):
+    """Cephes' polevl (``monic`` False) or p1evl (True, leading 1 implied) at
+    ``x``, written into ``out`` when given: ((c0 x + c1) x + c2) ...,
+    rounding after each multiply and each add, in Cephes' order."""
+    if monic:
+        out = np.add(x, coef[0], out=out)
+    else:
+        out = np.multiply(x, coef[0], out=out)
+        out += coef[1]
+        coef = coef[1:]
+    for c in coef[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erfc_tail(x):
+    """erf of the elements past |x| = 1, a small gathered array: the
+    exponential goes through ``math.exp``, the C library's exp that Cephes
+    calls, because NumPy's own exp differs from it in the last bit for some
+    arguments."""
+    a = np.abs(x)
+    z = np.negative(a)
+    z *= a
+    e = np.fromiter(map(math.exp, z.tolist()), float, a.size)
+    near = a < 8.0
+    p = np.where(near, _horner(a, _ERFC_P, False), _horner(a, _ERFC_R, False))
+    q = np.where(near, _horner(a, _ERFC_Q, True), _horner(a, _ERFC_S, True))
+    e *= p
+    e /= q
+    e[z < -_MAXLOG] = 0.0
+    np.subtract(1.0, e, out=e)
+    return np.copysign(e, x, out=e)
+
+
+def _erf(x, out, ws=FRESH):
+    """erf of a C-contiguous float64 array, bit for bit what
+    ``scipy.special.erf`` returns: Cephes' algorithm, the same operations in
+    the same order. Written into ``out``, a C-contiguous array shaped like
+    ``x``, which may be ``x`` itself; scratch comes from ``ws.shared``."""
+    xf, of = x.reshape(-1), out.reshape(-1)
+    m = min(xf.size, _ERF_BLOCK)
+    z, num, den = (ws.shared(f"erf.{n}", (m,)) for n in ("z", "num", "den"))
+    # overflow in x^2 and inf / inf only reach elements the tail overwrites
+    with np.errstate(all="ignore"):
+        for start in range(0, xf.size, _ERF_BLOCK):
+            xb, ob = xf[start:start + _ERF_BLOCK], of[start:start + _ERF_BLOCK]
+            n = xb.size
+            zb, nb, db = z[:n], num[:n], den[:n]
+            tail = np.flatnonzero(np.abs(xb, out=zb) > 1.0)
+            tail_erf = _erfc_tail(xb[tail]) if tail.size else None
+            np.multiply(xb, xb, out=zb)
+            _horner(zb, _ERF_T, False, nb)
+            _horner(zb, _ERF_U, True, db)
+            nb *= xb
+            np.divide(nb, db, out=ob)
+            if tail_erf is not None:
+                ob[tail] = tail_erf
+    return out
+
+
+def _gelu_cdf(z, out=None, ws=FRESH):
+    """Standard normal CDF Phi(z) = (1 + erf(z / sqrt 2)) / 2, written into
+    ``out`` when given. The FFN's GELU is the exact, erf-based z * Phi(z),
+    smooth everywhere, which keeps the whole-model finite-difference check
+    clean; ``_erf`` computes its erf with scratch from ``ws``."""
     cdf = np.multiply(z, _INV_SQRT2, out=out)
-    erf(cdf, out=cdf)
+    _erf(cdf, cdf, ws)
     cdf += 1.0
     cdf *= 0.5
     return cdf
@@ -349,7 +437,7 @@ def _ffn_forward(params, pfx, rows, ws=FRESH):
     lw = ws.scope(f"{pfx}.ffn")
     w1, w2 = params[f"{pfx}.ffn.w1"], params[f"{pfx}.ffn.w2"]
     h1 = np.matmul(rows, w1, out=lw.out("h1", (rows.shape[0], w1.shape[1])))
-    cdf = _gelu_cdf(h1, out=lw.out("cdf", h1.shape))
+    cdf = _gelu_cdf(h1, out=lw.out("cdf", h1.shape), ws=ws)
     act = np.multiply(h1, cdf, out=ws.shared("ffn.act", h1.shape))
     out = np.matmul(act, w2, out=lw.out("out", (rows.shape[0], w2.shape[1])))
     # Phi(h1) serves the backward's GELU and its derivative, so the cache

@@ -16,7 +16,7 @@ except ImportError:  # pragma: no cover
 
 import seednorm
 from seednorm import training
-from seednorm.cli import main
+from seednorm.cli import COMMANDS, main
 
 FAST_GRADCHECK = ["gradcheck", "--variant", "rmsnorm", "--dims", "2", "4",
                   "--trials", "3"]
@@ -363,3 +363,55 @@ class TestTrainCommand:
     def test_gradcheck_stdout_includes_extras(self, capsys):
         rc, out, _ = run(FAST_GRADCHECK, capsys)
         assert "dx_dot_x_max" in out
+
+
+# The smallest valid run of each subcommand, so that a path check that fails
+# to fire costs little work.
+QUICK_ARGS = {
+    "gradcheck": ["--variant", "rmsnorm", "--dims", "2", "--trials", "1"],
+    "probe": ["--name", "dot_variance", "--dims", "4", "--samples", "10"],
+    "train": FAST_TRAIN[1:],
+    "compare": FAST_TRAIN[1:],
+    "cost": ["--layers", "1", "--dims", "8", "--heads", "2"],
+}
+PATH_OPTIONS = [(name, o.flag) for name, _, opts, _ in COMMANDS
+                for o in opts if o.kind == "path"]
+
+
+class TestOutputPaths:
+    def test_every_report_option_is_a_path(self):
+        flags = {flag for _, flag in PATH_OPTIONS}
+        assert flags == {"--json", "--csv", "--checkpoint"}
+        assert {name for name, _ in PATH_OPTIONS} == set(QUICK_ARGS)
+
+    @pytest.mark.parametrize("target", ["directory", "missing_parent"])
+    @pytest.mark.parametrize("command,flag", PATH_OPTIONS,
+                             ids=[f"{c}{f}" for c, f in PATH_OPTIONS])
+    def test_unwritable_path_two_before_any_work(self, command, flag, target, tmp_path):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        path = out_dir if target == "directory" else tmp_path / "missing" / "report"
+        proc = run_process([command, *QUICK_ARGS[command], flag, str(path)])
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert flag in proc.stderr
+        # no header, no step: the run stopped before doing any work
+        assert proc.stdout == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list(out_dir.iterdir()) == []
+
+    def test_path_from_config_file_checked(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"json = {tmp_path / 'missing' / 'r.json'}\n")
+        rc, out, err = run(["cost", "--config", str(cfg)], capsys)
+        assert rc == 2
+        assert "--json" in err and out == ""
+
+    def test_failed_write_two(self, tmp_path, capsys):
+        # a dangling link passes the check and fails only when opened
+        link = tmp_path / "r.json"
+        link.symlink_to(tmp_path / "gone" / "r.json")
+        rc, _, err = run(["cost", "--json", str(link)], capsys)
+        assert rc == 2
+        assert err.startswith("error: cannot write")
