@@ -9,7 +9,6 @@ on top.
 """
 
 from .backward import (
-    EvalPoint,
     GradBundle,
     central_difference,
     dyt_backward,
@@ -34,7 +33,6 @@ from .gradcheck import VARIANTS, check_variant, run_gradcheck, run_trial
 from .model import (
     Model,
     ModelConfig,
-    NormVariant,
     build_model,
     count_parameters,
     load_checkpoint,
@@ -72,14 +70,12 @@ __all__ = [
     "ConditionParams",
     "CopyTask",
     "CostEstimate",
-    "EvalPoint",
     "ForwardCache",
     "GradBundle",
     "LossCurve",
     "Model",
     "ModelConfig",
     "NormParams",
-    "NormVariant",
     "OptimizerState",
     "PairedCurves",
     "ProbeReport",

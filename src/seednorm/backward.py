@@ -17,12 +17,12 @@ gradient, is copied before the array is written. Nothing here calls an
 autodiff framework; the finite-difference oracle below is the independent
 check.
 
-The oracle calls only forwards. ``central_difference`` is its one generic
-loop: it perturbs one coordinate at a time and serves the parameters and
-the whole-model check. Every norm forward acts on each row alone, so the
-input directions are differentiated in bulk instead: the perturbed copies
-of x are stacked into a few large forwards whose per-copy sums are bitwise
-the loop's.
+The oracle calls only forwards, as ``forward(x, p)`` like any other caller.
+``central_difference`` is its one generic loop: it perturbs one coordinate
+at a time in place, and serves the parameters and the whole-model check.
+Every norm forward acts on each row alone, so the input directions are
+differentiated in bulk instead: the perturbed copies of x are stacked into
+a few large forwards whose per-copy sums are bitwise the loop's.
 
 Derivation sketch for the dynamic layers, one row at a time. Write
 r = x / rms(x), z_h = (x_h . beta_h) / (optional head width), c_h = tanh(z_h),
@@ -226,52 +226,34 @@ def mh_seednorm_backward(cache: ForwardCache, upstream, ws=FRESH) -> GradBundle:
     return _dynamic_backward(cache, u, d_x, ws)
 
 
-@dataclass
-class EvalPoint:
-    """Parameters-and-input bundle for the finite-difference oracle.
+def finite_difference_jacobian(forward, x, u, p, fields, step: float = 1e-5) -> GradBundle:
+    """Central differences of L = sum(u * forward(x, p)[0]).
 
-    Arrays set to None are not differentiated. alpha may be a 0-d array for
-    layers with a scalar alpha; the matching gradient comes back as a float.
+    ``forward`` is a layer in the library's one convention, (x, p) ->
+    (out, cache); ``fields`` names the arrays of ``p`` to differentiate and
+    labels them in errors. The forward must act on each row of x alone (a
+    row's output and its bits do not depend on the other rows stacked with
+    it) and read p's arrays when called, as every ``<variant>_forward``
+    does. The x directions go through _input_differences, in stacked
+    forwards; a field's go through central_difference, which perturbs p's
+    own arrays in place and hands p back with the same arrays and bytes. A
+    0-d field (NormParams' scalar alpha) gets a float gradient. A non-finite
+    perturbed value or objective raises FloatingPointError naming the
+    coordinate, so the perturbed forwards run with NumPy's overflow and
+    invalid warnings off.
     """
-
-    x: Matrix
-    u: Matrix
-    gamma: Vector | None = None
-    alpha: np.ndarray | None = None
-    beta: Vector | None = None
-
-    def __post_init__(self):
-        self.x = np.array(self.x, dtype=np.float64)
-        self.u = np.array(self.u, dtype=np.float64)
-        for name in ("gamma", "alpha", "beta"):
-            val = getattr(self, name)
-            if val is not None:
-                setattr(self, name, np.array(val, dtype=np.float64))
-
-
-def finite_difference_jacobian(f, point: EvalPoint, step: float = 1e-5) -> GradBundle:
-    """Central differences of L = sum(u * f(x, gamma, alpha, beta)).
-
-    f must be a pure function of the supplied arrays (any fixed state has to
-    be closed over) that acts on each row of x independently: the output row
-    i depends on input row i alone, and a row's bits do not depend on what
-    other rows are stacked with it. Every norm forward is such a function.
-    Every coordinate of every non-None array is perturbed by +/- step: those
-    of x through _input_differences, in stacked forwards, and the parameters
-    through central_difference, since a parameter touches every row. Either
-    names the offending coordinate when the objective goes non-finite.
-    """
-    d_x = _input_differences(f, point, step)
-    names = [n for n in ("gamma", "beta", "alpha") if getattr(point, n) is not None]
+    x = np.asarray(x, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
 
     def objective() -> float:
         # np.add.reduce is the flat sum .sum() runs, without its Python wrapper
-        out = f(point.x, point.gamma, point.alpha, point.beta)
-        return float(np.add.reduce(point.u * out, axis=None))
+        return float(np.add.reduce(u * forward(x, p)[0], axis=None))
 
-    grads = dict(zip(names, central_difference(
-        objective, [getattr(point, n) for n in names], step, labels=names
-    )))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_x = _input_differences(forward, x, u, p, step)
+        grads = dict(zip(fields, central_difference(
+            objective, [getattr(p, n) for n in fields], step, labels=fields
+        )))
     d_alpha = grads.get("alpha")
     if d_alpha is not None and d_alpha.ndim == 0:
         d_alpha = float(d_alpha)
@@ -280,20 +262,19 @@ def finite_difference_jacobian(f, point: EvalPoint, step: float = 1e-5) -> GradB
     )
 
 
-def _input_differences(f, point: EvalPoint, step: float) -> Matrix:
-    """The x part of finite_difference_jacobian, for an f that acts row by row.
+def _input_differences(forward, x: Matrix, u: Matrix, p, step: float) -> Matrix:
+    """The x part of finite_difference_jacobian, for a row-by-row forward.
 
     Each coordinate's two copies of x (orig +/- step at that coordinate, as
     central_difference builds them) are stacked, in chunks of at most
-    FD_CHUNK_ELEMENTS elements, into one (copies * rows, dim) matrix that f
-    maps in one call. A copy's
-    objective is one row of (u.ravel() * out.reshape(copies, -1)).sum(axis=1),
-    the pairwise sum that the flat .sum() of central_difference's objective
-    does, so the gradient is bitwise the one that loop gives. point.x is
-    never written to.
+    FD_CHUNK_ELEMENTS elements, into one (copies * rows, dim) matrix that
+    ``forward(copies, p)[0]`` maps in one call. A copy's objective is one
+    row of (u.ravel() * out.reshape(copies, -1)).sum(axis=1), the pairwise
+    sum that the flat .sum() of central_difference's objective does, so the
+    gradient is bitwise the one that loop gives. x is never written to.
     """
     _check_step(step)
-    x, u = point.x, point.u.ravel()
+    u = u.ravel()
     rows, dim = x.shape
     size = x.size
     flat = x.ravel()
@@ -301,19 +282,26 @@ def _input_differences(f, point: EvalPoint, step: float) -> Matrix:
     per_chunk = max(1, FD_CHUNK_ELEMENTS // (2 * size or 1))
     for lo in range(0, size, per_chunk):
         n = min(per_chunk, size - lo)
+        moved = np.add.outer(flat[lo:lo + n], (step, -step))  # (n, 2): +h, -h
+        _check_finite(moved, lo, dim, "perturbation")
         copies = np.empty((n, 2, size))
         copies[...] = flat
         k = np.arange(n)
-        copies[k, 0, lo + k] = flat[lo:lo + n] + step
-        copies[k, 1, lo + k] = flat[lo:lo + n] - step
-        out = f(copies.reshape(2 * n * rows, dim), point.gamma, point.alpha, point.beta)
+        copies[k, :, lo + k] = moved
+        out = forward(copies.reshape(2 * n * rows, dim), p)[0]
         losses = (u * out.reshape(2 * n, -1)).sum(axis=1).reshape(n, 2)
-        if np.count_nonzero(np.isfinite(losses)) != losses.size:
-            first, side = (int(v) for v in np.argwhere(~np.isfinite(losses))[0])
-            i, j = divmod(lo + first, dim)
-            raise FloatingPointError(f"non-finite loss at x[{i}, {j}]{('+h', '-h')[side]}")
+        _check_finite(losses, lo, dim, "loss")
         grad[lo:lo + n] = (losses[:, 0] - losses[:, 1]) / (2.0 * step)
     return grad.reshape(rows, dim)
+
+
+def _check_finite(pairs: np.ndarray, lo: int, dim: int, what: str) -> None:
+    """FloatingPointError naming the first non-finite entry of ``pairs``,
+    whose row k holds the +h and -h values of flat coordinate lo + k of x."""
+    if np.count_nonzero(np.isfinite(pairs)) != pairs.size:
+        first, side = (int(v) for v in np.argwhere(~np.isfinite(pairs))[0])
+        i, j = divmod(lo + first, dim)
+        raise FloatingPointError(f"non-finite {what} at x[{i}, {j}]{('+h', '-h')[side]}")
 
 
 def _check_step(step: float) -> None:
@@ -324,10 +312,12 @@ def _check_step(step: float) -> None:
 def central_difference(loss_fn, arrays, step: float = 1e-5, labels=None) -> list[np.ndarray]:
     """Central-difference gradient of the scalar ``loss_fn()`` w.r.t. each array.
 
-    arrays are perturbed in place one coordinate at a time and restored.
-    Every evaluation must be finite: otherwise FloatingPointError names the
+    arrays are perturbed in place one coordinate at a time and restored bit
+    for bit, also when loss_fn raises. Every perturbed value and every
+    evaluation must be finite: otherwise FloatingPointError names the
     coordinate and the side of the step, as in ``x[0, 0]+h``, with arrays
-    named by ``labels`` (default ``arrays[i]``).
+    named by ``labels`` (default ``arrays[i]``). A perturbed value is
+    checked before loss_fn sees it.
     """
     _check_step(step)
     grads = []
@@ -337,19 +327,29 @@ def central_difference(loss_fn, arrays, step: float = 1e-5, labels=None) -> list
         it = np.nditer(arr, flags=["multi_index", "zerosize_ok"], op_flags=["readonly"])
         for _ in it:
             idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + step
-            plus = float(loss_fn())
-            arr[idx] = orig - step
-            minus = float(loss_fn())
-            arr[idx] = orig
-            for val, side in ((plus, "+h"), (minus, "-h")):
-                if not math.isfinite(val):
-                    where = f"{label}{list(idx)}" if idx else label
-                    raise FloatingPointError(f"non-finite loss at {where}{side}")
+            orig = float(arr[idx])
+            up, down = orig + step, orig - step
+            if not (math.isfinite(up) and math.isfinite(down)):
+                raise _non_finite("perturbation", label, idx, up)
+            try:
+                arr[idx] = up
+                plus = float(loss_fn())
+                arr[idx] = down
+                minus = float(loss_fn())
+            finally:
+                arr[idx] = orig
+            if not (math.isfinite(plus) and math.isfinite(minus)):
+                raise _non_finite("loss", label, idx, plus)
             grad[idx] = (plus - minus) / (2.0 * step)
         grads.append(grad)
     return grads
+
+
+def _non_finite(what: str, label: str, idx: tuple, plus: float) -> FloatingPointError:
+    """The error for a coordinate whose +h value (or else -h value) is not finite."""
+    where = f"{label}{list(idx)}" if idx else label
+    side = "-h" if math.isfinite(plus) else "+h"
+    return FloatingPointError(f"non-finite {what} at {where}{side}")
 
 
 def relative_error(analytic, numeric, floor: float = 1e-8) -> float:

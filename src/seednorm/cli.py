@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import make_rng
 from .gradcheck import DEFAULT_DIMS, VARIANTS, run_gradcheck
-from .model import ModelConfig, NormVariant, count_parameters, save_checkpoint
+from .model import ModelConfig, count_parameters, save_checkpoint
 from .params import NormParams
 from .probes import (
     estimate_cost,
@@ -235,6 +235,9 @@ def cmd_gradcheck(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    except FloatingPointError as exc:  # the oracle could not evaluate: a failed check
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(
         f"gradcheck seed={v['seed']} dims={','.join(map(str, v['dims']))} "
         f"trials={v['trials']} step={_fmt(v['step'])} tol={_fmt(v['tol'])}"
@@ -340,8 +343,8 @@ def _model_param_delta(layers: int, hidden_dim: int, heads: int) -> int:
         layers=layers, hidden_dim=hidden_dim, attn_heads=heads,
         vocab=7, context=4,
     )
-    dyn = ModelConfig(norm_variant=NormVariant.SEEDNORM, **common)
-    base = ModelConfig(norm_variant=NormVariant.RMSNORM, **common)
+    dyn = ModelConfig(norm_variant="seednorm", **common)
+    base = ModelConfig(norm_variant="rmsnorm", **common)
     return count_parameters(dyn) - count_parameters(base)
 
 
@@ -358,8 +361,8 @@ def cmd_cost(args) -> int:
     if v["check"]:
         delta = _model_param_delta(v["layers"], v["dims"], v["heads"])
         check = {
-            "dynamic_variant": NormVariant.SEEDNORM.value,
-            "baseline_variant": NormVariant.RMSNORM.value,
+            "dynamic_variant": "seednorm",
+            "baseline_variant": "rmsnorm",
             "model_param_delta": delta,
             "matches": bool(delta == est.extra_params),
         }
@@ -405,8 +408,7 @@ TASK_OPTS = (
 TRAIN_OPTS = (
     (Opt("seed", "int", 0, "run seed"),)
     + TASK_OPTS
-    + (Opt("variant", "str", "seednorm", "norm layer in every slot",
-           tuple(m.value for m in NormVariant)),)
+    + (Opt("variant", "str", "seednorm", "norm layer in every slot", VARIANTS),)
     + MODEL_OPTS
     + HYPER_OPTS
     + (
@@ -420,10 +422,8 @@ COMPARE_OPTS = (
     (Opt("seed", "int", 0, "run seed (shared by both variants)"),)
     + TASK_OPTS
     + (
-        Opt("variant_a", "str", "seednorm", "first norm layer",
-            tuple(m.value for m in NormVariant)),
-        Opt("variant_b", "str", "rmsnorm", "second norm layer",
-            tuple(m.value for m in NormVariant)),
+        Opt("variant_a", "str", "seednorm", "first norm layer", VARIANTS),
+        Opt("variant_b", "str", "rmsnorm", "second norm layer", VARIANTS),
     )
     + MODEL_OPTS
     + HYPER_OPTS
@@ -477,7 +477,7 @@ def cmd_train(args) -> int:
     task, cfg = _build_task_and_cfg(v, v["variant"])
     tcfg = _build_train_cfg(v)
     print(
-        f"train variant={cfg.norm_variant.value} task={v['task']} dims={cfg.hidden_dim} "
+        f"train variant={cfg.norm_variant} task={v['task']} dims={cfg.hidden_dim} "
         f"layers={cfg.layers} steps={tcfg.steps} seed={v['seed']}"
     )
     try:
@@ -499,7 +499,7 @@ def cmd_train(args) -> int:
             "command": "train",
             "seed": v["seed"],
             "task": v["task"],
-            "variant": cfg.norm_variant.value,
+            "variant": cfg.norm_variant,
             "steps": tcfg.steps,
             "final_loss": curve.losses()[-1] if len(curve) else None,
             "final_ema": curve.final_ema() if len(curve) else None,

@@ -17,7 +17,6 @@ import numpy as np
 # run_trial calls the layers through this module (see _LAYER_FNS), so a test
 # or a tracer can swap one here.
 from .backward import (  # noqa: F401
-    EvalPoint,
     dyt_backward,
     finite_difference_jacobian,
     layernorm_backward,
@@ -86,16 +85,13 @@ def run_trial(
     x = rng.standard_normal((rows, dim))
     u = rng.standard_normal((rows, dim))
     fields = {"gamma": rng.standard_normal(dim), **norm.draw(rng, dim, scalar_alpha)}
-    gamma, alpha, beta = (fields.get(k) for k in ("gamma", "alpha", "beta"))
-    eps = eps or norm.oracle_zero_eps
-    layer = {"n_heads": n_heads, "dim_scaled": dim_scaled}
+    p = NormParams(**fields, eps=eps or norm.oracle_zero_eps, n_heads=n_heads,
+                   dim_scaled=dim_scaled)
     forward = getattr(_LAYER_FNS, f"{variant}_forward")
-    _, cache = forward(x, NormParams(gamma, alpha, beta, eps, **layer))
+    _, cache = forward(x, p)
     analytic = getattr(_LAYER_FNS, f"{variant}_backward")(cache, u)
     numeric = finite_difference_jacobian(
-        lambda xx, g, a, b: forward(xx, NormParams(g, a, b, eps, **layer))[0],
-        EvalPoint(x=x, u=u, **fields),
-        step,
+        forward, x, u, p, [name for _, name in norm.params], step
     )
 
     # Floor 1e-4: central differences at step 1e-5 on an O(10) probe value
@@ -126,6 +122,8 @@ def check_variant(
         raise ValueError(f"heads must all be >= 1, got {list(heads)}")
     if len(dims) == 0 or any(d < 1 for d in dims):
         raise ValueError(f"dims must be one or more widths >= 1, got {list(dims)}")
+    if variant not in NORMS:
+        raise ValueError(f"unknown variant {variant!r}")
     rng = make_rng(seed)
     worst: dict = {}
     extras: dict = {}
@@ -135,7 +133,7 @@ def check_variant(
         rows = int(rng.choice((1, 3)))
         eps = float(rng.choice((0.0, 1e-6)))
         kwargs = {}
-        if variant == "mh_seednorm":
+        if NORMS[variant].multi_head:
             valid = [h for h in heads if dim % h == 0] or [1]
             kwargs["n_heads"] = int(rng.choice(valid))
             kwargs["dim_scaled"] = bool(rng.integers(0, 2))

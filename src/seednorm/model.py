@@ -31,7 +31,6 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from enum import Enum
 
 import numpy as np
 
@@ -55,10 +54,6 @@ from .forward import (  # noqa: F401
 from .norms import NORMS, NormSpec
 from .params import NormParams
 
-# One member per row of the variant table, e.g. NormVariant.MH_SEEDNORM.
-NormVariant = Enum("NormVariant", [(name.upper(), name) for name in NORMS],
-                   type=str, module=__name__)
-
 
 @dataclass
 class ModelConfig:
@@ -67,14 +62,16 @@ class ModelConfig:
     attn_heads: int = 4
     vocab: int = 17
     context: int = 16
-    norm_variant: NormVariant = NormVariant.SEEDNORM
+    norm_variant: str = "seednorm"  # a key of NORMS
     norm_heads: int = 1
     alpha_init: float = 1.0
     norm_eps: float = 1e-6
     ffn_mult: int = 4
 
     def __post_init__(self):
-        self.norm_variant = NormVariant(self.norm_variant)
+        if self.norm_variant not in tuple(NORMS):  # a tuple: no hashing, no TypeError
+            raise ValueError(f"norm_variant must be one of {', '.join(NORMS)}, "
+                             f"got {self.norm_variant!r}")
         if self.layers < 1 or self.hidden_dim < 1:
             raise ValueError("layers and hidden_dim must be >= 1")
         if self.attn_heads < 1 or self.hidden_dim % self.attn_heads != 0:
@@ -94,7 +91,7 @@ class ModelConfig:
     @property
     def norm(self) -> NormSpec:
         """The variant table's row for this model's norm layers."""
-        return NORMS[self.norm_variant.value]
+        return NORMS[self.norm_variant]
 
 
 def _hidden_slot_heads(cfg: ModelConfig) -> int:
@@ -174,7 +171,7 @@ _LAYER_FNS = sys.modules[__name__]
 
 
 def _slot_forward(params: dict, cfg: ModelConfig, prefix: str, rows, n_heads: int, ws=FRESH):
-    forward = getattr(_LAYER_FNS, f"{cfg.norm_variant.value}_forward")
+    forward = getattr(_LAYER_FNS, f"{cfg.norm_variant}_forward")
     p = NormParams(*cfg.norm.arrays(params, prefix), cfg.norm_eps, n_heads)
     return forward(rows, p, ws.scope(prefix))
 
@@ -182,7 +179,7 @@ def _slot_forward(params: dict, cfg: ModelConfig, prefix: str, rows, n_heads: in
 def _slot_backward(params: dict, cfg: ModelConfig, prefix: str, cache, upstream, ws=FRESH):
     """The slot's input gradient and its parameter gradients. In a workspace
     the input gradient overwrites the slot's forward output."""
-    backward = getattr(_LAYER_FNS, f"{cfg.norm_variant.value}_backward")
+    backward = getattr(_LAYER_FNS, f"{cfg.norm_variant}_backward")
     b = backward(cache, upstream, ws.scope(prefix))
     return b.d_x, cfg.norm.grads(prefix, b)
 
@@ -598,11 +595,9 @@ CHECKPOINT_FORMAT = "seednorm-checkpoint-v1"
 
 def save_checkpoint(model: Model, path, opt_state=None) -> None:
     """Versioned JSON blob; parameters serialize flat in canonical order."""
-    cfg_dict = asdict(model.cfg)
-    cfg_dict["norm_variant"] = model.cfg.norm_variant.value
     blob = {
         "format": CHECKPOINT_FORMAT,
-        "config": cfg_dict,
+        "config": asdict(model.cfg),
         "params": {
             name: model.params[name].ravel().tolist()
             for name, _ in parameter_specs(model.cfg)

@@ -1,7 +1,7 @@
 """The norm-variant table: every variant's parameters and policies.
 
 Each row names a variant's parameters as suffixes in canonical order, each
-paired with the EvalPoint/GradBundle field it maps to (a shift rides in the
+paired with the NormParams/GradBundle field it maps to (a shift rides in the
 beta field), the suffixes that take weight decay, whether a model slot
 hands it the multi-head count, and how the finite-difference suite draws a
 random point for it. The model, the optimizer's decay set and the
@@ -11,9 +11,11 @@ defined here once.
 A variant needs no forward or backward adapter. Every layer is called the
 same way: ``<variant>_forward(x, NormParams(gamma, alpha, beta, eps,
 n_heads, **opts), ws)``, then ``<variant>_backward(cache, upstream, ws)``,
-since the cache holds the parameters the forward ran with. Callers look
-both up by name at call time in their own module, so a test or a tracer
-that swaps one of those names there sees every call it makes.
+since the cache holds the parameters the forward ran with. The
+finite-difference oracle calls the same forward with the same NormParams
+and differentiates the fields a row names. Callers look both up by name at
+call time in their own module, so a test or a tracer that swaps one of
+those names there sees every call it makes.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class NormSpec:
     """One variant. ``draw`` returns the oracle's fields after gamma, drawn
     in the order the suite has always used."""
 
-    params: tuple  # ((suffix, EvalPoint/GradBundle field), ...), canonical order
+    params: tuple  # ((suffix, NormParams/GradBundle field), ...), canonical order
     draw: Callable  # (rng, dim, scalar_alpha) -> {field: array}
     decay: tuple = ()  # parameter suffixes that take weight decay
     multi_head: bool = False  # slots pass the model's norm_heads

@@ -22,6 +22,8 @@ class NormParams:
     coefficient tanh(x . beta) * alpha; a scalar alpha is accepted and
     broadcast, and None means 0. For LayerNorm and DyT, beta is the shift,
     and DyT's alpha is its scalar tanh slope. Every entry must be finite.
+    A scalar alpha is held as a 0-d float64 array, not a float, so every
+    parameter is an array the finite-difference oracle can perturb in place.
     """
 
     gamma: Vector
@@ -41,7 +43,7 @@ class NormParams:
             if self.beta.shape[0] != dim:
                 raise ValueError(f"beta dim {self.beta.shape[0]} != gamma dim {dim}")
         if np.ndim(self.alpha) == 0:
-            self.alpha = 0.0 if self.alpha is None else float(self.alpha)
+            self.alpha = np.asarray(0.0 if self.alpha is None else self.alpha, dtype=np.float64)
             if not math.isfinite(self.alpha):
                 raise ValueError(f"alpha must be finite, got {self.alpha}")
         else:

@@ -283,6 +283,6 @@ def compare_runs(
     curve_a = train_model(cfg_a, train_cfg, task, make_rng(seed)).curve
     curve_b = train_model(cfg_b, train_cfg, task, make_rng(seed)).curve
     return PairedCurves(
-        variant_a=cfg_a.norm_variant.value, variant_b=cfg_b.norm_variant.value,
+        variant_a=cfg_a.norm_variant, variant_b=cfg_b.norm_variant,
         curve_a=curve_a, curve_b=curve_b,
     )

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from seednorm.backward import (
-    EvalPoint,
     dyt_backward,
     finite_difference_jacobian,
     layernorm_backward,
@@ -33,6 +32,7 @@ from seednorm.forward import (
 from seednorm.params import ConditionParams, NormParams
 
 TOL = 1e-6
+DYNAMIC_FIELDS = ("gamma", "alpha", "beta")
 
 
 def draw_params(rng, dim, **kw):
@@ -64,10 +64,7 @@ class TestRmsnorm:
         p = NormParams(gamma=rng.standard_normal(dim), eps=eps)
         _, cache = rmsnorm_forward(x, p)
         got = rmsnorm_backward(cache, u)
-        want = finite_difference_jacobian(
-            lambda xx, g, a, b: rmsnorm_forward(xx, NormParams(gamma=g, eps=eps))[0],
-            EvalPoint(x=x, u=u, gamma=p.gamma),
-        )
+        want = finite_difference_jacobian(rmsnorm_forward, x, u, p, ["gamma"])
         assert_bundle_close(got, want, check=("d_gamma", "d_x"))
 
     def test_input_grad_orthogonal_to_input(self):
@@ -100,10 +97,7 @@ class TestLayernorm:
         p = NormParams(gamma=rng.standard_normal(dim), beta=rng.standard_normal(dim), eps=1e-6)
         _, cache = layernorm_forward(x, p)
         got = layernorm_backward(cache, u)
-        want = finite_difference_jacobian(
-            lambda xx, g, a, b: layernorm_forward(xx, NormParams(g, beta=b, eps=1e-6))[0],
-            EvalPoint(x=x, u=u, gamma=p.gamma, beta=p.beta),
-        )
+        want = finite_difference_jacobian(layernorm_forward, x, u, p, ["gamma", "beta"])
         assert_bundle_close(got, want, check=("d_gamma", "d_beta", "d_x"))
 
     def test_shift_gradient_is_column_sum(self):
@@ -124,12 +118,10 @@ class TestDyt:
         gamma = rng.standard_normal(5)
         shift = rng.standard_normal(5)
         alpha = 0.7
-        _, cache = dyt_forward(x, NormParams(gamma, alpha, shift))
+        p = NormParams(gamma, alpha, shift)
+        _, cache = dyt_forward(x, p)
         got = dyt_backward(cache, u)
-        want = finite_difference_jacobian(
-            lambda xx, g, a, b: dyt_forward(xx, NormParams(g, a, b))[0],
-            EvalPoint(x=x, u=u, gamma=gamma, alpha=np.array(alpha), beta=shift),
-        )
+        want = finite_difference_jacobian(dyt_forward, x, u, p, ["gamma", "alpha", "beta"])
         assert isinstance(got.d_alpha, float)
         assert_bundle_close(got, want)
 
@@ -151,12 +143,7 @@ class TestSeednorm:
         p = draw_params(rng, dim, eps=eps)
         _, cache = seednorm_forward(x, p)
         got = seednorm_backward(cache, u)
-
-        def f(xx, g, a, b):
-            return seednorm_forward(xx, NormParams(gamma=g, alpha=a, beta=b, eps=eps))[0]
-
-        want = finite_difference_jacobian(f, EvalPoint(x=x, u=u, gamma=p.gamma,
-                                                       alpha=p.alpha, beta=p.beta))
+        want = finite_difference_jacobian(seednorm_forward, x, u, p, DYNAMIC_FIELDS)
         assert_bundle_close(got, want)
 
     def test_fd_agreement_scalar_alpha(self):
@@ -168,12 +155,7 @@ class TestSeednorm:
         _, cache = seednorm_forward(x, p)
         got = seednorm_backward(cache, u)
         assert isinstance(got.d_alpha, float)
-
-        def f(xx, g, a, b):
-            return seednorm_forward(xx, NormParams(gamma=g, alpha=float(a), beta=b, eps=0.0))[0]
-
-        want = finite_difference_jacobian(f, EvalPoint(x=x, u=u, gamma=p.gamma,
-                                                       alpha=np.array(0.9), beta=p.beta))
+        want = finite_difference_jacobian(seednorm_forward, x, u, p, DYNAMIC_FIELDS)
         assert_bundle_close(got, want)
 
     @pytest.mark.parametrize("beta_scale", [0.05, 2.0], ids=["near-linear", "curved"])
@@ -187,12 +169,7 @@ class TestSeednorm:
         p = NormParams(gamma=p.gamma, alpha=p.alpha, beta=beta_scale * p.beta, eps=0.0)
         _, cache = seednorm_forward(x, p)
         got = seednorm_backward(cache, u)
-
-        def f(xx, g, a, b):
-            return seednorm_forward(xx, NormParams(gamma=g, alpha=a, beta=b, eps=0.0))[0]
-
-        want = finite_difference_jacobian(f, EvalPoint(x=x, u=u, gamma=p.gamma,
-                                                       alpha=p.alpha, beta=p.beta))
+        want = finite_difference_jacobian(seednorm_forward, x, u, p, DYNAMIC_FIELDS)
         assert_bundle_close(got, want)
 
     @pytest.mark.parametrize("heads", [1, 2])
@@ -233,14 +210,10 @@ class TestSeednorm:
         p = draw_params(rng, 4, eps=0.0)
         _, cache = seednorm_forward(x, p)
         got = seednorm_backward(cache, u)
-
-        def f(xx, g, a, b):
-            return seednorm_forward(xx, NormParams(gamma=g, alpha=a, beta=b, eps=0.0))[0]
-
-        point = EvalPoint(x=x, u=u, gamma=p.gamma, alpha=p.alpha, beta=p.beta)
         errs = {}
         for step in (1e-3, 1e-5, 1e-7):
-            want = finite_difference_jacobian(f, point, step=step)
+            want = finite_difference_jacobian(seednorm_forward, x, u, p, DYNAMIC_FIELDS,
+                                              step=step)
             errs[step] = max(
                 relative_error(got.d_x, want.d_x),
                 relative_error(got.d_beta, want.d_beta),
@@ -259,14 +232,7 @@ class TestMultiHead:
         p = draw_params(rng, dim, eps=0.0, n_heads=heads, dim_scaled=dim_scaled)
         _, cache = mh_seednorm_forward(x, p)
         got = mh_seednorm_backward(cache, u)
-
-        def f(xx, g, a, b):
-            pp = NormParams(gamma=g, alpha=a, beta=b, eps=0.0, n_heads=heads,
-                            dim_scaled=dim_scaled)
-            return mh_seednorm_forward(xx, pp)[0]
-
-        want = finite_difference_jacobian(f, EvalPoint(x=x, u=u, gamma=p.gamma,
-                                                       alpha=p.alpha, beta=p.beta))
+        want = finite_difference_jacobian(mh_seednorm_forward, x, u, p, DYNAMIC_FIELDS)
         assert_bundle_close(got, want)
 
     def test_single_head_matches_plain_bitwise(self):
@@ -499,18 +465,18 @@ class TestErrorCases:
 
     def test_fd_oracle_rejects_bad_step(self):
         with pytest.raises(ValueError):
-            finite_difference_jacobian(lambda *a: a[0], EvalPoint(x=np.ones((1, 1)),
-                                                                  u=np.ones((1, 1))), step=0.0)
+            finite_difference_jacobian(lambda xx, p: (xx, None), np.ones((1, 1)),
+                                       np.ones((1, 1)), None, (), step=0.0)
 
     def test_fd_oracle_names_nonfinite_coordinate(self):
-        def f(xx, g, a, b):
+        def f(xx, p):
             if xx[0, 0] > 1.5:
-                return np.full_like(xx, np.nan)
-            return xx
+                return np.full_like(xx, np.nan), None
+            return xx, None
 
-        point = EvalPoint(x=np.array([[1.5 - 1e-6]]), u=np.ones((1, 1)))
         with pytest.raises(FloatingPointError, match=r"x\[0, 0\]\+h"):
-            finite_difference_jacobian(f, point, step=1e-3)
+            finite_difference_jacobian(f, np.array([[1.5 - 1e-6]]), np.ones((1, 1)), None, (),
+                                       step=1e-3)
 
 
 class TestRelativeError:

@@ -119,6 +119,17 @@ class TestExitCodes:
         assert rc == 2, out + err
         assert "finite" in err
 
+    @pytest.mark.parametrize("step", ["1e300", "1e308"])
+    def test_absurd_gradcheck_step_fails_quietly_one(self, step):
+        # a valid step the oracle cannot use is a failed check (1e308 makes
+        # its objective overflow, 1e300 its gradients meaningless), reported
+        # without a traceback and without NumPy's overflow warnings
+        proc = run_process(["gradcheck", "--variant", "rmsnorm", "--trials", "2",
+                            "--step", step])
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"], capsys)[0] == 0
         assert run(["gradcheck", "--help"], capsys)[0] == 0

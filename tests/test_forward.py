@@ -299,7 +299,9 @@ class TestCacheParams:
         p = params(3, gamma=[1.0, -2.0, 3.0], alpha=np.float64(0.5), beta=np.ones(3))
         _, cache = dyt_forward(np.ones((1, 3)), p)
         assert cache.params is p
-        assert type(cache.params.alpha) is float and cache.params.alpha == 0.5
+        alpha = cache.params.alpha
+        assert type(alpha) is np.ndarray and alpha.shape == () and alpha.dtype == np.float64
+        assert alpha == 0.5
 
 
 class TestNormParams:
@@ -318,7 +320,8 @@ class TestNormParams:
 
     def test_alpha_none_is_zero(self):
         p = params(3, alpha=None)
-        assert type(p.alpha) is float and p.alpha == 0.0
+        assert type(p.alpha) is np.ndarray and p.alpha.shape == () and p.alpha.dtype == np.float64
+        assert p.alpha == 0.0
 
     def test_default_beta_is_zero(self):
         p = params(3)

@@ -5,6 +5,7 @@ import pytest
 
 from seednorm import gradcheck
 from seednorm.core import make_rng
+from seednorm.params import NormParams
 from seednorm.gradcheck import (
     DEFAULT_DIMS,
     VARIANTS,
@@ -47,18 +48,33 @@ class TestRunTrial:
             kinds.append((result[1] if direction == "forward" else args[0]).kind)
             return result
 
-        def counted_oracle(f, point, step):
+        def counted_oracle(fwd, x, u, p, fields, step):
             def counted(*args):
                 evals.append(1)
-                return f(*args)
+                return fwd(*args)
 
-            return oracle(counted, point, step)
+            return oracle(counted, x, u, p, fields, step)
 
         monkeypatch.setattr(gradcheck, name, spy)
         monkeypatch.setattr(gradcheck, "finite_difference_jacobian", counted_oracle)
         run_trial(variant, dim=4, rows=1, rng=make_rng(4))
         assert evals
         assert kinds == [variant] * (1 + len(evals) if direction == "forward" else 1)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_builds_one_norm_params_per_trial(self, variant, monkeypatch):
+        # the analytic pass and every oracle forward share one NormParams;
+        # the oracle perturbs its arrays in place instead of rebuilding it
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return NormParams(*args, **kwargs)
+
+        monkeypatch.setattr(gradcheck, "NormParams", counted)
+        run_trial(variant, dim=4, rows=3, rng=make_rng(6),
+                  n_heads=2 if variant == "mh_seednorm" else 1)
+        assert len(built) == 1
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):

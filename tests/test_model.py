@@ -9,6 +9,7 @@ from scipy.special import erf
 from seednorm import model
 from seednorm.backward import central_difference, relative_error
 from seednorm.core import make_rng
+from seednorm.norms import NORMS
 from seednorm.model import (
     CHECKPOINT_FORMAT,
     _attn_backward,
@@ -19,7 +20,6 @@ from seednorm.model import (
     _slot_forward,
     Model,
     ModelConfig,
-    NormVariant,
     build_model,
     count_parameters,
     first_nonfinite_site,
@@ -33,7 +33,7 @@ from seednorm.model import (
 )
 from seednorm.probes import estimate_cost
 
-VARIANT_LIST = [v.value for v in NormVariant]
+VARIANT_LIST = list(NORMS)
 
 
 def tiny_cfg(variant="seednorm", **kw):
@@ -81,6 +81,12 @@ class TestConfigValidation:
         # would fail inside a norm slot
         with pytest.raises(ValueError, match="alpha_init"):
             tiny_cfg(alpha_init=alpha_init)
+
+    @pytest.mark.parametrize("variant", ["SEEDNORM", "batchnorm", 3, ["seednorm"]])
+    def test_unknown_variant_rejected_with_choices(self, variant):
+        with pytest.raises(ValueError, match="norm_variant must be one of rmsnorm, layernorm, "
+                                             "dyt, seednorm, mh_seednorm"):
+            tiny_cfg(variant)
 
 
 class TestCostCrossCheck:
