@@ -3,10 +3,11 @@
 Every backward is ``X_backward(cache, upstream, ws=FRESH)``: it consumes the
 ForwardCache of its own forward, which also holds the parameters that forward
 ran with, and an upstream gradient of the same shape as the input. It returns
-per-parameter gradients summed over rows next to the full input gradient.
-Like the forwards, a backward writes its (rows, dim) intermediates into its
-own output and at most two scratch arrays, never into the cache or the
-upstream gradient, so one cache can be differentiated any number of times.
+per-parameter gradients summed over rows, each shaped like its parameter
+(a scalar alpha's is 0-d), next to the full input gradient. Like the
+forwards, a backward writes its (rows, dim) intermediates into its own
+output and at most two scratch arrays, never into the cache or the upstream
+gradient, so one cache can be differentiated any number of times.
 Its arrays come from the buffer source ``ws``: with the default every
 returned array is its own allocation. In a workspace the parameter
 gradients are the arrays "d_<field>", and the input gradient is the array
@@ -66,14 +67,15 @@ FD_CHUNK_ELEMENTS = 8192
 class GradBundle:
     """Gradients of sum(upstream * layer(x)) w.r.t. parameters and input.
 
-    d_beta doubles as the shift gradient for the layers whose second vector
-    parameter is a shift (DyT, LayerNorm). Fields are None for parameters a
-    layer does not have; zero-valued fields mean the parameter exists but the
-    layer is insensitive to it.
+    Each parameter gradient is an array of its parameter's shape: a scalar
+    alpha's is 0-d. d_beta doubles as the shift gradient for the layers
+    whose second vector parameter is a shift (DyT, LayerNorm). Fields are
+    None for parameters a layer does not have; zero-valued fields mean the
+    parameter exists but the layer is insensitive to it.
     """
 
     d_gamma: Vector | None
-    d_alpha: float | Vector | None
+    d_alpha: np.ndarray | None
     d_beta: Vector | None
     d_x: Matrix
 
@@ -148,9 +150,9 @@ def layernorm_backward(cache: ForwardCache, upstream, ws=FRESH) -> GradBundle:
 def dyt_backward(cache: ForwardCache, upstream, ws=FRESH) -> GradBundle:
     """Backward of gamma * tanh(alpha * x) + shift.
 
-    d_alpha is the scalar sum over all entries; the shift gradient rides in
-    the d_beta slot. Saturated entries (|alpha * x| large) contribute zero to
-    d_x through sech^2 -> 0.
+    d_alpha is the sum over all entries, a 0-d array like alpha; the shift
+    gradient rides in the d_beta slot. Saturated entries (|alpha * x| large)
+    contribute zero to d_x through sech^2 -> 0.
     """
     u, d_x = _check_upstream(cache, upstream, ("dyt",), ws)
     p = cache.params
@@ -163,7 +165,7 @@ def dyt_backward(cache: ForwardCache, upstream, ws=FRESH) -> GradBundle:
     d_x = np.multiply(u, p.gamma, out=d_x)  # gu, then d_x
     np.multiply(d_x, cache.x, out=scratch)
     scratch *= sech2
-    d_alpha = float(scratch.sum())
+    d_alpha = np.add.reduce(scratch, axis=None, out=ws.empty("d_alpha", ()))
     sech2 *= p.alpha
     d_x *= sech2
     return GradBundle(d_gamma=d_gamma, d_alpha=d_alpha, d_beta=d_shift, d_x=d_x)
@@ -187,10 +189,8 @@ def _dynamic_backward(cache: ForwardCache, u: Matrix, d_x: Matrix | None, ws) ->
     # RMS direction in turn
     scratch = per_head_product(  # d_alpha per entry
         cache.sigma_val, ur, head_dim, out=ws.shared("norm_backward.scratch", u.shape))
-    if p.alpha_is_scalar:
-        d_alpha = float(scratch.sum())
-    else:
-        d_alpha = scratch.sum(axis=0, out=ws.out("d_alpha", (dim,)))
+    d_alpha = np.add.reduce(scratch, axis=None if p.alpha_is_scalar else 0,
+                            out=ws.empty("d_alpha", p.alpha.shape))
 
     aur = np.multiply(ur, p.alpha, out=ur)
     head_sums = aur.reshape(rows, heads, head_dim).sum(axis=2)
@@ -236,10 +236,10 @@ def finite_difference_jacobian(forward, x, u, p, fields, step: float = 1e-5) -> 
     it) and read p's arrays when called, as every ``<variant>_forward``
     does. The x directions go through _input_differences, in stacked
     forwards; a field's go through central_difference, which perturbs p's
-    own arrays in place and hands p back with the same arrays and bytes. A
-    0-d field (NormParams' scalar alpha) gets a float gradient. A non-finite
-    perturbed value or objective raises FloatingPointError naming the
-    coordinate, so the perturbed forwards run with NumPy's overflow and
+    own arrays in place and hands p back with the same arrays and bytes.
+    Each gradient has its field's shape (0-d for a scalar alpha). A
+    non-finite perturbed value or objective raises FloatingPointError naming
+    the coordinate, so the perturbed forwards run with NumPy's overflow and
     invalid warnings off.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -254,12 +254,8 @@ def finite_difference_jacobian(forward, x, u, p, fields, step: float = 1e-5) -> 
         grads = dict(zip(fields, central_difference(
             objective, [getattr(p, n) for n in fields], step, labels=fields
         )))
-    d_alpha = grads.get("alpha")
-    if d_alpha is not None and d_alpha.ndim == 0:
-        d_alpha = float(d_alpha)
-    return GradBundle(
-        d_gamma=grads.get("gamma"), d_alpha=d_alpha, d_beta=grads.get("beta"), d_x=d_x
-    )
+    return GradBundle(d_gamma=grads.get("gamma"), d_alpha=grads.get("alpha"),
+                      d_beta=grads.get("beta"), d_x=d_x)
 
 
 def _input_differences(forward, x: Matrix, u: Matrix, p, step: float) -> Matrix:

@@ -64,7 +64,7 @@ class NormSpec:
     def grads(self, prefix: str, bundle) -> dict:
         """A GradBundle as parameter-name -> gradient, in canonical order."""
         return {
-            f"{prefix}.{suffix}": np.asarray(getattr(bundle, f"d_{field}"))
+            f"{prefix}.{suffix}": getattr(bundle, f"d_{field}")
             for suffix, field in self.params
         }
 

@@ -196,8 +196,10 @@ def train_model(
     child seeds, so the batches are those of a fresh run of this seed.
 
     The call owns one ``Workspace``, which every step's ``loss_and_grads``
-    reuses. Clipping and the AdamW update share the optimizer state's
-    scratch, so the steps after the first allocate no large array.
+    reuses, so every step hands the optimizer the same gradient arrays; a
+    frozen parameter's are zeroed in place. Clipping and the AdamW update
+    share the optimizer state's scratch, so the steps after the first
+    allocate no large array.
     """
     init_seed, data_seed = spawn_seeds(rng, 2)
     if model is None:
@@ -208,6 +210,7 @@ def train_model(
     if not train_cfg.decay_dynamic:
         flags = {k: f and not cfg.norm.decays(k) for k, f in flags.items()}
     state = OptimizerState.init(model.params, flags)
+    frozen = [n for n in model.params if n.endswith(tuple(train_cfg.freeze))]
     hyper = AdamWConfig(lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
     curve = LossCurve(ema_coef=train_cfg.ema)
     ws = Workspace()
@@ -222,10 +225,8 @@ def train_model(
         if not math.isfinite(loss):
             site = first_nonfinite_site(model.params, cfg, tokens) or "loss"
             raise TrainingDiverged(step, site)
-        for suffix in train_cfg.freeze:
-            for name in grads:
-                if name.endswith(suffix):
-                    grads[name] = np.zeros_like(grads[name])
+        for name in frozen:
+            grads[name].fill(0.0)
         grad_norm = clip_gradients(grads, train_cfg.grad_clip, state.scratch)
         if not math.isfinite(grad_norm):
             bad = (n for n, g in grads.items() if not np.all(np.isfinite(g)))

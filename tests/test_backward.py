@@ -122,7 +122,8 @@ class TestDyt:
         _, cache = dyt_forward(x, p)
         got = dyt_backward(cache, u)
         want = finite_difference_jacobian(dyt_forward, x, u, p, ["gamma", "alpha", "beta"])
-        assert isinstance(got.d_alpha, float)
+        assert got.d_alpha.shape == () and got.d_alpha.dtype == np.float64
+        assert want.d_alpha.shape == () and want.d_alpha.dtype == np.float64
         assert_bundle_close(got, want)
 
     def test_saturation_kills_input_gradient(self):
@@ -154,8 +155,9 @@ class TestSeednorm:
                        beta=rng.standard_normal(4), eps=0.0)
         _, cache = seednorm_forward(x, p)
         got = seednorm_backward(cache, u)
-        assert isinstance(got.d_alpha, float)
+        assert got.d_alpha.shape == () and got.d_alpha.dtype == np.float64
         want = finite_difference_jacobian(seednorm_forward, x, u, p, DYNAMIC_FIELDS)
+        assert want.d_alpha.shape == () and want.d_alpha.dtype == np.float64
         assert_bundle_close(got, want)
 
     @pytest.mark.parametrize("beta_scale", [0.05, 2.0], ids=["near-linear", "curved"])
@@ -271,7 +273,7 @@ def repeat_backward(cache, u):
     head_dim = dim // p.n_heads
     ur = u * cache.r
     d_alpha_full = ur * np.repeat(cache.sigma_val, head_dim, axis=1)
-    d_alpha = float(np.sum(d_alpha_full)) if p.alpha_is_scalar else np.sum(d_alpha_full, axis=0)
+    d_alpha = np.asarray(np.sum(d_alpha_full, axis=None if p.alpha_is_scalar else 0))
     c = cache.sigma_val
     sig_prime = 1.0 - c * c
     head_sums = (p.alpha * ur).reshape(rows, p.n_heads, head_dim).sum(axis=2)
@@ -301,6 +303,7 @@ class TestWrittenOutRepeat:
         b = mh_seednorm_backward(cache, u)
         d_alpha, d_beta, d_x = repeat_backward(cache, u)
         assert type(b.d_alpha) is type(d_alpha)
+        assert b.d_alpha.shape == d_alpha.shape == p.alpha.shape
         assert np.array_equal(b.d_alpha, d_alpha)
         assert np.array_equal(b.d_beta, d_beta)
         assert np.array_equal(b.d_x, d_x)
@@ -333,7 +336,7 @@ def dyt_expression_backward(cache, u):
     gu = p.gamma * u
     d_gamma = np.sum(u * t, axis=0)
     d_shift = np.sum(u, axis=0)
-    d_alpha = float(np.sum(gu * cache.x * sech2))
+    d_alpha = np.asarray(np.sum(gu * cache.x * sech2))  # 0-d, like alpha
     d_x = gu * (p.alpha * sech2)
     return d_gamma, d_alpha, d_shift, d_x
 
@@ -366,6 +369,7 @@ class TestWrittenOutInPlace:
             got = getattr(b, name)
             assert type(got) is type(want), name
             if want is not None:
+                assert got.shape == want.shape, name
                 assert np.array_equal(got, want), name
 
 

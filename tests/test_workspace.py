@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from seednorm import model as layer_fns
+from seednorm import training
 from seednorm.core import FRESH, Workspace, make_rng, spawn_seeds
 from seednorm.model import ModelConfig, build_model, loss_and_grads
 from seednorm.norms import NORMS
@@ -88,6 +89,46 @@ def test_repeated_workspace_calls_give_the_bits_of_a_fresh_call(variant):
         assert grads.keys() == fresh.keys()
         for name, g in fresh.items():
             assert grads[name].tobytes() == g.tobytes(), name
+
+
+@pytest.mark.parametrize("variant", list(NORMS))
+def test_every_gradient_is_one_workspace_array_across_calls(variant):
+    # a scalar alpha's gradient too: a 0-d array of the workspace, not a
+    # float or an array made for the call
+    m = build_model(small_cfg(variant), make_rng(36))
+    rng = make_rng(37)
+    tokens = rng.integers(0, 7, size=(3, 6))
+    targets = rng.integers(0, 7, size=(3, 6))
+    ws = Workspace()
+    _, first = loss_and_grads(m, tokens, targets, ws)
+    _, second = loss_and_grads(m, tokens, targets, ws)
+    assert first.keys() == second.keys() == m.params.keys()
+    for name, g in first.items():
+        assert second[name] is g, name
+        assert isinstance(g, np.ndarray) and g.dtype == np.float64, name
+        assert g.shape == m.params[name].shape, name
+
+
+@pytest.mark.parametrize("variant", list(NORMS))
+def test_frozen_gradients_are_zeroed_in_their_workspace_arrays(variant, monkeypatch):
+    handed = []
+
+    def spy(grads, max_norm, ws):
+        handed.append(dict(grads))
+        return clip_gradients(grads, max_norm, ws)
+
+    monkeypatch.setattr(training, "clip_gradients", spy)
+    tcfg = TrainConfig(steps=3, batch_size=4, warmup_steps=2, freeze=(".gamma", ".wq"))
+    train_model(small_cfg(variant), tcfg, CopyTask(vocab=7, context=6), make_rng(38))
+    assert len(handed) == 3
+    frozen = [n for n in handed[0] if n.endswith((".gamma", ".wq"))]
+    assert frozen
+    for grads in handed[1:]:
+        assert grads.keys() == handed[0].keys()
+        for name, g in grads.items():
+            assert g is handed[0][name], name
+    for name in frozen:
+        assert np.all(handed[-1][name] == 0.0), name
 
 
 def test_workspace_keys_by_name_and_shape():
