@@ -577,17 +577,18 @@ def loss_and_grads(model: Model, tokens, targets, ws=FRESH):
 
 
 def first_nonfinite_site(params, cfg: ModelConfig, tokens) -> str | None:
-    """Name of the first activation checkpoint that went non-finite, if any."""
+    """Name of the first activation checkpoint that went non-finite, else of
+    the first parameter, in ``params``' canonical order, with a non-finite
+    entry (a layer can reject its parameters before its output exists);
+    None if everything is finite."""
     sites: list = []
     try:
         model_forward(params, cfg, tokens, sites=sites)
     except (ValueError, FloatingPointError):
         # a layer rejecting non-finite input still leaves the trail so far
         pass
-    for name, ok in sites:
-        if not ok:
-            return name
-    return None
+    sites += [(name, bool(np.all(np.isfinite(arr)))) for name, arr in params.items()]
+    return next((name for name, ok in sites if not ok), None)
 
 
 CHECKPOINT_FORMAT = "seednorm-checkpoint-v1"

@@ -21,7 +21,8 @@ class NormParams:
     gamma is the static per-channel scale. alpha and beta drive the dynamic
     coefficient tanh(x . beta) * alpha; a scalar alpha is accepted and
     broadcast, and None means 0. For LayerNorm and DyT, beta is the shift,
-    and DyT's alpha is its scalar tanh slope. Every entry must be finite.
+    and DyT's alpha is its scalar tanh slope. Every entry must be finite,
+    and gamma must have at least one.
     A scalar alpha is held as a 0-d float64 array, not a float, so every
     parameter is an array the finite-difference oracle can perturb in place.
     """
@@ -36,6 +37,8 @@ class NormParams:
     def __post_init__(self):
         self.gamma = as_vector(self.gamma, "gamma")
         dim = self.gamma.shape[0]
+        if dim == 0:
+            raise ValueError("gamma must have at least one entry, got width 0")
         if self.beta is None:
             self.beta = np.zeros(dim)  # finite and dim long: nothing to check
         else:

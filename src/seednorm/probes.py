@@ -2,13 +2,21 @@
 
 Each probe returns a ProbeReport whose pass flag is a pure function of
 (statistic, expected, tolerance): two-sided by default, one-sided when
-one_sided is set (statistic <= expected + tolerance). Probes that bundle
-several sub-checks report the worst sub-check as a ratio to its own
-tolerance, so the headline rule stays exact; raw numbers live in details.
+one_sided is set (statistic <= expected + tolerance), and false for a
+non-finite statistic. Probes that bundle several sub-checks report the
+worst sub-check as a ratio to its own tolerance, so the headline rule stays
+exact; raw numbers live in details.
+
+A probe rejects, with ValueError, a parameter whose closed form does not fit
+in float64 (a power that overflows or falls below the smallest normal
+number). It runs with NumPy's floating-point warnings off: whatever still
+overflows makes its statistic non-finite, or NaN, and so fails the check.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,7 +43,9 @@ class ProbeReport:
         statistic = float(statistic)
         expected = float(expected)
         tolerance = float(tolerance)
-        if one_sided:
+        if not math.isfinite(statistic):
+            ok = False
+        elif one_sided:
             ok = statistic <= expected + tolerance
         else:
             ok = abs(statistic - expected) <= tolerance
@@ -56,6 +66,26 @@ class ProbeReport:
             "one_sided": self.one_sided,
             "details": self.details,
         }
+
+
+_LOG_MIN_NORMAL = math.log(sys.float_info.min)
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _check_power(name: str, value: float, power: int, factor: float = 1.0) -> None:
+    """ValueError unless factor * value**power, for a finite value > 0, is a
+    normal float64: neither overflows nor underflows."""
+    if not _LOG_MIN_NORMAL < power * math.log(value) + math.log(factor) < _LOG_MAX:
+        raise ValueError(
+            f"{name}={value!r} out of range: {factor:g} * {name}**{power} "
+            "overflows or underflows float64"
+        )
+
+
+def _worst(*values: float) -> float:
+    """The largest value, NaN if any is NaN (Python's max keeps a NaN only
+    in first place)."""
+    return float(np.max(values))
 
 
 @dataclass
@@ -108,6 +138,7 @@ def estimate_cost(layers: int, hidden_dim: int, heads: int) -> CostEstimate:
     )
 
 
+@np.errstate(all="ignore")
 def probe_scale_insensitivity(
     p: NormParams, k_values, rng: np.random.Generator, trials: int = 8
 ) -> ProbeReport:
@@ -120,13 +151,16 @@ def probe_scale_insensitivity(
     includes the drift/bound tightness ratio, worst case over trials), and
     cross-checks the actual forward outputs against it, which verifies the
     r-cancellation to 1e-12. Runs at eps = 0, where the cancellation is
-    exact.
+    exact. The bound's largest entry, 2 max|alpha| sqrt(dim), must be finite.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     k_values = [float(k) for k in k_values]
     if any(k <= 0 for k in k_values):
         raise ValueError("k values must be > 0")
+    if not math.isfinite(2.0 * float(np.max(np.abs(p.alpha))) * math.sqrt(p.dim)):
+        raise ValueError("alpha out of range: the drift bound 2 * max|alpha| * sqrt(dim) "
+                         "overflows float64")
     p0 = replace(p, eps=0.0)
     head_dim = p0.dim // p0.n_heads
     noise_tol = 1e-12
@@ -156,12 +190,12 @@ def probe_scale_insensitivity(
                 ratio = np.where(drift == 0.0, 0.0, drift / bound)
             tightness = float(np.max(ratio))
             rec = per_k[k]
-            rec["max_drift"] = max(rec["max_drift"], float(np.max(drift)))
-            rec["max_bound"] = max(rec["max_bound"], float(np.max(bound)))
-            rec["tightness"] = max(rec["tightness"], tightness)
-            rec["max_r_rel_drift"] = max(rec["max_r_rel_drift"], r_drift)
-            rec["max_residual"] = max(rec["max_residual"], residual)
-            worst_ratio = max(
+            rec["max_drift"] = _worst(rec["max_drift"], float(np.max(drift)))
+            rec["max_bound"] = _worst(rec["max_bound"], float(np.max(bound)))
+            rec["tightness"] = _worst(rec["tightness"], tightness)
+            rec["max_r_rel_drift"] = _worst(rec["max_r_rel_drift"], r_drift)
+            rec["max_residual"] = _worst(rec["max_residual"], residual)
+            worst_ratio = _worst(
                 worst_ratio, tightness, r_drift / noise_tol, residual / noise_tol
             )
     return ProbeReport.build(
@@ -175,6 +209,7 @@ def probe_scale_insensitivity(
     )
 
 
+@np.errstate(all="ignore")
 def probe_dyt_rmsnorm_ode(
     c: float,
     dim: int,
@@ -198,11 +233,16 @@ def probe_dyt_rmsnorm_ode(
     measures the worst ODE residual on a grid over [-span, span].
 
     The statistic is the worst sub-check as a multiple of its own tolerance.
+    Check 1 needs dim * c**3 to be a normal float64, and the grid needs a
+    finite width 2 * span.
     """
     if not 0 < c < np.inf:
         raise ValueError("c must be finite and > 0")
     if dim < 1 or grid_points < 5 or samples < 1:
         raise ValueError("dim >= 1, grid_points >= 5, samples >= 1 required")
+    _check_power("c", c, 3, dim)
+    if not (span > 0 and math.isfinite(2.0 * span)):
+        raise ValueError(f"span={span!r} out of range: span must be > 0 and 2 * span finite")
     rng = rng if rng is not None else make_rng(0)
 
     jac_tol = 1e-12
@@ -217,7 +257,7 @@ def probe_dyt_rmsnorm_ode(
         lhs = 1.0 / rms - (x * x) / (dim * rms**3)
         r = x / c
         rhs = (1.0 / c) * (1.0 - (r * r) / dim)
-        jac_max = max(jac_max, float(np.max(np.abs(lhs - rhs))))
+        jac_max = _worst(jac_max, float(np.max(np.abs(lhs - rhs))))
 
     ode_tol = 1e-10
     width = c * np.sqrt(dim)
@@ -242,7 +282,7 @@ def probe_dyt_rmsnorm_ode(
          "slope_at_zero": slope_at_zero, "expected_slope": 1.0 / c,
          "r_at_span": float(r_of(span)), "saturation_level": float(np.sqrt(dim))},
     ]
-    statistic = max(jac_max / jac_tol, ode_max / ode_tol)
+    statistic = _worst(jac_max / jac_tol, ode_max / ode_tol)
     return ProbeReport.build(
         name="dyt_rmsnorm_ode",
         samples=samples + grid_points,
@@ -254,6 +294,7 @@ def probe_dyt_rmsnorm_ode(
     )
 
 
+@np.errstate(all="ignore")
 def probe_dot_variance(
     dim: int,
     n_heads: int,
@@ -269,7 +310,7 @@ def probe_dot_variance(
     not shrink. Splitting into n heads gives per-head variance
     (dim/n) * sigma^4, a 1/n reduction, which is the point of the multi-head
     form. Statistic: worst |estimate/expected - 1| over the full-width and
-    per-head checks.
+    per-head checks. dim * sigma**4 must be a normal float64.
     """
     if samples < 10**4:
         raise ValueError("samples must be >= 10**4 for a stable variance estimate")
@@ -277,6 +318,7 @@ def probe_dot_variance(
         raise ValueError("n_heads must be >= 1 and divide dim")
     if not 0 < sigma < np.inf:
         raise ValueError("sigma must be finite and > 0")
+    _check_power("sigma", sigma, 4, dim)
     if dist == "normal":
         x = rng.normal(0.0, sigma, size=(samples, dim))
         b = rng.normal(0.0, sigma, size=(samples, dim))
@@ -314,7 +356,7 @@ def probe_dot_variance(
     return ProbeReport.build(
         name="dot_variance",
         samples=samples,
-        statistic=max(dev_full, dev_head),
+        statistic=_worst(dev_full, dev_head),
         expected=0.0,
         tolerance=0.1,
         one_sided=False,

@@ -49,9 +49,10 @@ class TrainConfig:
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss, an activation or a gradient went non-finite; carries step and
-    first bad site (an activation checkpoint, or the parameter whose gradient
-    went non-finite while the loss stayed finite)."""
+    """Loss, an activation, a parameter or a gradient went non-finite;
+    carries step and first bad site (an activation checkpoint, else a
+    parameter with a non-finite entry, or the parameter whose gradient went
+    non-finite while the loss stayed finite)."""
 
     def __init__(self, step: int, site: str, quantity: str = "loss"):
         self.step = step
@@ -100,8 +101,9 @@ class ByteFileTask:
     def __post_init__(self):
         with open(self.path, "rb") as fh:
             self.data = np.frombuffer(fh.read(), dtype=np.uint8).astype(np.int64)
-        if self.data.size < self.context + 1:
-            raise ValueError("file shorter than context + 1 bytes")
+        # batch draws a start below size - context - 1, so that bound must be >= 1
+        if self.data.size < self.context + 2:
+            raise ValueError("file shorter than context + 2 bytes")
         self.vocab = 256
 
     def batch(self, rng: np.random.Generator, batch_size: int):
@@ -200,6 +202,11 @@ def train_model(
     frozen parameter's are zeroed in place. Clipping and the AdamW update
     share the optimizer state's scratch, so the steps after the first
     allocate no large array.
+
+    A step that fails with a non-finite loss, activation or parameter raises
+    TrainingDiverged naming the first such site. Any other error of the step
+    (a batch whose token ids or length the model does not take) propagates
+    unchanged.
     """
     init_seed, data_seed = spawn_seeds(rng, 2)
     if model is None:
@@ -220,7 +227,9 @@ def train_model(
         try:
             loss, grads = loss_and_grads(model, tokens, targets, ws)
         except (ValueError, FloatingPointError):
-            site = first_nonfinite_site(model.params, cfg, tokens) or "loss"
+            site = first_nonfinite_site(model.params, cfg, tokens)
+            if site is None:
+                raise  # not a divergence: a bad batch or a bad config
             raise TrainingDiverged(step, site) from None
         if not math.isfinite(loss):
             site = first_nonfinite_site(model.params, cfg, tokens) or "loss"

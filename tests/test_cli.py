@@ -66,6 +66,16 @@ class TestExitCodes:
         assert rc == 2
         assert "--data" in err
 
+    def test_bytes_file_one_window_long_two(self, tmp_path):
+        # 17 bytes hold one window of context 16, but batch needs two
+        data = tmp_path / "short.bin"
+        data.write_bytes(bytes(17))
+        proc = run_process(["train", "--task", "bytes", "--data", str(data),
+                            "--context", "16", "--steps", "1"])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "short" in proc.stderr
+
     @pytest.mark.parametrize("argv", [
         ["train", "--heads", "0", "--steps", "1"],
         ["train", "--variant", "mh_seednorm", "--norm-heads", "0", "--steps", "1"],
@@ -129,6 +139,25 @@ class TestExitCodes:
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["dot_variance", "--sigma", "1e200", "--samples", "10000"],
+        ["dot_variance", "--sigma", "1e-100"],
+        ["dyt_rmsnorm_ode", "--c", "1e-300"],
+        ["dyt_rmsnorm_ode", "--c", "1e300"],
+        ["dyt_rmsnorm_ode", "--span", "1e308"],
+        ["scale_insensitivity", "--alpha-init", "1e308"],
+    ], ids=["sigma-huge", "sigma-tiny", "c-tiny", "c-huge", "span-huge", "alpha-huge"])
+    def test_probe_parameter_out_of_float64_range_two(self, argv):
+        # each makes a probe's closed form over- or underflow float64, which
+        # would otherwise surface as a traceback, or as a PASS read off a NaN
+        proc = run_process(["probe", "--name", *argv])
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "out of range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert "PASS" not in proc.stdout
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"], capsys)[0] == 0

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from seednorm import forward as layer_fns
 from seednorm.core import make_rng
 from seednorm.forward import (
     ada_seednorm_forward,
@@ -20,6 +21,7 @@ from seednorm.forward import (
     rmsnorm_forward,
     seednorm_forward,
 )
+from seednorm.norms import NORMS
 from seednorm.params import ConditionParams, NormParams
 
 X34 = np.array([[3.0, 4.0]])
@@ -317,6 +319,17 @@ class TestNormParams:
     def test_rejects_non_finite_scalar_alpha(self, bad):
         with pytest.raises(ValueError, match="alpha must be finite"):
             NormParams(gamma=np.ones(3), alpha=bad, beta=np.zeros(3))
+
+    @pytest.mark.parametrize("variant", list(NORMS))
+    def test_zero_width_rejected_for_every_variant(self, variant):
+        # one error, raised before any kernel runs on the empty row
+        norm = NORMS[variant]
+        fields = {name: np.zeros(0) for _, name in norm.params}
+        if norm.scalar_alpha:
+            fields["alpha"] = 1.0
+        forward = getattr(layer_fns, f"{variant}_forward")
+        with pytest.raises(ValueError, match="^gamma must have at least one entry, got width 0$"):
+            forward(np.zeros((2, 0)), NormParams(**fields))
 
     def test_alpha_none_is_zero(self):
         p = params(3, alpha=None)

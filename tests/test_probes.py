@@ -29,6 +29,13 @@ class TestProbeReport:
                               one_sided=True)
         assert not r.passed
 
+    @pytest.mark.parametrize("statistic", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("one_sided", [False, True], ids=["two-sided", "one-sided"])
+    def test_non_finite_statistic_fails(self, statistic, one_sided):
+        r = ProbeReport.build("x", 1, statistic=statistic, expected=0.0,
+                              tolerance=float("inf"), one_sided=one_sided)
+        assert not r.passed
+
     def test_to_dict_uses_pass_key(self):
         d = ProbeReport.build("x", 1, 0.0, 0.0, 1.0).to_dict()
         assert d["pass"] is True
@@ -104,6 +111,11 @@ class TestScaleInsensitivity:
         rep = probe_scale_insensitivity(p, (10.0,), make_rng(5))
         assert rep.passed
 
+    def test_drift_bound_must_fit_float64(self):
+        p = NormParams(gamma=np.ones(8), alpha=np.full(8, 1e308), beta=np.zeros(8), eps=0.0)
+        with pytest.raises(ValueError, match="alpha out of range"):
+            probe_scale_insensitivity(p, [2.0], make_rng(0))
+
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
             probe_scale_insensitivity(self.params(4, np.zeros(4)), (0.0,), make_rng(0))
@@ -145,6 +157,18 @@ class TestDotVariance:
         with pytest.raises(ValueError, match="sigma"):
             probe_dot_variance(8, 1, sigma, 20000, make_rng(0))
 
+    @pytest.mark.parametrize("sigma", [1e200, 1e-100])
+    def test_sigma_fourth_power_must_fit_float64(self, sigma):
+        with pytest.raises(ValueError, match="out of range"):
+            probe_dot_variance(64, 1, sigma, 10**4, make_rng(0))
+
+    def test_overflow_in_range_fails_quietly(self):
+        # 64 * sigma**4 fits, but the squared dot products of the estimate
+        # overflow: an inf statistic, no warning, no pass
+        rep = probe_dot_variance(64, 1, 1e76, 10**4, make_rng(0))
+        assert not rep.passed
+        assert rep.statistic == float("inf")
+
     def test_unknown_dist(self):
         with pytest.raises(ValueError, match="dist"):
             probe_dot_variance(8, 1, 1.0, 20000, make_rng(0), dist="cauchy")
@@ -178,6 +202,16 @@ class TestOdeProbe:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="c"):
                 probe_dyt_rmsnorm_ode(bad, 4)
+
+    @pytest.mark.parametrize("c", [1e-300, 1e300])
+    def test_c_cubed_must_fit_float64(self, c):
+        with pytest.raises(ValueError, match="out of range"):
+            probe_dyt_rmsnorm_ode(c, 4)
+
+    @pytest.mark.parametrize("span", [0.0, -1.0, float("nan"), 1e308])
+    def test_span_must_give_a_finite_grid(self, span):
+        with pytest.raises(ValueError, match="span"):
+            probe_dyt_rmsnorm_ode(1.0, 4, span=span)
 
     def test_grid_floor(self):
         with pytest.raises(ValueError):

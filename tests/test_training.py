@@ -90,6 +90,18 @@ class TestByteFileTask:
         with pytest.raises(ValueError, match="short"):
             ByteFileTask(str(path), context=8)
 
+    def test_smallest_file_is_one_it_can_sample(self, tmp_path):
+        # context + 1 bytes hold one window, but batch draws its start below
+        # size - context - 1, which would be 0
+        path = tmp_path / "edge.bin"
+        path.write_bytes(bytes(range(9)))
+        with pytest.raises(ValueError, match="short"):
+            ByteFileTask(str(path), context=8)
+        path.write_bytes(bytes(range(10)))
+        tokens, targets = ByteFileTask(str(path), context=8).batch(make_rng(0), 3)
+        np.testing.assert_array_equal(tokens, np.tile(np.arange(8), (3, 1)))
+        np.testing.assert_array_equal(targets, tokens + 1)
+
 
 class TestLossCurve:
     def test_append_requires_increasing_steps(self):
@@ -204,6 +216,26 @@ class TestTrainModel:
         with pytest.raises(TrainingDiverged, match="step 0.*embed"):
             train_model(cfg, small_train(), CopyTask(vocab=7, context=6),
                         make_rng(0), model=model)
+
+    def test_non_finite_parameter_named_when_no_activation_is(self):
+        # the layer rejects its gamma before the slot's output exists
+        cfg = small_cfg()
+        model = build_model(cfg, make_rng(0))
+        model.params["layer0.ffn_norm.gamma"][2] = np.inf
+        with pytest.raises(TrainingDiverged) as exc:
+            train_model(cfg, small_train(), CopyTask(vocab=7, context=6),
+                        make_rng(0), model=model)
+        assert (exc.value.step, exc.value.site) == (0, "layer0.ffn_norm.gamma")
+
+    def test_token_outside_the_vocab_is_not_divergence(self):
+        with pytest.raises(ValueError, match="^token id out of range$"):
+            train_model(small_cfg(), small_train(), CopyTask(vocab=9, context=6),
+                        make_rng(0))
+
+    def test_batch_longer_than_the_context_is_not_divergence(self):
+        with pytest.raises(ValueError, match="^sequence length 6 exceeds context 4$"):
+            train_model(small_cfg(context=4), small_train(), CopyTask(vocab=7, context=6),
+                        make_rng(0))
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_divergence_attrs(self):
