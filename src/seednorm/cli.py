@@ -592,10 +592,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return rc
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout; with it on devnull, the exit flush passes
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output pipe closed before the command finished", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

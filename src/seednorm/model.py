@@ -189,8 +189,12 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 # Cephes' erf and erfc (ndtr.c), the coefficients scipy.special.erf uses:
 # erf(x) = x T(x^2) / U(x^2) for |x| <= 1; past 1, erf(x) = +-(1 - erfc(|x|))
-# with erfc(a) = exp(-a^2) P(a) / Q(a) below 8 and R(a) / S(a) from 8 on.
-# U, Q and S are monic, their leading 1 left out, as p1evl expects.
+# with erfc(a) = exp(-a^2) P(a) / Q(a), and 0 once -a^2 < -MAXLOG. From
+# a = 8 on Cephes' erfc takes R(a) / S(a) instead of P / Q, but erf needs no
+# R / S: both lie in [0.018, 0.07] from 8 to sqrt(MAXLOG), so erfc(a) is
+# below 1.2e-29 with either, far under half an ulp of 1, and 1 - erfc(a)
+# rounds to exactly 1.
+# U and Q are monic, their leading 1 left out, as p1evl expects.
 _ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
           7.00332514112805075473E3, 5.55923013010394962768E4)
 _ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
@@ -201,10 +205,6 @@ _ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.463210564422
 _ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
            9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
            1.65666309194161350182E3, 5.57535340817727675546E2)
-_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
-           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
-_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
-           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
 _MAXLOG = 7.09782712893383996843E2  # exp(-a^2) underflows past this
 # The |x| <= 1 rational runs over blocks of this many elements, so its three
 # scratch arrays stay under 1 MB whatever the input's size.
@@ -228,29 +228,29 @@ def _horner(x, coef, monic, out=None):
 
 
 def _erfc_tail(x):
-    """erf of the elements past |x| = 1, a small gathered array: the
-    exponential goes through ``math.exp``, the C library's exp that Cephes
-    calls, because NumPy's own exp differs from it in the last bit for some
+    """erf of the elements past |x| = 1, a small gathered array. The
+    exponential is NumPy's complex exp, which calls the C library's ``cexp``;
+    on a real argument that returns the C library's exp, the one Cephes
+    calls, where NumPy's float exp differs from it in the last bit for some
     arguments."""
     a = np.abs(x)
     z = np.negative(a)
     z *= a
-    e = np.fromiter(map(math.exp, z.tolist()), float, a.size)
-    near = a < 8.0
-    p = np.where(near, _horner(a, _ERFC_P, False), _horner(a, _ERFC_R, False))
-    q = np.where(near, _horner(a, _ERFC_Q, True), _horner(a, _ERFC_S, True))
-    e *= p
-    e /= q
-    e[z < -_MAXLOG] = 0.0
-    np.subtract(1.0, e, out=e)
-    return np.copysign(e, x, out=e)
+    p = _horner(a, _ERFC_P, False)
+    q = _horner(a, _ERFC_Q, True)
+    np.multiply(np.exp(z, dtype=np.complex128).real, p, out=p)
+    p /= q
+    p[z < -_MAXLOG] = 0.0
+    np.subtract(1.0, p, out=p)
+    return np.copysign(p, x, out=p)
 
 
 def _erf(x, out, ws=FRESH):
     """erf of a C-contiguous float64 array, bit for bit what
     ``scipy.special.erf`` returns: Cephes' algorithm, the same operations in
-    the same order. Written into ``out``, a C-contiguous array shaped like
-    ``x``, which may be ``x`` itself; scratch comes from ``ws.shared``."""
+    the same order, less the R / S rational that cannot change erf. Written
+    into ``out``, a C-contiguous array shaped like ``x``, which may be ``x``
+    itself; scratch comes from ``ws.shared``."""
     xf, of = x.reshape(-1), out.reshape(-1)
     m = min(xf.size, _ERF_BLOCK)
     z, num, den = (ws.shared(f"erf.{n}", (m,)) for n in ("z", "num", "den"))

@@ -221,16 +221,20 @@ def probe_dyt_rmsnorm_ode(
 ) -> ProbeReport:
     """RMSNorm's Jacobian diagonal follows a tanh law at constant row RMS.
 
-    Check 1 (tolerance 1e-12): at any x with rms(x) = c, the exact diagonal
-    entry 1/rms - x_d^2/(dim * rms^3) equals (1/c)(1 - r_d^2/dim) with
-    r = x/c, evaluated on `samples` random constant-RMS inputs.
+    Check 1 (tolerance 1e-12 / c): at any x with rms(x) = c, the exact
+    diagonal entry 1/rms - x_d^2/(dim * rms^3) equals (1/c)(1 - r_d^2/dim)
+    with r = x/c, evaluated on `samples` random constant-RMS inputs.
 
-    Check 2 (tolerance 1e-10): treating that identity as the autonomous ODE
-    dr/dx = (1/c)(1 - r^2/dim) at frozen rms = c, its solution through the
-    origin is r(x) = sqrt(dim) * tanh(x / (c sqrt(dim))), i.e. a DyT-shaped
-    response. The probe differentiates the closed form numerically (5-point
-    stencil, step scaled to the curve's natural width c*sqrt(dim)) and
-    measures the worst ODE residual on a grid over [-span, span].
+    Check 2 (tolerance 1e-10 / c): treating that identity as the autonomous
+    ODE dr/dx = (1/c)(1 - r^2/dim) at frozen rms = c, its solution through
+    the origin is r(x) = sqrt(dim) * tanh(x / (c sqrt(dim))), i.e. a
+    DyT-shaped response. The probe differentiates the closed form
+    numerically (5-point stencil, step scaled to the curve's natural width
+    c*sqrt(dim)) and measures the worst ODE residual on a grid over
+    [-span, span].
+
+    Both checks compare slopes of size 1/c, so both tolerances scale with it:
+    rounding alone would fail absolute ones for a small c.
 
     The statistic is the worst sub-check as a multiple of its own tolerance.
     Check 1 needs dim * c**3 to be a normal float64, and the grid needs a
@@ -245,7 +249,7 @@ def probe_dyt_rmsnorm_ode(
         raise ValueError(f"span={span!r} out of range: span must be > 0 and 2 * span finite")
     rng = rng if rng is not None else make_rng(0)
 
-    jac_tol = 1e-12
+    jac_tol = 1e-12 / c
     jac_max = 0.0
     for _ in range(samples):
         x = rng.standard_normal(dim)
@@ -259,7 +263,7 @@ def probe_dyt_rmsnorm_ode(
         rhs = (1.0 / c) * (1.0 - (r * r) / dim)
         jac_max = _worst(jac_max, float(np.max(np.abs(lhs - rhs))))
 
-    ode_tol = 1e-10
+    ode_tol = 1e-10 / c
     width = c * np.sqrt(dim)
     xs = np.linspace(-span, span, grid_points)
     h = 1e-4 * width

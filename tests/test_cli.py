@@ -196,6 +196,22 @@ class TestExitCodes:
         assert "non-finite gradient at step 1; first non-finite site: layer0.ffn.w1" in err
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_pipe_is_one_error_line(unbuffered):
+    """A reader that closes stdout before the command writes: one error line
+    on stderr and exit 1, whether Python's stdout is buffered or not."""
+    src = str(Path(seednorm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "seednorm", "probe", "--name", "dyt_rmsnorm_ode"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err.splitlines() == ["error: output pipe closed before the command finished"]
+
+
 class TestConfigFile:
     def test_config_supplies_values(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

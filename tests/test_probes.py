@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from seednorm.core import make_rng
+from seednorm import probes
+from seednorm.core import make_rng, rms_rows
 from seednorm.params import NormParams
 from seednorm.probes import (
     ProbeReport,
@@ -182,6 +183,30 @@ class TestOdeProbe:
         jac, ode, anchors = rep.details
         assert jac["max_abs_diff"] <= 1e-12
         assert ode["max_abs_residual"] <= 1e-10
+
+    @pytest.mark.parametrize("c", [1e-4, 1e-5])
+    def test_small_c_passes_on_a_tolerance_scaled_by_c(self, c):
+        rep = probe_dyt_rmsnorm_ode(c, 4, rng=make_rng(0))
+        jac, ode, _ = rep.details
+        assert rep.passed, rep.details
+        assert jac["tolerance"] == 1e-12 / c
+        assert ode["tolerance"] == 1e-10 / c
+
+    @pytest.mark.parametrize("c", [1.0, 1e-5])
+    @pytest.mark.parametrize("wrong", ["dim_minus_one", "relative_1e-9"])
+    def test_wrong_jacobian_fails(self, c, wrong, monkeypatch):
+        """The diagonal built from a wrong RMS: dim - 1 for dim in its mean,
+        or the right one off by one part in 1e9."""
+        def wrong_rms(x, eps):
+            if wrong == "dim_minus_one":
+                return np.sqrt(np.sum(x * x, axis=1) / (x.shape[1] - 1) + eps)
+            return rms_rows(x, eps) * (1.0 + 1e-9)
+
+        monkeypatch.setattr(probes, "rms_rows", wrong_rms)
+        rep = probe_dyt_rmsnorm_ode(c, 4, rng=make_rng(0))
+        jac = rep.details[0]
+        assert not rep.passed
+        assert jac["max_abs_diff"] > 100 * jac["tolerance"]
 
     def test_anchor_values(self):
         rep = probe_dyt_rmsnorm_ode(2.0, 9, rng=make_rng(1))
