@@ -51,7 +51,7 @@ from .training import (
 PROBE_NAMES = ("scale_insensitivity", "dot_variance", "dyt_rmsnorm_ode")
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad invocation: malformed values, unknown keys, missing requirements."""
 
 
@@ -227,17 +227,11 @@ GRADCHECK_OPTS = (
 def cmd_gradcheck(args) -> int:
     v = _resolve(GRADCHECK_OPTS, args)
     variants = VARIANTS if v["variant"] == "all" else (v["variant"],)
-    try:
-        report = run_gradcheck(
-            variants=variants, dims=tuple(v["dims"]), trials=v["trials"],
-            seed=v["seed"], heads=tuple(v["heads"]), step=v["step"],
-            tolerance=v["tol"], timing=v["timing"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    except FloatingPointError as exc:  # the oracle could not evaluate: a failed check
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = run_gradcheck(
+        variants=variants, dims=tuple(v["dims"]), trials=v["trials"],
+        seed=v["seed"], heads=tuple(v["heads"]), step=v["step"],
+        tolerance=v["tol"], timing=v["timing"],
+    )
     print(
         f"gradcheck seed={v['seed']} dims={','.join(map(str, v['dims']))} "
         f"trials={v['trials']} step={_fmt(v['step'])} tol={_fmt(v['tol'])}"
@@ -282,33 +276,30 @@ def cmd_probe(args) -> int:
     if v["name"] is None:
         raise UsageError("probe requires --name")
     rng = make_rng(v["seed"])
-    try:
-        if v["name"] == "scale_insensitivity":
-            dim = v["dims"] if v["dims"] is not None else 8
-            if v["beta_zero"]:
-                beta = np.zeros(dim)
-            else:
-                beta = rng.standard_normal(dim) / np.sqrt(dim)
-            p = NormParams(
-                gamma=np.ones(dim), alpha=np.full(dim, v["alpha_init"]),
-                beta=beta, eps=0.0,
-            )
-            report = probe_scale_insensitivity(p, v["k"], rng, trials=v["trials"])
-        elif v["name"] == "dot_variance":
-            dim = v["dims"] if v["dims"] is not None else 64
-            samples = v["samples"] if v["samples"] is not None else 100000
-            report = probe_dot_variance(
-                dim, v["heads"], v["sigma"], samples, rng, dist=v["dist"]
-            )
+    if v["name"] == "scale_insensitivity":
+        dim = v["dims"] if v["dims"] is not None else 8
+        if v["beta_zero"]:
+            beta = np.zeros(dim)
         else:
-            dim = v["dims"] if v["dims"] is not None else 4
-            samples = v["samples"] if v["samples"] is not None else 100
-            report = probe_dyt_rmsnorm_ode(
-                v["c"], dim, grid_points=v["grid"], span=v["span"],
-                samples=samples, rng=rng,
-            )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+            beta = rng.standard_normal(dim) / np.sqrt(dim)
+        p = NormParams(
+            gamma=np.ones(dim), alpha=np.full(dim, v["alpha_init"]),
+            beta=beta, eps=0.0,
+        )
+        report = probe_scale_insensitivity(p, v["k"], rng, trials=v["trials"])
+    elif v["name"] == "dot_variance":
+        dim = v["dims"] if v["dims"] is not None else 64
+        samples = v["samples"] if v["samples"] is not None else 100000
+        report = probe_dot_variance(
+            dim, v["heads"], v["sigma"], samples, rng, dist=v["dist"]
+        )
+    else:
+        dim = v["dims"] if v["dims"] is not None else 4
+        samples = v["samples"] if v["samples"] is not None else 100
+        report = probe_dyt_rmsnorm_ode(
+            v["c"], dim, grid_points=v["grid"], span=v["span"],
+            samples=samples, rng=rng,
+        )
     verdict = "PASS" if report.passed else "FAIL"
     rule = "<=" if report.one_sided else "within"
     print(
@@ -350,10 +341,7 @@ def _model_param_delta(layers: int, hidden_dim: int, heads: int) -> int:
 
 def cmd_cost(args) -> int:
     v = _resolve(COST_OPTS, args)
-    try:
-        est = estimate_cost(v["layers"], v["dims"], v["heads"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    est = estimate_cost(v["layers"], v["dims"], v["heads"])
     print(f"cost layers={est.layers} hidden_dim={est.hidden_dim} heads={est.heads}")
     print(f"  extra_params={est.extra_params}")
     print(f"  extra_madds={est.extra_madds}")
@@ -435,33 +423,30 @@ COMPARE_OPTS = (
 
 
 def _build_task_and_cfg(v: dict, variant: str):
-    try:
-        if v["task"] == "bytes":
-            if not v["data"]:
-                raise UsageError("bytes task requires --data FILE")
+    if v["task"] == "bytes":
+        if not v["data"]:
+            raise UsageError("bytes task requires --data FILE")
+        try:
             task = ByteFileTask(v["data"], context=v["context"])
-        else:
-            task = CopyTask(vocab=v["vocab"], context=v["context"])
-        cfg = ModelConfig(
-            layers=v["layers"], hidden_dim=v["dims"], attn_heads=v["heads"],
-            vocab=task.vocab, context=v["context"], norm_variant=variant,
-            norm_heads=v["norm_heads"], alpha_init=v["alpha_init"],
-        )
-    except (ValueError, OSError) as exc:
-        raise UsageError(str(exc)) from None
+        except OSError as exc:
+            raise UsageError(str(exc)) from None
+    else:
+        task = CopyTask(vocab=v["vocab"], context=v["context"])
+    cfg = ModelConfig(
+        layers=v["layers"], hidden_dim=v["dims"], attn_heads=v["heads"],
+        vocab=task.vocab, context=v["context"], norm_variant=variant,
+        norm_heads=v["norm_heads"], alpha_init=v["alpha_init"],
+    )
     return task, cfg
 
 
 def _build_train_cfg(v: dict) -> TrainConfig:
-    try:
-        return TrainConfig(
-            steps=v["steps"], batch_size=v["batch_size"], lr=v["lr"],
-            warmup_steps=v["warmup"], weight_decay=v["weight_decay"],
-            grad_clip=v["clip"], ema=v["ema"],
-            decay_dynamic=not v["no_decay_dynamic"], freeze=tuple(v["freeze"]),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return TrainConfig(
+        steps=v["steps"], batch_size=v["batch_size"], lr=v["lr"],
+        warmup_steps=v["warmup"], weight_decay=v["weight_decay"],
+        grad_clip=v["clip"], ema=v["ema"],
+        decay_dynamic=not v["no_decay_dynamic"], freeze=tuple(v["freeze"]),
+    )
 
 
 def _print_curve(curve, log_every: int) -> None:
@@ -480,11 +465,7 @@ def cmd_train(args) -> int:
         f"train variant={cfg.norm_variant} task={v['task']} dims={cfg.hidden_dim} "
         f"layers={cfg.layers} steps={tcfg.steps} seed={v['seed']}"
     )
-    try:
-        result = train_model(cfg, tcfg, task, make_rng(v["seed"]))
-    except TrainingDiverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = train_model(cfg, tcfg, task, make_rng(v["seed"]))
     curve = result.curve
     _print_curve(curve, v["log_every"])
     if len(curve):
@@ -521,11 +502,7 @@ def cmd_compare(args) -> int:
         f"compare {v['variant_a']} vs {v['variant_b']} task={v['task']} "
         f"dims={cfg.hidden_dim} layers={cfg.layers} steps={tcfg.steps} seed={v['seed']}"
     )
-    try:
-        paired = compare_runs(cfg, v["variant_a"], v["variant_b"], tcfg, task, v["seed"])
-    except TrainingDiverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    paired = compare_runs(cfg, v["variant_a"], v["variant_b"], tcfg, task, v["seed"])
     if len(paired.curve_a):
         ema_a = paired.curve_a.final_ema()
         ema_b = paired.curve_b.final_ema()
@@ -595,14 +572,17 @@ def main(argv=None) -> int:
         rc = args.fn(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return rc
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # the reader closed stdout; with it on devnull, the exit flush passes
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: output pipe closed before the command finished", file=sys.stderr)
         return 1
+    # the only place an exception becomes an exit code: a ValueError (a
+    # UsageError among them) is a bad invocation, 2; a well-formed run that
+    # fails, 1, even for want of memory, which a bigger machine might have
+    except (ValueError, TrainingDiverged, FloatingPointError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 def entrypoint() -> None:

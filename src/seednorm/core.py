@@ -15,11 +15,18 @@ Matrix = np.ndarray
 Vector = np.ndarray
 
 
+class NonFiniteError(ValueError):
+    """An array holds a NaN or an infinity; a model's norm slot that meets it
+    sets ``slot`` (its name) and ``direction`` (forward or backward)."""
+
+    slot = direction = None
+
+
 def _require_finite(arr: np.ndarray, name: str) -> None:
     # count_nonzero is a direct C call; np.all and .all() set up a ufunc
     # reduction, which costs more than the scan on the oracle's tiny arrays
     if np.count_nonzero(np.isfinite(arr)) != arr.size:
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
 
 
 def as_matrix(x, name: str = "x") -> Matrix:

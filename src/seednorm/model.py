@@ -43,7 +43,7 @@ from .backward import (  # noqa: F401
     rmsnorm_backward,
     seednorm_backward,
 )
-from .core import FRESH
+from .core import FRESH, NonFiniteError
 from .forward import (  # noqa: F401
     dyt_forward,
     layernorm_forward,
@@ -172,15 +172,23 @@ _LAYER_FNS = sys.modules[__name__]
 
 def _slot_forward(params: dict, cfg: ModelConfig, prefix: str, rows, n_heads: int, ws=FRESH):
     forward = getattr(_LAYER_FNS, f"{cfg.norm_variant}_forward")
-    p = NormParams(*cfg.norm.arrays(params, prefix), cfg.norm_eps, n_heads)
-    return forward(rows, p, ws.scope(prefix))
+    try:
+        p = NormParams(*cfg.norm.arrays(params, prefix), cfg.norm_eps, n_heads)
+        return forward(rows, p, ws.scope(prefix))
+    except NonFiniteError as exc:
+        exc.slot, exc.direction = prefix, "forward"
+        raise
 
 
 def _slot_backward(params: dict, cfg: ModelConfig, prefix: str, cache, upstream, ws=FRESH):
     """The slot's input gradient and its parameter gradients. In a workspace
     the input gradient overwrites the slot's forward output."""
     backward = getattr(_LAYER_FNS, f"{cfg.norm_variant}_backward")
-    b = backward(cache, upstream, ws.scope(prefix))
+    try:
+        b = backward(cache, upstream, ws.scope(prefix))
+    except NonFiniteError as exc:
+        exc.slot, exc.direction = prefix, "backward"
+        raise
     return b.d_x, cfg.norm.grads(prefix, b)
 
 

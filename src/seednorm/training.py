@@ -51,8 +51,8 @@ class TrainConfig:
 class TrainingDiverged(RuntimeError):
     """Loss, an activation, a parameter or a gradient went non-finite;
     carries step and first bad site (an activation checkpoint, else a
-    parameter with a non-finite entry, or the parameter whose gradient went
-    non-finite while the loss stayed finite)."""
+    parameter with a non-finite entry or the norm slot that met one, or the
+    parameter whose gradient went non-finite while the loss stayed finite)."""
 
     def __init__(self, step: int, site: str, quantity: str = "loss"):
         self.step = step
@@ -204,9 +204,9 @@ def train_model(
     allocate no large array.
 
     A step that fails with a non-finite loss, activation or parameter raises
-    TrainingDiverged naming the first such site. Any other error of the step
-    (a batch whose token ids or length the model does not take) propagates
-    unchanged.
+    TrainingDiverged naming the first such site, else the norm slot that met
+    one in its forward or backward. Any other error of the step (a batch
+    whose token ids or length the model does not take) propagates unchanged.
     """
     init_seed, data_seed = spawn_seeds(rng, 2)
     if model is None:
@@ -226,11 +226,14 @@ def train_model(
         tokens, targets = task.batch(data_rng, train_cfg.batch_size)
         try:
             loss, grads = loss_and_grads(model, tokens, targets, ws)
-        except (ValueError, FloatingPointError):
+        except (ValueError, FloatingPointError) as exc:
             site = first_nonfinite_site(model.params, cfg, tokens)
-            if site is None:
+            if site is not None:
+                raise TrainingDiverged(step, site) from None
+            if getattr(exc, "slot", None) is None:
                 raise  # not a divergence: a bad batch or a bad config
-            raise TrainingDiverged(step, site) from None
+            quantity = "activation" if exc.direction == "forward" else "gradient"
+            raise TrainingDiverged(step, exc.slot, quantity) from None
         if not math.isfinite(loss):
             site = first_nonfinite_site(model.params, cfg, tokens) or "loss"
             raise TrainingDiverged(step, site)
