@@ -1,9 +1,12 @@
 """Command line interface: gradient checks, probes, training, comparisons,
 and the overhead cost model.
 
-Exit codes: 0 when the requested run completes and its checks pass, 1 when a
-check fails or training diverges, 2 for usage errors (bad flags, unknown
-probe names, malformed config files, unknown config keys).
+Exit codes, all set by ``main``: 0 when the requested run completes and its
+checks pass, 1 when a check fails, training diverges or memory runs out, 2
+for usage errors (bad flags or config files, unknown probe names, any
+ValueError). Option kinds, each with one parser for flags, config files and
+SEEDNORM_SEED: int, seed (an int >= 0), float (finite), str, bool, path,
+int_list, float_list, str_list.
 
 Option precedence, lowest to highest: built-in defaults, the SEEDNORM_SEED
 environment variable (seed only), entries from a `--config` file, explicit
@@ -60,8 +63,8 @@ class Opt:
     """One option: drives both the argparse flag and config-file parsing."""
 
     name: str
-    # int | float | str | bool | path | int_list | float_list | str_list;
-    # a path is a file the command writes, checked before any work is done
+    # int | seed (an int >= 0) | float | str | bool | path | int_list | float_list
+    # | str_list; a path is a file the command writes, checked before any work
     kind: str
     default: object
     help: str
@@ -83,6 +86,28 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """A seed: Philox takes only an integer >= 0."""
+    if not re.fullmatch(r"\s*\+?\d+\s*", text):
+        raise argparse.ArgumentTypeError(f"a seed must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
+
+
+def _bool(text: str) -> bool:
+    if text.lower() not in _BOOL_WORDS:
+        raise ValueError(f"expected a boolean, got {text!r}")
+    return _BOOL_WORDS[text.lower()]
+
+
+# each kind's one parser, for flags, config and SEEDNORM_SEED; a list's, per element
+_PARSERS = {"int": int, "seed": _seed, "float": _finite_float, "bool": _bool, "str": str,
+            "path": str, "int_list": int, "float_list": _finite_float, "str_list": str}
+
+
 def _add_to_parser(parser: argparse.ArgumentParser, opts) -> None:
     for o in opts:
         shown = "" if o.default in (None, ()) else f" (default {o.default})"
@@ -90,48 +115,28 @@ def _add_to_parser(parser: argparse.ArgumentParser, opts) -> None:
         if o.kind == "bool":
             parser.add_argument(o.flag, action="store_true", **kw)
             continue
-        if o.kind in ("int_list", "float_list", "str_list"):
+        if o.kind.endswith("_list"):
             kw["nargs"] = "+"
-        if o.kind in ("int", "int_list"):
-            kw["type"] = int
-        elif o.kind in ("float", "float_list"):
-            kw["type"] = _finite_float
-        if o.choices:
-            kw["choices"] = o.choices
-        parser.add_argument(o.flag, **kw)
+        parser.add_argument(o.flag, type=_PARSERS[o.kind], choices=o.choices or None, **kw)
     parser.add_argument(
         "--config", default=None, metavar="PATH",
         help="flat 'key = value' file merged below explicit flags",
     )
 
 
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
-               "0": False, "false": False, "no": False, "off": False}
-
-
 def _coerce(opt: Opt, text: str, where: str):
+    parse = _PARSERS[opt.kind]
     try:
-        if opt.kind == "int":
-            return int(text)
-        if opt.kind == "float":
-            return _finite_float(text)
-        if opt.kind == "bool":
-            if text.lower() not in _BOOL_WORDS:
-                raise ValueError(f"expected a boolean, got {text!r}")
-            return _BOOL_WORDS[text.lower()]
-        if opt.kind == "int_list":
-            return [int(tok) for tok in re.split(r"[,\s]+", text) if tok]
-        if opt.kind == "float_list":
-            return [_finite_float(tok) for tok in re.split(r"[,\s]+", text) if tok]
-        if opt.kind == "str_list":
-            return [tok for tok in re.split(r"[,\s]+", text) if tok]
+        if opt.kind.endswith("_list"):
+            return [parse(tok) for tok in re.split(r"[,\s]+", text) if tok]
+        value = parse(text)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise UsageError(f"{where}: bad value for {opt.name!r}: {exc}") from None
-    if opt.choices and text not in opt.choices:
+    if opt.choices and value not in opt.choices:
         raise UsageError(
             f"{where}: {opt.name!r} must be one of {', '.join(opt.choices)}, got {text!r}"
         )
-    return text
+    return value
 
 
 def _load_config(path: str, opts) -> dict:
@@ -161,10 +166,7 @@ def _resolve(opts, args) -> dict:
     values = {o.name: o.default for o in opts}
     env = os.environ.get("SEEDNORM_SEED")
     if env is not None and "seed" in values:
-        try:
-            values["seed"] = int(env)
-        except ValueError:
-            raise UsageError(f"SEEDNORM_SEED must be an integer, got {env!r}") from None
+        values["seed"] = _coerce(Opt("seed", "seed", 0, ""), env, "SEEDNORM_SEED")
     if getattr(args, "config", None):
         values.update(_load_config(args.config, opts))
     for o in opts:
@@ -212,7 +214,7 @@ def _fmt(v) -> str:
 # ---------------------------------------------------------------- gradcheck
 
 GRADCHECK_OPTS = (
-    Opt("seed", "int", 0, "base seed for the randomized suite"),
+    Opt("seed", "seed", 0, "base seed for the randomized suite"),
     Opt("variant", "str", "all", "which layer to check", VARIANTS + ("all",)),
     Opt("dims", "int_list", list(DEFAULT_DIMS), "row widths to sample from"),
     Opt("trials", "int", 100, "random configurations per variant"),
@@ -252,7 +254,7 @@ def cmd_gradcheck(args) -> int:
 # -------------------------------------------------------------------- probe
 
 PROBE_OPTS = (
-    Opt("seed", "int", 0, "seed for sampled inputs"),
+    Opt("seed", "seed", 0, "seed for sampled inputs"),
     Opt("name", "str", None, "which probe to run", PROBE_NAMES),
     Opt("dims", "int", None, "row width (default: 8 / 64 / 4 per probe)"),
     Opt("samples", "int", None, "sample count (default: 100000 / 100 per probe)"),
@@ -329,14 +331,14 @@ COST_OPTS = (
 
 def _model_param_delta(layers: int, hidden_dim: int, heads: int) -> int:
     """Parameter-count difference, dynamic layer vs static RMS scaling, from
-    the trainer's own parameter enumeration (shapes only, nothing allocated)."""
-    common = dict(
-        layers=layers, hidden_dim=hidden_dim, attn_heads=heads,
-        vocab=7, context=4,
-    )
-    dyn = ModelConfig(norm_variant="seednorm", **common)
-    base = ModelConfig(norm_variant="rmsnorm", **common)
-    return count_parameters(dyn) - count_parameters(base)
+    the trainer's own parameter enumeration (shapes only, nothing allocated).
+    Every layer lists the same shapes, so one and two give any depth's."""
+    def delta(n):
+        common = dict(layers=n, hidden_dim=hidden_dim, attn_heads=heads, vocab=7, context=4)
+        return (count_parameters(ModelConfig(norm_variant="seednorm", **common))
+                - count_parameters(ModelConfig(norm_variant="rmsnorm", **common)))
+    one = delta(1)
+    return one + (layers - 1) * (delta(2) - one)
 
 
 def cmd_cost(args) -> int:
@@ -394,7 +396,7 @@ TASK_OPTS = (
 )
 
 TRAIN_OPTS = (
-    (Opt("seed", "int", 0, "run seed"),)
+    (Opt("seed", "seed", 0, "run seed"),)
     + TASK_OPTS
     + (Opt("variant", "str", "seednorm", "norm layer in every slot", VARIANTS),)
     + MODEL_OPTS
@@ -407,7 +409,7 @@ TRAIN_OPTS = (
 )
 
 COMPARE_OPTS = (
-    (Opt("seed", "int", 0, "run seed (shared by both variants)"),)
+    (Opt("seed", "seed", 0, "run seed (shared by both variants)"),)
     + TASK_OPTS
     + (
         Opt("variant_a", "str", "seednorm", "first norm layer", VARIANTS),
@@ -569,7 +571,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        rc = args.fn(args)
+        # a check reports every non-finite result; NumPy's warnings are noise
+        with np.errstate(all="ignore"):
+            rc = args.fn(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return rc
     except BrokenPipeError:
@@ -581,7 +585,7 @@ def main(argv=None) -> int:
     # UsageError among them) is a bad invocation, 2; a well-formed run that
     # fails, 1, even for want of memory, which a bigger machine might have
     except (ValueError, TrainingDiverged, FloatingPointError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1
 
 

@@ -134,7 +134,7 @@ def parameter_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 def count_parameters(cfg: ModelConfig) -> int:
     """Total parameter count from the shape list, without allocating anything."""
-    return sum(int(np.prod(shape, dtype=np.int64)) for _, shape in parameter_specs(cfg))
+    return sum(math.prod(shape) for _, shape in parameter_specs(cfg))
 
 
 @dataclass
@@ -148,22 +148,22 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator) -> Model:
 
     Norm parameters initialize deterministically (gamma 1, beta 0, alpha
     alpha_init, shift 0) and consume no random draws, so two variants built
-    from equal seeds share bitwise-identical weight matrices.
+    from equal seeds share bitwise-identical weight matrices. All are
+    allocated before any is filled: a model past memory fails at once.
     """
     res_scale = 1.0 / np.sqrt(2.0 * cfg.layers)
-    params: dict = {}
-    for name, shape in parameter_specs(cfg):
+    params = {name: np.empty(shape) for name, shape in parameter_specs(cfg)}
+    for name, w in params.items():
         if name.endswith(".gamma"):
-            params[name] = np.ones(shape)
+            w.fill(1.0)
         elif name.endswith((".beta", ".shift")):
-            params[name] = np.zeros(shape)
+            w.fill(0.0)
         elif name.endswith(".alpha"):
-            params[name] = np.full(shape, float(cfg.alpha_init))
+            w.fill(cfg.alpha_init)
         else:
-            w = rng.normal(0.0, 0.02, size=shape)
+            w[...] = rng.normal(0.0, 0.02, size=w.shape)
             if name.endswith((".attn.wo", ".ffn.w2")):
-                w = w * res_scale
-            params[name] = w
+                w *= res_scale
     return Model(cfg=cfg, params=params)
 
 

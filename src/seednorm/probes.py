@@ -244,6 +244,8 @@ def probe_dyt_rmsnorm_ode(
         raise ValueError("c must be finite and > 0")
     if dim < 1 or grid_points < 5 or samples < 1:
         raise ValueError("dim >= 1, grid_points >= 5, samples >= 1 required")
+    if grid_points > sys.maxsize // 8:  # np.linspace raises IndexError from 2**63 - 1 on
+        raise ValueError(f"grid_points={grid_points} out of range: no float64 array holds it")
     _check_power("c", c, 3, dim)
     if not (span > 0 and math.isfinite(2.0 * span)):
         raise ValueError(f"span={span!r} out of range: span must be > 0 and 2 * span finite")

@@ -229,7 +229,8 @@ def train_model(
         except (ValueError, FloatingPointError) as exc:
             site = first_nonfinite_site(model.params, cfg, tokens)
             if site is not None:
-                raise TrainingDiverged(step, site) from None
+                quantity = "parameter" if site in model.params else "activation"
+                raise TrainingDiverged(step, site, quantity) from None
             if getattr(exc, "slot", None) is None:
                 raise  # not a divergence: a bad batch or a bad config
             quantity = "activation" if exc.direction == "forward" else "gradient"
@@ -241,8 +242,10 @@ def train_model(
             grads[name].fill(0.0)
         grad_norm = clip_gradients(grads, train_cfg.grad_clip, state.scratch)
         if not math.isfinite(grad_norm):
+            # a non-finite gradient, else the largest, whose squares overflowed
             bad = (n for n, g in grads.items() if not np.all(np.isfinite(g)))
-            raise TrainingDiverged(step, next(bad, "grad_norm"), quantity="gradient")
+            site = next(bad, None) or max(grads, key=lambda n: np.max(np.abs(grads[n])))
+            raise TrainingDiverged(step, site, quantity="gradient")
         if train_cfg.warmup_steps > 0:
             lr_t = train_cfg.lr * min(1.0, (step + 1) / train_cfg.warmup_steps)
         else:

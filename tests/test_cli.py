@@ -15,7 +15,7 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 import seednorm
-from seednorm import training
+from seednorm import cli, training
 from seednorm.cli import COMMANDS, main
 
 FAST_GRADCHECK = ["gradcheck", "--variant", "rmsnorm", "--dims", "2", "4",
@@ -210,6 +210,92 @@ def test_closed_stdout_pipe_is_one_error_line(unbuffered):
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 1
     assert err.splitlines() == ["error: output pipe closed before the command finished"]
+
+
+TINY_TRAIN = ["--dims", "8", "--layers", "1", "--heads", "2", "--context", "4",
+              "--batch-size", "2", "--steps", "20"]
+
+
+class TestExitCodeTable:
+    """Each exception a command can raise ends as one `error:` line, with the
+    exit code of ``main``'s table and no traceback or warning."""
+
+    @pytest.mark.parametrize("exc,code", [
+        (ValueError("bad value"), 2),
+        (FloatingPointError("non-finite objective"), 1),
+        (MemoryError(), 1),
+        (training.TrainingDiverged(3, "layer0.attn_norm"), 1),
+    ], ids=["ValueError", "FloatingPointError", "MemoryError", "TrainingDiverged"])
+    def test_exception_maps_to_its_code(self, monkeypatch, capsys, exc, code):
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "estimate_cost", fail)
+        rc, out, err = run(["cost"], capsys)
+        assert rc == code
+        # a bare MemoryError has no message of its own
+        assert err == f"error: {str(exc) or 'MemoryError'}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--seed", "-1"],
+        ["compare", "--seed", "-1"],
+        ["probe", "--name", "dot_variance", "--seed", "-1"],
+    ], ids=["train", "compare", "probe"])
+    def test_negative_seed_flag_two(self, argv, capsys):
+        rc, out, err = run(argv, capsys)
+        assert rc == 2
+        assert out == ""
+        assert "a seed must be an integer >= 0, got '-1'" in err
+
+    def test_negative_seed_in_config_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        rc, out, err = run(["train", "--config", str(cfg)], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {cfg}:1: bad value for 'seed': a seed must be an integer >= 0, got '-1'\n"
+
+    def test_negative_seed_in_environment_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("SEEDNORM_SEED", "-5")
+        rc, out, err = run(["probe", "--name", "dot_variance"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: SEEDNORM_SEED: ")
+
+    @pytest.mark.parametrize("argv,line", [
+        (["--lr", "1e308"],
+         "non-finite activation at step 1; first non-finite site: layer0.attn_norm"),
+        (["--alpha-init", "1e300"],
+         "non-finite gradient at step 0; first non-finite site: final_norm.beta"),
+        (["--weight-decay", "1e300"],
+         "non-finite gradient at step 1; first non-finite site: layer0.ffn_norm"),
+        (["--variant", "dyt", "--lr", "1e300"],
+         "non-finite activation at step 1; first non-finite site: layer0.q_norm"),
+    ], ids=["lr", "alpha-init", "weight-decay", "dyt-lr"])
+    def test_overflowing_hyperparameter_is_a_named_divergence_one(self, argv, line):
+        proc = run_process(["train", *TINY_TRAIN, *argv])
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.splitlines() == [f"error: {line}"]
+
+    def test_model_past_memory_one(self):
+        # well formed, so a machine with 728 TiB could run it: exit 1
+        proc = run_process(["train", "--dims", "10000000", "--steps", "1"])
+        assert proc.returncode == 1, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: Unable to allocate ")
+        assert "10000000" in line
+
+    def test_shape_no_machine_holds_two(self):
+        proc = run_process(["train", "--vocab", str(2**63), "--steps", "1"])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == ["error: Maximum allowed dimension exceeded"]
+
+    def test_ode_grid_no_array_holds_two(self):
+        proc = run_process(["probe", "--name", "dyt_rmsnorm_ode", "--grid", str(2**63)])
+        assert proc.returncode == 2, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: grid_points=9223372036854775808 out of range")
+        assert proc.stdout == ""
 
 
 class TestConfigFile:

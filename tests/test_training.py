@@ -237,6 +237,19 @@ class TestTrainModel:
             train_model(small_cfg(context=4), small_train(), CopyTask(vocab=7, context=6),
                         make_rng(0))
 
+    @pytest.mark.parametrize("variant,hyper,site,quantity", [
+        ("seednorm", dict(weight_decay=1e300), "layer0.ffn_norm", "gradient"),
+        ("dyt", dict(lr=1e300), "layer0.q_norm", "activation"),
+    ], ids=["weight-decay", "dyt-lr"])
+    def test_overflow_inside_a_block_names_the_slot(self, variant, hyper, site, quantity):
+        # every checkpoint and parameter stays finite: only the slot that
+        # rejected its input or upstream gradient knows where the step failed
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as exc:
+            train_model(small_cfg(variant), small_train(steps=5, **hyper),
+                        CopyTask(vocab=7, context=6), make_rng(0))
+        assert exc.value.site == site
+        assert str(exc.value).startswith(f"non-finite {quantity} at step ")
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_divergence_attrs(self):
         cfg = small_cfg()
