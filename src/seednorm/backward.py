@@ -19,11 +19,12 @@ autodiff framework; the finite-difference oracle below is the independent
 check.
 
 The oracle calls only forwards, as ``forward(x, p)`` like any other caller.
-``central_difference`` is its one generic loop: it perturbs one coordinate
-at a time in place, and serves the parameters and the whole-model check.
-Every norm forward acts on each row alone, so the input directions are
-differentiated in bulk instead: the perturbed copies of x are stacked into
-a few large forwards whose per-copy sums are bitwise the loop's.
+Every central difference goes through one loop, which checks the perturbed
+values and objectives and names a bad coordinate; only the evaluation of a
+chunk of perturbed values varies. Every norm forward acts on each row
+alone, so x's perturbed copies are stacked into a few large forwards, while
+``central_difference`` perturbs an array in place, one coordinate at a
+time, for the parameters and the whole-model check.
 
 Derivation sketch for the dynamic layers, one row at a time. Write
 r = x / rms(x), z_h = (x_h . beta_h) / (optional head width), c_h = tanh(z_h),
@@ -47,6 +48,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, product
 
 import numpy as np
 
@@ -234,23 +237,33 @@ def finite_difference_jacobian(forward, x, u, p, fields, step: float = 1e-5) -> 
     labels them in errors. The forward must act on each row of x alone (a
     row's output and its bits do not depend on the other rows stacked with
     it) and read p's arrays when called, as every ``<variant>_forward``
-    does. The x directions go through _input_differences, in stacked
-    forwards; a field's go through central_difference, which perturbs p's
-    own arrays in place and hands p back with the same arrays and bytes.
-    Each gradient has its field's shape (0-d for a scalar alpha). A
-    non-finite perturbed value or objective raises FloatingPointError naming
-    the coordinate, so the perturbed forwards run with NumPy's overflow and
-    invalid warnings off.
+    does. x's perturbed copies are stacked, in chunks of at most
+    FD_CHUNK_ELEMENTS elements, into one matrix per forward; a copy's
+    objective is the row sum that the flat sum of that copy alone does, so
+    the bits are those of one copy at a time. x is never written to. The
+    fields go through central_difference, which hands p back with the same
+    arrays and bytes. Each gradient has its field's shape (0-d for a scalar
+    alpha). A non-finite perturbed value or objective raises
+    FloatingPointError naming the coordinate, so the perturbed forwards run
+    with NumPy's overflow and invalid warnings off.
     """
     x = np.asarray(x, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
+
+    def stacked(lo: int, moved: list) -> list:
+        n = len(moved)
+        copies = np.empty((n, 2, x.size))
+        copies[...] = x.ravel()
+        copies[np.arange(n), :, np.arange(lo, lo + n)] = moved
+        out = forward(copies.reshape(2 * n * x.shape[0], x.shape[1]), p)[0]
+        return (u.ravel() * out.reshape(2 * n, -1)).sum(axis=1).reshape(n, 2).tolist()
 
     def objective() -> float:
         # np.add.reduce is the flat sum .sum() runs, without its Python wrapper
         return float(np.add.reduce(u * forward(x, p)[0], axis=None))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        d_x = _input_differences(forward, x, u, p, step)
+        d_x = _differences(x, "x", step, stacked, FD_CHUNK_ELEMENTS // (2 * x.size or 1))
         grads = dict(zip(fields, central_difference(
             objective, [getattr(p, n) for n in fields], step, labels=fields
         )))
@@ -258,94 +271,71 @@ def finite_difference_jacobian(forward, x, u, p, fields, step: float = 1e-5) -> 
                       d_beta=grads.get("beta"), d_x=d_x)
 
 
-def _input_differences(forward, x: Matrix, u: Matrix, p, step: float) -> Matrix:
-    """The x part of finite_difference_jacobian, for a row-by-row forward.
-
-    Each coordinate's two copies of x (orig +/- step at that coordinate, as
-    central_difference builds them) are stacked, in chunks of at most
-    FD_CHUNK_ELEMENTS elements, into one (copies * rows, dim) matrix that
-    ``forward(copies, p)[0]`` maps in one call. A copy's objective is one
-    row of (u.ravel() * out.reshape(copies, -1)).sum(axis=1), the pairwise
-    sum that the flat .sum() of central_difference's objective does, so the
-    gradient is bitwise the one that loop gives. x is never written to.
-    """
-    _check_step(step)
-    u = u.ravel()
-    rows, dim = x.shape
-    size = x.size
-    flat = x.ravel()
-    grad = np.empty(size)
-    per_chunk = max(1, FD_CHUNK_ELEMENTS // (2 * size or 1))
-    for lo in range(0, size, per_chunk):
-        n = min(per_chunk, size - lo)
-        moved = np.add.outer(flat[lo:lo + n], (step, -step))  # (n, 2): +h, -h
-        _check_finite(moved, lo, dim, "perturbation")
-        copies = np.empty((n, 2, size))
-        copies[...] = flat
-        k = np.arange(n)
-        copies[k, :, lo + k] = moved
-        out = forward(copies.reshape(2 * n * rows, dim), p)[0]
-        losses = (u * out.reshape(2 * n, -1)).sum(axis=1).reshape(n, 2)
-        _check_finite(losses, lo, dim, "loss")
-        grad[lo:lo + n] = (losses[:, 0] - losses[:, 1]) / (2.0 * step)
-    return grad.reshape(rows, dim)
-
-
-def _check_finite(pairs: np.ndarray, lo: int, dim: int, what: str) -> None:
-    """FloatingPointError naming the first non-finite entry of ``pairs``,
-    whose row k holds the +h and -h values of flat coordinate lo + k of x."""
-    if np.count_nonzero(np.isfinite(pairs)) != pairs.size:
-        first, side = (int(v) for v in np.argwhere(~np.isfinite(pairs))[0])
-        i, j = divmod(lo + first, dim)
-        raise FloatingPointError(f"non-finite {what} at x[{i}, {j}]{('+h', '-h')[side]}")
-
-
-def _check_step(step: float) -> None:
-    if step <= 0:
-        raise ValueError("step must be > 0")
-
-
 def central_difference(loss_fn, arrays, step: float = 1e-5, labels=None) -> list[np.ndarray]:
     """Central-difference gradient of the scalar ``loss_fn()`` w.r.t. each array.
 
-    arrays are perturbed in place one coordinate at a time and restored bit
-    for bit, also when loss_fn raises. Every perturbed value and every
-    evaluation must be finite: otherwise FloatingPointError names the
-    coordinate and the side of the step, as in ``x[0, 0]+h``, with arrays
-    named by ``labels`` (default ``arrays[i]``). A perturbed value is
-    checked before loss_fn sees it.
+    Each array, of any layout, is perturbed in its own memory one coordinate
+    at a time in C order; each coordinate is restored bit for bit, also when
+    loss_fn raises. A perturbed value or evaluation that is not finite
+    raises FloatingPointError naming the coordinate and the side of the
+    step, as in ``x[0, 0]+h``, with arrays named by ``labels`` (default
+    ``arrays[i]``). All of an array's perturbed values are checked before
+    its first evaluation (an overflow is named before a non-finite objective
+    at an earlier coordinate), and no evaluation follows a non-finite one.
     """
-    _check_step(step)
     grads = []
     for i, arr in enumerate(arrays):
         label = labels[i] if labels is not None else f"arrays[{i}]"
-        grad = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index", "zerosize_ok"], op_flags=["readonly"])
-        for _ in it:
-            idx = it.multi_index
-            orig = float(arr[idx])
-            up, down = orig + step, orig - step
-            if not (math.isfinite(up) and math.isfinite(down)):
-                raise _non_finite("perturbation", label, idx, up)
-            try:
-                arr[idx] = up
-                plus = float(loss_fn())
-                arr[idx] = down
-                minus = float(loss_fn())
-            finally:
-                arr[idx] = orig
-            if not (math.isfinite(plus) and math.isfinite(minus)):
-                raise _non_finite("loss", label, idx, plus)
-            grad[idx] = (plus - minus) / (2.0 * step)
-        grads.append(grad)
+        evaluate = partial(_in_place, arr, loss_fn)
+        grads.append(_differences(arr, label, step, evaluate, arr.size))
     return grads
 
 
-def _non_finite(what: str, label: str, idx: tuple, plus: float) -> FloatingPointError:
-    """The error for a coordinate whose +h value (or else -h value) is not finite."""
-    where = f"{label}{list(idx)}" if idx else label
-    side = "-h" if math.isfinite(plus) else "+h"
-    return FloatingPointError(f"non-finite {what} at {where}{side}")
+def _in_place(arr: np.ndarray, loss_fn, lo: int, moved: list) -> list:
+    """central_difference's evaluator, over all of arr (lo is 0). It stops at
+    the first non-finite objective; a -h objective left unevaluated is NaN."""
+    losses = []
+    for idx, (up, down) in zip(product(*map(range, arr.shape)), moved):
+        orig, minus = arr[idx], math.nan
+        try:
+            arr[idx] = up
+            plus = float(loss_fn())
+            if math.isfinite(plus):
+                arr[idx] = down
+                minus = float(loss_fn())
+        finally:
+            arr[idx] = orig
+        losses.append((plus, minus))
+        if not math.isfinite(minus):
+            break
+    return losses
+
+
+def _differences(arr: np.ndarray, label: str, step: float, evaluate, chunk: int) -> np.ndarray:
+    """The one central-difference loop, in Python floats. Per chunk of at most ``chunk``
+    coordinates of arr, in C order from flat index lo, it checks the (orig + step,
+    orig - step) pairs before ``evaluate(lo, moved)`` sees any, checks the objective
+    pairs it returns and takes their difference quotients, returned shaped like arr."""
+    if step <= 0:
+        raise ValueError("step must be > 0")
+    flat, grad, chunk = arr.ravel().tolist(), [], max(1, chunk)
+    for lo in range(0, len(flat), chunk):
+        moved = [(v + step, v - step) for v in flat[lo:lo + chunk]]
+        _require_finite_pairs(moved, "perturbation", label, arr.shape, lo)
+        losses = evaluate(lo, moved)
+        _require_finite_pairs(losses, "loss", label, arr.shape, lo)
+        grad += [(plus - minus) / (2.0 * step) for plus, minus in losses]
+    return np.reshape(grad, arr.shape)
+
+
+def _require_finite_pairs(pairs: list, what: str, label: str, shape: tuple, lo: int) -> None:
+    """FloatingPointError naming the first non-finite value in ``pairs``, the +h and -h
+    values of coordinates lo, lo + 1, ... of array ``label``, as ``x[1, 2]+h`` or ``alpha-h``."""
+    if not all(map(math.isfinite, chain.from_iterable(pairs))):
+        k, side = next((k, side) for k, pair in enumerate(pairs)
+                       for side, v in enumerate(pair) if not math.isfinite(v))
+        idx = list(map(int, np.unravel_index(lo + k, shape))) if shape else ""
+        raise FloatingPointError(f"non-finite {what} at {label}{idx}{('+h', '-h')[side]}")
 
 
 def relative_error(analytic, numeric, floor: float = 1e-8) -> float:

@@ -244,3 +244,61 @@ class TestEmptyArrays:
                                          SimpleNamespace(gamma=np.zeros(0)), ["gamma"])
         assert got.d_gamma.shape == (0,)
         assert np.allclose(got.d_x, 1.0)
+
+
+class TestOneLoop:
+    """The contract of the one differencing loop that both routes share."""
+
+    def test_strided_parameter_matches_its_contiguous_copy(self):
+        # the parameter is perturbed in its own memory, whatever its strides
+        x, u, p = draw_point("seednorm", 3, 8, seed=13)
+        wide = np.repeat(p.gamma, 2)
+        strided = NormParams(gamma=wide[::2], alpha=p.alpha, beta=p.beta, eps=p.eps)
+        assert not strided.gamma.flags.c_contiguous
+        before = wide.tobytes()
+        got = finite_difference_jacobian(forward.seednorm_forward, x, u, strided, ["gamma"])
+        want = finite_difference_jacobian(forward.seednorm_forward, x, u, p, ["gamma"])
+        assert got.d_gamma.tobytes() == want.d_gamma.tobytes()
+        assert np.any(got.d_gamma != 0.0)
+        assert wide.tobytes() == before
+
+    def test_no_evaluation_when_any_perturbation_overflows(self):
+        # the objective would fail at the first coordinate, but the overflow
+        # at the last is found before loss_fn runs at all
+        calls = []
+        arr = np.array([1.0, 2.0, 1.7e308])
+        with pytest.raises(FloatingPointError,
+                           match=r"non-finite perturbation at arrays\[0\]\[2\]\+h"):
+            central_difference(lambda: calls.append(1) or np.nan, [arr], step=1e307)
+        assert calls == []
+        assert arr.tolist() == [1.0, 2.0, 1.7e308]
+
+    def test_no_evaluation_after_the_first_nonfinite_objective(self):
+        calls = []
+        arr = np.array([1.0, 2.0, 3.0])
+
+        def loss_fn():
+            calls.append(arr.copy())
+            return np.nan if len(calls) == 3 else float(arr.sum())
+
+        with pytest.raises(FloatingPointError, match=r"non-finite loss at arrays\[0\]\[1\]\+h"):
+            central_difference(loss_fn, [arr, np.ones(2)], step=0.5)
+        # coordinate 0 both ways, then coordinate 1's +h, and nothing more
+        assert [c.tolist() for c in calls] == [[1.5, 2.0, 3.0], [0.5, 2.0, 3.0],
+                                               [1.0, 2.5, 3.0]]
+        assert arr.tolist() == [1.0, 2.0, 3.0]
+
+    def test_names_a_matrix_coordinate(self):
+        arr = np.ones((2, 3))
+
+        def loss_fn():
+            return np.nan if arr[1, 2] < 1.0 else float(arr.sum())
+
+        with pytest.raises(FloatingPointError, match=r"non-finite loss at arrays\[0\]\[1, 2\]-h"):
+            central_difference(loss_fn, [arr])
+        assert np.all(arr == 1.0)
+
+    def test_names_a_zero_d_array_without_an_index(self):
+        alpha = np.asarray(1.7e308)
+        with pytest.raises(FloatingPointError, match=r"non-finite perturbation at alpha\+h$"):
+            central_difference(lambda: 0.0, [alpha], step=1e307, labels=["alpha"])
