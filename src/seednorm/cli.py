@@ -331,14 +331,10 @@ COST_OPTS = (
 
 def _model_param_delta(layers: int, hidden_dim: int, heads: int) -> int:
     """Parameter-count difference, dynamic layer vs static RMS scaling, from
-    the trainer's own parameter enumeration (shapes only, nothing allocated).
-    Every layer lists the same shapes, so one and two give any depth's."""
-    def delta(n):
-        common = dict(layers=n, hidden_dim=hidden_dim, attn_heads=heads, vocab=7, context=4)
-        return (count_parameters(ModelConfig(norm_variant="seednorm", **common))
-                - count_parameters(ModelConfig(norm_variant="rmsnorm", **common)))
-    one = delta(1)
-    return one + (layers - 1) * (delta(2) - one)
+    the trainer's own closed-form parameter count (nothing allocated)."""
+    common = dict(layers=layers, hidden_dim=hidden_dim, attn_heads=heads, vocab=7, context=4)
+    return (count_parameters(ModelConfig(norm_variant="seednorm", **common))
+            - count_parameters(ModelConfig(norm_variant="rmsnorm", **common)))
 
 
 def cmd_cost(args) -> int:

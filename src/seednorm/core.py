@@ -154,6 +154,12 @@ def per_head_product(
     return out
 
 
+def worst(*values: float) -> float:
+    """The largest value, NaN if any is NaN (Python's max keeps a NaN only
+    in first place)."""
+    return float(np.max(values))
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded counter-based generator (Philox 4x64).
 

@@ -25,7 +25,7 @@ from .backward import (  # noqa: F401
     rmsnorm_backward,
     seednorm_backward,
 )
-from .core import make_rng
+from .core import make_rng, worst
 from .forward import (  # noqa: F401
     dyt_forward,
     layernorm_forward,
@@ -125,7 +125,7 @@ def check_variant(
     if variant not in NORMS:
         raise ValueError(f"unknown variant {variant!r}")
     rng = make_rng(seed)
-    worst: dict = {}
+    per_param: dict = {}
     extras: dict = {}
     started = time.perf_counter()
     for _ in range(trials):
@@ -141,7 +141,7 @@ def check_variant(
             kwargs["scalar_alpha"] = bool(rng.random() < 0.15)
         errors = run_trial(variant, dim, rows, rng, eps=eps, step=step, **kwargs)
         for key, err in errors.items():
-            worst[key] = max(worst.get(key, 0.0), err)
+            per_param[key] = worst(per_param.get(key, 0.0), err)
         if variant == "rmsnorm" and eps == 0.0:
             x = rng.standard_normal((2, dim))
             u = rng.standard_normal((2, dim))
@@ -150,14 +150,14 @@ def check_variant(
             b = rmsnorm_backward(cache, u)
             num = np.abs(np.sum(b.d_x * x, axis=1))
             den = np.linalg.norm(b.d_x, axis=1) * np.linalg.norm(x, axis=1) + 1e-30
-            extras["dx_dot_x_max"] = max(
+            extras["dx_dot_x_max"] = worst(
                 extras.get("dx_dot_x_max", 0.0), float(np.max(num / den))
             )
     return VariantCheck(
         variant=variant,
         trials=trials,
-        max_rel_error=max(worst.values()) if worst else 0.0,
-        per_param_max=worst,
+        max_rel_error=worst(0.0, *per_param.values()),
+        per_param_max=per_param,
         extras=extras,
         elapsed_s=time.perf_counter() - started,
     )
@@ -181,7 +181,7 @@ def run_gradcheck(
         check_variant(v, dims=dims, trials=trials, seed=seed + i, heads=heads, step=step)
         for i, v in enumerate(variants)
     ]
-    overall = max((c.max_rel_error for c in checks), default=0.0)
+    overall = worst(0.0, *(c.max_rel_error for c in checks))
     return {
         "command": "gradcheck",
         "seed": seed,

@@ -31,6 +31,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,36 +106,40 @@ def _norm_param_entries(prefix: str, width: int, norm: NormSpec):
     ]
 
 
+def _stack_specs(cfg: ModelConfig) -> tuple[tuple, tuple, tuple]:
+    """The (name, shape) entries before the layers, one layer's and those after them."""
+    return _stack_entries(cfg.vocab, cfg.context, cfg.hidden_dim, cfg.head_dim, cfg.ffn_mult,
+                          cfg.norm_variant)
+
+
+@lru_cache(maxsize=64)
+def _stack_entries(vocab: int, context: int, d: int, head_dim: int, ffn_mult: int,
+                   variant: str) -> tuple[tuple, tuple, tuple]:
+    # cached: every build counts and lists them; layer names omit "layer<i>."
+    norm, f = NORMS[variant], ffn_mult * d
+    layer = (*_norm_param_entries("attn_norm", d, norm),
+             *((f"attn.{w}", (d, d)) for w in ("wq", "wk", "wv", "wo")),
+             *_norm_param_entries("q_norm", head_dim, norm),
+             *_norm_param_entries("k_norm", head_dim, norm),
+             *_norm_param_entries("ffn_norm", d, norm), ("ffn.w1", (d, f)), ("ffn.w2", (f, d)))
+    return ((("embed.weight", (vocab, d)), ("pos_embed.weight", (context, d))), layer,
+            (*_norm_param_entries("final_norm", d, norm), ("unembed.weight", (d, vocab))))
+
+
 def parameter_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Canonical (name, shape) list; defines build, count, and serialization order."""
-    d = cfg.hidden_dim
-    f = cfg.ffn_mult * d
-    norm = cfg.norm
-    specs: list[tuple[str, tuple[int, ...]]] = [
-        ("embed.weight", (cfg.vocab, d)),
-        ("pos_embed.weight", (cfg.context, d)),
-    ]
+    head, layer, tail = _stack_specs(cfg)
+    specs = list(head)
     for i in range(cfg.layers):
-        pfx = f"layer{i}"
-        specs += _norm_param_entries(f"{pfx}.attn_norm", d, norm)
-        specs += [
-            (f"{pfx}.attn.wq", (d, d)),
-            (f"{pfx}.attn.wk", (d, d)),
-            (f"{pfx}.attn.wv", (d, d)),
-            (f"{pfx}.attn.wo", (d, d)),
-        ]
-        specs += _norm_param_entries(f"{pfx}.q_norm", cfg.head_dim, norm)
-        specs += _norm_param_entries(f"{pfx}.k_norm", cfg.head_dim, norm)
-        specs += _norm_param_entries(f"{pfx}.ffn_norm", d, norm)
-        specs += [(f"{pfx}.ffn.w1", (d, f)), (f"{pfx}.ffn.w2", (f, d))]
-    specs += _norm_param_entries("final_norm", d, norm)
-    specs += [("unembed.weight", (d, cfg.vocab))]
-    return specs
+        specs += [(f"layer{i}.{name}", shape) for name, shape in layer]
+    return specs + list(tail)
 
 
 def count_parameters(cfg: ModelConfig) -> int:
-    """Total parameter count from the shape list, without allocating anything."""
-    return sum(math.prod(shape) for _, shape in parameter_specs(cfg))
+    """Total parameter count in closed form: no depth lists its layers."""
+    head, layer, tail = _stack_specs(cfg)
+    return (sum(math.prod(shape) for _, shape in head + tail)
+            + cfg.layers * sum(math.prod(shape) for _, shape in layer))
 
 
 @dataclass
@@ -148,18 +153,27 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator) -> Model:
 
     Norm parameters initialize deterministically (gamma 1, beta 0, alpha
     alpha_init, shift 0) and consume no random draws, so two variants built
-    from equal seeds share bitwise-identical weight matrices. All are
-    allocated before any is filled: a model past memory fails at once.
+    from equal seeds share bitwise-identical weight matrices. Every
+    parameter is a view of one buffer, allocated before any parameter is
+    listed: a model past memory fails at once, at any depth.
     """
+    count = count_parameters(cfg)
+    try:
+        flat = np.empty(count)
+    except MemoryError:
+        raise MemoryError(f"Unable to allocate {count} parameters ({count / 2**27:.1f} GiB) "
+                          f"for {cfg.layers} layers of width {cfg.hidden_dim}") from None
     res_scale = 1.0 / np.sqrt(2.0 * cfg.layers)
-    params = {name: np.empty(shape) for name, shape in parameter_specs(cfg)}
-    for name, w in params.items():
-        if name.endswith(".gamma"):
-            w.fill(1.0)
-        elif name.endswith((".beta", ".shift")):
-            w.fill(0.0)
-        elif name.endswith(".alpha"):
-            w.fill(cfg.alpha_init)
+    inits = {"gamma": 1.0, "beta": 0.0, "shift": 0.0, "alpha": cfg.alpha_init}
+    params, at = {}, 0
+    for name, shape in parameter_specs(cfg):
+        size = math.prod(shape)
+        w = flat[at:at + size]  # a vector is its slice: only the rest pay for a reshape
+        w = params[name] = w if len(shape) == 1 else w.reshape(shape)
+        at += size
+        init = inits.get(name.rpartition(".")[2])
+        if init is not None:
+            w.fill(init)
         else:
             w[...] = rng.normal(0.0, 0.02, size=w.shape)
             if name.endswith((".attn.wo", ".ffn.w2")):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import make_rng, per_head_product, rms_rows
+from .core import make_rng, per_head_product, rms_rows, worst
 from .forward import mh_seednorm_forward
 from .params import NormParams
 
@@ -80,12 +80,6 @@ def _check_power(name: str, value: float, power: int, factor: float = 1.0) -> No
             f"{name}={value!r} out of range: {factor:g} * {name}**{power} "
             "overflows or underflows float64"
         )
-
-
-def _worst(*values: float) -> float:
-    """The largest value, NaN if any is NaN (Python's max keeps a NaN only
-    in first place)."""
-    return float(np.max(values))
 
 
 @dataclass
@@ -190,12 +184,12 @@ def probe_scale_insensitivity(
                 ratio = np.where(drift == 0.0, 0.0, drift / bound)
             tightness = float(np.max(ratio))
             rec = per_k[k]
-            rec["max_drift"] = _worst(rec["max_drift"], float(np.max(drift)))
-            rec["max_bound"] = _worst(rec["max_bound"], float(np.max(bound)))
-            rec["tightness"] = _worst(rec["tightness"], tightness)
-            rec["max_r_rel_drift"] = _worst(rec["max_r_rel_drift"], r_drift)
-            rec["max_residual"] = _worst(rec["max_residual"], residual)
-            worst_ratio = _worst(
+            rec["max_drift"] = worst(rec["max_drift"], float(np.max(drift)))
+            rec["max_bound"] = worst(rec["max_bound"], float(np.max(bound)))
+            rec["tightness"] = worst(rec["tightness"], tightness)
+            rec["max_r_rel_drift"] = worst(rec["max_r_rel_drift"], r_drift)
+            rec["max_residual"] = worst(rec["max_residual"], residual)
+            worst_ratio = worst(
                 worst_ratio, tightness, r_drift / noise_tol, residual / noise_tol
             )
     return ProbeReport.build(
@@ -263,7 +257,7 @@ def probe_dyt_rmsnorm_ode(
         lhs = 1.0 / rms - (x * x) / (dim * rms**3)
         r = x / c
         rhs = (1.0 / c) * (1.0 - (r * r) / dim)
-        jac_max = _worst(jac_max, float(np.max(np.abs(lhs - rhs))))
+        jac_max = worst(jac_max, float(np.max(np.abs(lhs - rhs))))
 
     ode_tol = 1e-10 / c
     width = c * np.sqrt(dim)
@@ -288,7 +282,7 @@ def probe_dyt_rmsnorm_ode(
          "slope_at_zero": slope_at_zero, "expected_slope": 1.0 / c,
          "r_at_span": float(r_of(span)), "saturation_level": float(np.sqrt(dim))},
     ]
-    statistic = _worst(jac_max / jac_tol, ode_max / ode_tol)
+    statistic = worst(jac_max / jac_tol, ode_max / ode_tol)
     return ProbeReport.build(
         name="dyt_rmsnorm_ode",
         samples=samples + grid_points,
@@ -362,7 +356,7 @@ def probe_dot_variance(
     return ProbeReport.build(
         name="dot_variance",
         samples=samples,
-        statistic=_worst(dev_full, dev_head),
+        statistic=worst(dev_full, dev_head),
         expected=0.0,
         tolerance=0.1,
         one_sided=False,

@@ -15,7 +15,7 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 import seednorm
-from seednorm import cli, training
+from seednorm import cli, gradcheck, training
 from seednorm.cli import COMMANDS, main
 
 FAST_GRADCHECK = ["gradcheck", "--variant", "rmsnorm", "--dims", "2", "4",
@@ -30,16 +30,38 @@ def run(argv, capsys):
     return rc, captured.out, captured.err
 
 
-def run_process(argv):
-    """Run the CLI as a process, so an uncaught exception shows as a traceback."""
+def run_process(argv, address_space=None):
+    """Run the CLI as a process, so an uncaught exception shows as a traceback.
+    ``address_space`` caps the child's virtual memory in bytes (RLIMIT_AS),
+    so a run that would grow until the machine runs out fails in the child."""
     src = str(Path(seednorm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def limit():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run([sys.executable, "-m", "seednorm", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=limit if address_space else None)
 
 
 class TestExitCodes:
+    def test_nan_analytic_gradient_fails_gradcheck_one(self, monkeypatch, capsys):
+        original = gradcheck.seednorm_backward
+
+        def nan_d_x(cache, upstream):
+            b = original(cache, upstream)
+            b.d_x[...] = np.nan
+            return b
+
+        monkeypatch.setattr(gradcheck, "seednorm_backward", nan_d_x)
+        rc, out, err = run(["gradcheck", "--variant", "seednorm", "--dims", "4",
+                            "--trials", "3"], capsys)
+        assert rc == 1, err
+        assert out.splitlines()[-1].startswith("FAIL max_rel_err=nan")
+
     def test_passing_gradcheck_zero(self, capsys):
         rc, out, _ = run(FAST_GRADCHECK, capsys)
         assert rc == 0
@@ -284,6 +306,24 @@ class TestExitCodeTable:
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: Unable to allocate ")
         assert "10000000" in line
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_deep_model_past_memory_one(self, command):
+        # the count is closed-form and the buffer is one allocation, so the
+        # run fails at once instead of listing ten million layers first
+        proc = run_process([command, "--layers", "10000000", "--steps", "1"],
+                           address_space=2 << 30)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "error: Unable to allocate 496320003392 parameters (3697.9 GiB) "
+            "for 10000000 layers of width 64"]
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_depth_no_array_holds_two(self, command):
+        proc = run_process([command, "--layers", str(2**63), "--steps", "1"],
+                           address_space=2 << 30)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines() == ["error: Maximum allowed dimension exceeded"]
 
     def test_shape_no_machine_holds_two(self):
         proc = run_process(["train", "--vocab", str(2**63), "--steps", "1"])

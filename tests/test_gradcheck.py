@@ -15,6 +15,18 @@ from seednorm.gradcheck import (
 )
 
 
+def non_finite_d_x(value):
+    """A seednorm backward whose input gradient is ``value`` everywhere."""
+    original = gradcheck.seednorm_backward
+
+    def backward(cache, upstream):
+        b = original(cache, upstream)
+        b.d_x[...] = value
+        return b
+
+    return backward
+
+
 class TestRunTrial:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_single_trial_tight(self, variant):
@@ -148,6 +160,18 @@ class TestRunGradcheck:
         a = run_gradcheck(dims=(4,), trials=3, seed=9)
         b = run_gradcheck(dims=(4,), trials=3, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_analytic_gradient_fails(self, bad, monkeypatch):
+        # Python's max drops a NaN unless it comes first; the report must not
+        monkeypatch.setattr(gradcheck, "seednorm_backward", non_finite_d_x(bad))
+        with np.errstate(invalid="ignore"):  # inf / inf in relative_error
+            report = run_gradcheck(variants=("seednorm",), dims=(4,), trials=3)
+        [entry] = report["variants"]
+        assert np.isnan(entry["per_param_max"]["d_x"])
+        assert np.isnan(entry["max_rel_error"])
+        assert np.isnan(report["max_rel_error"])
+        assert report["pass"] is False
 
     def test_default_dims_cover_spec_range(self):
         assert DEFAULT_DIMS == (2, 4, 8, 16, 64)

@@ -1,6 +1,7 @@
 """The desk-scale transformer: wiring, determinism, whole-model gradients."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -73,6 +74,18 @@ class TestParameterSpecs:
         total = sum(int(np.prod(s)) for _, s in parameter_specs(cfg))
         assert count_parameters(cfg) == total
 
+    @pytest.mark.parametrize("variant", ["rmsnorm", "dyt", "mh_seednorm"])
+    def test_count_matches_the_list_at_any_depth(self, variant):
+        for layers in (1, 2, 5):
+            cfg = tiny_cfg(variant, layers=layers)
+            assert count_parameters(cfg) == sum(math.prod(s) for _, s in parameter_specs(cfg))
+
+    def test_count_is_closed_form(self):
+        # a depth no list could hold is counted at once
+        cfg = tiny_cfg(layers=2**63)
+        per_layer = count_parameters(tiny_cfg(layers=2)) - count_parameters(tiny_cfg())
+        assert count_parameters(cfg) == count_parameters(tiny_cfg()) + (2**63 - 1) * per_layer
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize("alpha_init", [float("nan"), float("inf")])
@@ -109,6 +122,17 @@ class TestBuildModel:
         assert a.params.keys() == b.params.keys()
         for k in a.params:
             assert np.array_equal(a.params[k], b.params[k])
+
+    def test_parameters_tile_one_buffer_in_canonical_order(self):
+        cfg = tiny_cfg("dyt", layers=2)
+        params = build_model(cfg, make_rng(5)).params
+        buffer = params["embed.weight"].base
+        assert all(w.base is buffer and w.flags.c_contiguous for w in params.values())
+        starts = [w.__array_interface__["data"][0] for w in params.values()]
+        sizes = [w.nbytes for w in params.values()]
+        assert starts[0] == buffer.__array_interface__["data"][0]
+        assert all(s + n == nxt for s, n, nxt in zip(starts, sizes, starts[1:]))
+        assert sum(sizes) == buffer.nbytes == 8 * count_parameters(cfg)
 
     def test_variants_share_weight_draws(self):
         # norm params consume no randomness, so the matrices match bitwise
