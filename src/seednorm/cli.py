@@ -28,7 +28,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -354,7 +354,7 @@ def cmd_cost(args) -> int:
         }
         print(f"  check: model_param_delta={delta} matches={_fmt(check['matches'])}")
     if v["json"]:
-        _write_json(v["json"], {"command": "cost", "estimate": est.to_dict(),
+        _write_json(v["json"], {"command": "cost", "estimate": asdict(est),
                                 "check": check})
     return 0 if check is None or check["matches"] else 1
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -54,15 +54,9 @@ class VariantCheck:
 
     def to_dict(self, include_timing: bool = False) -> dict:
         # wall time is opt-in so that equal seeds give byte-equal reports
-        out = {
-            "variant": self.variant,
-            "trials": self.trials,
-            "max_rel_error": self.max_rel_error,
-            "per_param_max": dict(self.per_param_max),
-            "extras": dict(self.extras),
-        }
-        if include_timing:
-            out["elapsed_s"] = self.elapsed_s
+        out = asdict(self)
+        if not include_timing:
+            del out["elapsed_s"]
         return out
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -56,16 +56,9 @@ class ProbeReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "statistic": self.statistic,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "one_sided": self.one_sided,
-            "details": self.details,
-        }
+        out = asdict(self)
+        out["pass"] = out.pop("passed")
+        return out
 
 
 _LOG_MIN_NORMAL = math.log(sys.float_info.min)
@@ -106,15 +99,6 @@ class CostEstimate:
     heads: int
     extra_params: int
     extra_madds: int
-
-    def to_dict(self) -> dict:
-        return {
-            "layers": self.layers,
-            "hidden_dim": self.hidden_dim,
-            "heads": self.heads,
-            "extra_params": self.extra_params,
-            "extra_madds": self.extra_madds,
-        }
 
 
 def estimate_cost(layers: int, hidden_dim: int, heads: int) -> CostEstimate:

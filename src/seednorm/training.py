@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -166,13 +166,11 @@ class LossCurve:
             writer.writerow(row)
 
     def to_json_dict(self, include_wall_time: bool = True) -> dict:
-        recs = []
-        for rec in self.records:
-            d = {"step": rec.step, "loss": rec.loss, "grad_norm": rec.grad_norm}
-            if include_wall_time:
-                d["wall_time"] = rec.wall_time
-            recs.append(d)
-        return {"ema_coef": self.ema_coef, "records": recs}
+        out = asdict(self)
+        if not include_wall_time:
+            for rec in out["records"]:
+                del rec["wall_time"]
+        return out
 
 
 @dataclass
