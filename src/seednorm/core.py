@@ -22,7 +22,7 @@ class NonFiniteError(ValueError):
     slot = direction = None
 
 
-def _require_finite(arr: np.ndarray, name: str) -> None:
+def require_finite(arr: np.ndarray, name: str) -> None:
     # count_nonzero is a direct C call; np.all and .all() set up a ufunc
     # reduction, which costs more than the scan on the oracle's tiny arrays
     if np.count_nonzero(np.isfinite(arr)) != arr.size:
@@ -34,7 +34,7 @@ def as_matrix(x, name: str = "x") -> Matrix:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={arr.ndim}")
-    _require_finite(arr, name)
+    require_finite(arr, name)
     return arr
 
 
@@ -43,7 +43,7 @@ def as_vector(v, name: str = "v") -> Vector:
     arr = np.asarray(v, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got ndim={arr.ndim}")
-    _require_finite(arr, name)
+    require_finite(arr, name)
     return arr
 
 

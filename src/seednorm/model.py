@@ -44,7 +44,7 @@ from .backward import (  # noqa: F401
     rmsnorm_backward,
     seednorm_backward,
 )
-from .core import FRESH, NonFiniteError
+from .core import FRESH, NonFiniteError, require_finite
 from .forward import (  # noqa: F401
     dyt_forward,
     layernorm_forward,
@@ -558,6 +558,11 @@ def model_forward(params, cfg: ModelConfig, tokens, sites=None, ws=FRESH):
 
 
 def model_backward(params, cfg: ModelConfig, caches, dlogits, ws=FRESH):
+    """Every parameter's gradient, keyed in the order computed: the unembedding
+    and final norm, then each layer from the last down (FFN weights, FFN norm,
+    output projection, query/key norms, input projections, attention norm),
+    then the embeddings. ``clip_gradients`` sums in this order, so changing it
+    changes the bits of every clipped run."""
     b, t, d = caches["shape"]
     unembed = params["unembed.weight"]
     grads = {"unembed.weight": np.matmul(caches["final_norm_out"].T, dlogits,
@@ -642,6 +647,7 @@ def _restore_array(raw, name: str, shape, what: str):
     expect = int(np.prod(shape, dtype=np.int64)) if shape else 1
     if flat.size != expect:
         raise ValueError(f"checkpoint {what} {name} has wrong size")
+    require_finite(flat, f"checkpoint {what} {name}")
     return flat.reshape(shape)
 
 
@@ -669,7 +675,8 @@ def _entry(section: dict, key: str, where: str):
 
 def load_checkpoint(path):
     """Returns (Model, OptimizerState or None). Shapes are validated, and a
-    missing section, parameter or optimizer field raises ValueError naming it."""
+    missing section, parameter or optimizer field, or an array with a NaN or
+    an infinity, raises ValueError naming it."""
     with open(path, encoding="utf-8") as fh:
         blob = json.load(fh)
     fmt = blob.get("format") if isinstance(blob, dict) else None
@@ -690,7 +697,8 @@ def load_checkpoint(path):
 
     def moments(key):
         raw = _entry(opt_blob, key, "optimizer")
-        return {n: _restore_array(_entry(raw, n, f"optimizer.{key}"), n, s, "moment")
+        where = f"optimizer.{key}"
+        return {n: _restore_array(_entry(raw, n, where), n, s, where)
                 for n, s in specs}
 
     decay = _entry(opt_blob, "decay", "optimizer")

@@ -62,7 +62,9 @@ def clip_gradients(grads: dict, max_norm: float, ws=FRESH) -> float:
     gradients as they are for the caller to reject. Returns the pre-clip
     global norm. The squares go into the scratch arrays "update" of the
     buffer source ``ws``; ``train_model`` passes the optimizer state's
-    scratch, whose arrays ``adamw_step`` overwrites next.
+    scratch, whose arrays ``adamw_step`` overwrites next. The per-array sums
+    are added in ``grads``' order, so the norm's last bits depend on it; a
+    model's is ``model_backward``'s.
     """
     total_sq = 0.0
     for g in grads.values():

@@ -299,6 +299,17 @@ class TestExitCodeTable:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.splitlines() == [f"error: {line}"]
 
+    @pytest.mark.parametrize("flag,line", [
+        ("--lr", "lr must be >= 0, got -1.0"),
+        ("--weight-decay", "weight_decay must be >= 0, got -1.0"),
+        ("--warmup", "warmup_steps must be >= 0, got -1"),
+    ], ids=["lr", "weight-decay", "warmup"])
+    def test_negative_training_hyperparameter_two(self, flag, line, capsys):
+        rc, out, err = run(["train", *TINY_TRAIN, flag, "-1"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {line}\n"
+
     def test_model_past_memory_one(self):
         # well formed, so a machine with 728 TiB could run it: exit 1
         proc = run_process(["train", "--dims", "10000000", "--steps", "1"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seednorm import gradcheck
+from seednorm.backward import relative_error
 from seednorm.core import make_rng
 from seednorm.params import NormParams
 from seednorm.gradcheck import (
@@ -127,6 +128,13 @@ class TestCheckVariant:
         assert c.max_rel_error <= 1e-5
 
 
+class TestRelativeError:
+    @pytest.mark.parametrize("analytic,numeric", [(np.inf, 1.0), (1.0, np.inf),
+                                                  (np.inf, np.inf), (-np.inf, np.inf)])
+    def test_an_infinity_gives_nan_without_a_warning(self, analytic, numeric):
+        assert np.isnan(relative_error(np.array([0.5, analytic]), np.array([0.5, numeric])))
+
+
 class TestRunGradcheck:
     def test_report_shape_and_pass(self):
         report = run_gradcheck(dims=(4, 8), trials=5, seed=0)
@@ -170,6 +178,14 @@ class TestRunGradcheck:
         [entry] = report["variants"]
         assert np.isnan(entry["per_param_max"]["d_x"])
         assert np.isnan(entry["max_rel_error"])
+        assert np.isnan(report["max_rel_error"])
+        assert report["pass"] is False
+
+    def test_infinite_analytic_gradient_fails_under_warning_filter(self, monkeypatch):
+        # pytest turns RuntimeWarning into an error here, as a strict library caller may
+        monkeypatch.setattr(gradcheck, "seednorm_backward", non_finite_d_x(np.inf))
+        report = run_gradcheck(variants=("seednorm",), dims=(4,), trials=3)
+        assert np.isnan(report["variants"][0]["per_param_max"]["d_x"])
         assert np.isnan(report["max_rel_error"])
         assert report["pass"] is False
 

@@ -397,6 +397,29 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"has no '{drop[-1]}'"):
             load_checkpoint(str(path))
 
+    def test_non_finite_parameter_named(self, tmp_path):
+        # json reads NaN and Infinity; a file is outside input, so they are refused
+        _, path, blob = self._saved_blob(tmp_path)
+        blob["params"]["layer0.attn.wq"][3] = float("nan")
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=r"^checkpoint param layer0\.attn\.wq contains "
+                                             r"non-finite entries$"):
+            load_checkpoint(str(path))
+
+    def test_non_finite_moment_named(self, tmp_path):
+        from seednorm.optim import OptimizerState, decay_flags
+
+        cfg = tiny_cfg()
+        m = build_model(cfg, make_rng(7))
+        path = tmp_path / "model.json"
+        save_checkpoint(m, str(path), opt_state=OptimizerState.init(m.params, decay_flags(cfg)))
+        blob = json.loads(path.read_text())
+        blob["optimizer"]["v"]["embed.weight"][0] = float("inf")
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=r"^checkpoint optimizer\.v embed\.weight contains "
+                                             r"non-finite entries$"):
+            load_checkpoint(str(path))
+
     @pytest.mark.parametrize("key,value", [
         ("qk_norm_per_head", False), ("qk_norm_width", 4),
     ], ids=["full-width-qk", "unknown-key"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seednorm.core import make_rng
-from seednorm.model import ModelConfig, build_model, parameter_specs
+from seednorm.model import ModelConfig, build_model, loss_and_grads, parameter_specs
 from seednorm.optim import (
     AdamWConfig,
     OptimizerState,
@@ -216,3 +216,24 @@ class TestClipGradients:
     def test_returns_preclip_norm(self):
         grads = {"a": np.array([6.0, 8.0])}
         assert clip_gradients(grads, 2.0) == pytest.approx(10.0)
+
+    def test_model_gradient_order_pinned(self):
+        # clip_gradients sums one float per array in the dict's order, so the
+        # norm's last bits (and every golden digest) depend on model_backward
+        # producing this order: output side first, each layer from the top
+        # down, embeddings last; parameter_specs runs the other way
+        cfg = ModelConfig(norm_variant="seednorm", layers=1, hidden_dim=8,
+                          attn_heads=2, vocab=7, context=4)
+        model = build_model(cfg, make_rng(0))
+        tokens = np.zeros((2, 4), dtype=np.int64)
+        _, grads = loss_and_grads(model, tokens, tokens)
+        def slot(name):
+            return [f"{name}.gamma", f"{name}.alpha", f"{name}.beta"]
+
+        assert list(grads) == [
+            "unembed.weight", *slot("final_norm"),
+            "layer0.ffn.w2", "layer0.ffn.w1", *slot("layer0.ffn_norm"),
+            "layer0.attn.wo", *slot("layer0.q_norm"), *slot("layer0.k_norm"),
+            "layer0.attn.wq", "layer0.attn.wk", "layer0.attn.wv", *slot("layer0.attn_norm"),
+            "embed.weight", "pos_embed.weight",
+        ]

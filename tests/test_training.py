@@ -302,6 +302,18 @@ class TestTrainModel:
         with pytest.raises(ValueError, match="ema"):
             TrainConfig(ema=1.0)
 
+    @pytest.mark.parametrize("name,value", [
+        ("lr", -1.0), ("weight_decay", -1e-9), ("warmup_steps", -1),
+    ])
+    def test_negative_rate_decay_or_warmup_rejected(self, name, value):
+        # a negative rate or decay runs gradient ascent instead of failing
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got {value}$"):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("clip", [0.0, -1.0])
+    def test_non_positive_clip_disables_clipping(self, clip):
+        assert TrainConfig(grad_clip=clip).grad_clip == clip
+
 
 class TestCompareRuns:
     def test_self_comparison_identical(self):
