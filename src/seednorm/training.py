@@ -46,9 +46,10 @@ class TrainConfig:
             raise ValueError("steps must be >= 0 and batch_size >= 1")
         if not 0.0 <= self.ema < 1.0:
             raise ValueError("ema coefficient must be in [0, 1)")
-        # a negative rate or decay would climb the loss; grad_clip <= 0 turns clipping off
+        # a negative rate or decay would climb the loss (NaN fails too);
+        # grad_clip <= 0 turns clipping off
         for name in ("lr", "weight_decay", "warmup_steps"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 

@@ -227,6 +227,7 @@ class TestClipGradients:
         model = build_model(cfg, make_rng(0))
         tokens = np.zeros((2, 4), dtype=np.int64)
         _, grads = loss_and_grads(model, tokens, tokens)
+
         def slot(name):
             return [f"{name}.gamma", f"{name}.alpha", f"{name}.beta"]
 

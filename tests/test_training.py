@@ -303,7 +303,7 @@ class TestTrainModel:
             TrainConfig(ema=1.0)
 
     @pytest.mark.parametrize("name,value", [
-        ("lr", -1.0), ("weight_decay", -1e-9), ("warmup_steps", -1),
+        ("lr", -1.0), ("weight_decay", -1e-9), ("warmup_steps", -1), ("lr", float("nan")),
     ])
     def test_negative_rate_decay_or_warmup_rejected(self, name, value):
         # a negative rate or decay runs gradient ascent instead of failing
