@@ -47,10 +47,12 @@ class TrainConfig:
         if not 0.0 <= self.ema < 1.0:
             raise ValueError("ema coefficient must be in [0, 1)")
         # a negative rate or decay would climb the loss (NaN fails too);
-        # grad_clip <= 0 turns clipping off
+        # grad_clip <= 0 turns clipping off, and a NaN one would too, unasked
         for name in ("lr", "weight_decay", "warmup_steps"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if math.isnan(self.grad_clip):
+            raise ValueError("grad_clip must not be NaN")
 
 
 class TrainingDiverged(RuntimeError):

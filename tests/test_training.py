@@ -314,6 +314,13 @@ class TestTrainModel:
     def test_non_positive_clip_disables_clipping(self, clip):
         assert TrainConfig(grad_clip=clip).grad_clip == clip
 
+    def test_nan_clip_rejected(self):
+        # clip_gradients clips only when max_norm > 0, so a NaN clip would
+        # turn clipping off without saying so
+        with pytest.raises(ValueError, match="^grad_clip must not be NaN$"):
+            TrainConfig(grad_clip=float("nan"))
+        assert TrainConfig(grad_clip=float("inf")).grad_clip == float("inf")
+
 
 class TestCompareRuns:
     def test_self_comparison_identical(self):
