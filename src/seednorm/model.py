@@ -148,14 +148,11 @@ class Model:
     params: dict = field(default_factory=dict)
 
 
-def build_model(cfg: ModelConfig, rng: np.random.Generator) -> Model:
-    """Materialize parameters in canonical order.
+def _parameter_views(cfg: ModelConfig) -> dict:
+    """Every parameter as an unfilled view of one buffer, in canonical order.
 
-    Norm parameters initialize deterministically (gamma 1, beta 0, alpha
-    alpha_init, shift 0) and consume no random draws, so two variants built
-    from equal seeds share bitwise-identical weight matrices. Every
-    parameter is a view of one buffer, allocated before any parameter is
-    listed: a model past memory fails at once, at any depth.
+    The buffer is allocated before any parameter is listed: a model past
+    memory fails at once, at any depth.
     """
     count = count_parameters(cfg)
     try:
@@ -163,14 +160,26 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator) -> Model:
     except MemoryError:
         raise MemoryError(f"Unable to allocate {count} parameters ({count / 2**27:.1f} GiB) "
                           f"for {cfg.layers} layers of width {cfg.hidden_dim}") from None
-    res_scale = 1.0 / np.sqrt(2.0 * cfg.layers)
-    inits = {"gamma": 1.0, "beta": 0.0, "shift": 0.0, "alpha": cfg.alpha_init}
     params, at = {}, 0
     for name, shape in parameter_specs(cfg):
         size = math.prod(shape)
         w = flat[at:at + size]  # a vector is its slice: only the rest pay for a reshape
-        w = params[name] = w if len(shape) == 1 else w.reshape(shape)
+        params[name] = w if len(shape) == 1 else w.reshape(shape)
         at += size
+    return params
+
+
+def build_model(cfg: ModelConfig, rng: np.random.Generator) -> Model:
+    """Materialize parameters in canonical order, as views of one buffer.
+
+    Norm parameters initialize deterministically (gamma 1, beta 0, alpha
+    alpha_init, shift 0) and consume no random draws, so two variants built
+    from equal seeds share bitwise-identical weight matrices.
+    """
+    params = _parameter_views(cfg)
+    res_scale = 1.0 / np.sqrt(2.0 * cfg.layers)
+    inits = {"gamma": 1.0, "beta": 0.0, "shift": 0.0, "alpha": cfg.alpha_init}
+    for name, w in params.items():
         init = inits.get(name.rpartition(".")[2])
         if init is not None:
             w.fill(init)
@@ -674,21 +683,20 @@ def _entry(section: dict, key: str, where: str):
 
 
 def load_checkpoint(path):
-    """Returns (Model, OptimizerState or None). Shapes are validated, and a
-    missing section, parameter or optimizer field, or an array with a NaN or
-    an infinity, raises ValueError naming it."""
+    """Returns (Model, OptimizerState or None); the parameters tile one
+    buffer, as a built model's do. Shapes are validated, and a missing
+    section, parameter or optimizer field, or an array with a NaN or an
+    infinity, raises ValueError naming it."""
     with open(path, encoding="utf-8") as fh:
         blob = json.load(fh)
     fmt = blob.get("format") if isinstance(blob, dict) else None
     if fmt != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format: {fmt!r}")
     cfg = _config_from_blob(_entry(blob, "config", "file"))
-    specs = parameter_specs(cfg)
     raw = _entry(blob, "params", "file")
-    params = {
-        name: _restore_array(_entry(raw, name, "params"), name, shape, "param")
-        for name, shape in specs
-    }
+    params = _parameter_views(cfg)
+    for name, w in params.items():
+        w[...] = _restore_array(_entry(raw, name, "params"), name, w.shape, "param")
     model = Model(cfg=cfg, params=params)
     opt_blob = blob.get("optimizer")
     if opt_blob is None:
@@ -698,14 +706,14 @@ def load_checkpoint(path):
     def moments(key):
         raw = _entry(opt_blob, key, "optimizer")
         where = f"optimizer.{key}"
-        return {n: _restore_array(_entry(raw, n, where), n, s, where)
-                for n, s in specs}
+        return {n: _restore_array(_entry(raw, n, where), n, w.shape, where)
+                for n, w in params.items()}
 
     decay = _entry(opt_blob, "decay", "optimizer")
     state = OptimizerState(
         m=moments("m"),
         v=moments("v"),
         step=int(_entry(opt_blob, "step", "optimizer")),
-        decay={n: bool(_entry(decay, n, "optimizer.decay")) for n, _ in specs},
+        decay={n: bool(_entry(decay, n, "optimizer.decay")) for n in params},
     )
     return model, state

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -42,6 +43,18 @@ def tiny_cfg(variant="seednorm", **kw):
                 norm_variant=variant)
     base.update(kw)
     return ModelConfig(**base)
+
+
+def assert_tiles_one_buffer(params, cfg):
+    """The parameters are C-contiguous views that tile one buffer end to end
+    in canonical order."""
+    buffer = params["embed.weight"].base
+    assert all(w.base is buffer and w.flags.c_contiguous for w in params.values())
+    starts = [w.__array_interface__["data"][0] for w in params.values()]
+    sizes = [w.nbytes for w in params.values()]
+    assert starts[0] == buffer.__array_interface__["data"][0]
+    assert all(s + n == nxt for s, n, nxt in zip(starts, sizes, starts[1:]))
+    assert sum(sizes) == buffer.nbytes == 8 * count_parameters(cfg)
 
 
 class TestParameterSpecs:
@@ -125,14 +138,8 @@ class TestBuildModel:
 
     def test_parameters_tile_one_buffer_in_canonical_order(self):
         cfg = tiny_cfg("dyt", layers=2)
-        params = build_model(cfg, make_rng(5)).params
-        buffer = params["embed.weight"].base
-        assert all(w.base is buffer and w.flags.c_contiguous for w in params.values())
-        starts = [w.__array_interface__["data"][0] for w in params.values()]
-        sizes = [w.nbytes for w in params.values()]
-        assert starts[0] == buffer.__array_interface__["data"][0]
-        assert all(s + n == nxt for s, n, nxt in zip(starts, sizes, starts[1:]))
-        assert sum(sizes) == buffer.nbytes == 8 * count_parameters(cfg)
+        assert_tiles_one_buffer(build_model(cfg, make_rng(5)).params, cfg)
+
 
     def test_variants_share_weight_draws(self):
         # norm params consume no randomness, so the matrices match bitwise
@@ -365,6 +372,25 @@ class TestCheckpoint:
         assert loaded.params.keys() == m.params.keys()
         for k in m.params:
             assert np.array_equal(loaded.params[k], m.params[k]), k
+
+    def test_loaded_parameters_tile_one_buffer(self, tmp_path):
+        m, path, _ = self._saved_blob(tmp_path)
+        assert_tiles_one_buffer(load_checkpoint(str(path))[0].params, m.cfg)
+
+    def test_deep_config_fails_before_listing_its_layers(self, tmp_path):
+        # the buffer comes before any (name, shape) entry: a file asking for
+        # 10**7 layers of width 1024 (about a petabyte) fails at once
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "format": CHECKPOINT_FORMAT,
+            "config": {"layers": 10**7, "hidden_dim": 1024, "attn_heads": 4},
+            "params": {},
+        }))
+        start = time.perf_counter()
+        with pytest.raises(MemoryError, match=r"^Unable to allocate \d+ parameters .* "
+                                              r"for 10000000 layers of width 1024$"):
+            load_checkpoint(str(path))
+        assert time.perf_counter() - start < 1.0
 
     def test_missing_params_section_named(self, tmp_path):
         path = tmp_path / "model.json"
