@@ -37,7 +37,7 @@ GELU or Swish, would let the coefficient blow up with the input's scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,12 +49,13 @@ from .params import ConditionParams, NormParams
 class ForwardCache:
     """Intermediates captured by a forward pass, and the parameters it ran with.
 
-    ``params`` is the NormParams the forward was given; for LayerNorm and
-    DyT its beta is the shift. The backward reads every parameter and layer
-    setting from it, so it can only differentiate the forward that made the
-    cache. Other fields are populated per layer kind; unused ones stay None.
-    ``s`` is the per-channel dynamic coefficient tanh(x . beta) * alpha,
-    each head's value broadcast across that head's channels.
+    ``params`` is the NormParams the forward ran with (the conditioned
+    layer's has a gamma of ones); for LayerNorm and DyT its beta is the
+    shift. The backward reads every parameter and layer setting from it, so
+    it can only differentiate the forward that made the cache. Other fields
+    are populated per layer kind; unused ones stay None. ``s`` is the
+    per-channel dynamic coefficient tanh(x . beta) * alpha, each head's
+    value broadcast across that head's channels.
     """
 
     kind: str
@@ -131,13 +132,7 @@ def dyt_forward(x, p: NormParams, ws=FRESH) -> tuple[Matrix, ForwardCache]:
     return out, cache
 
 
-def _dynamic_forward(
-    x,
-    p: NormParams,
-    kind: str,
-    include_gamma: bool,
-    ws=FRESH,
-) -> tuple[Matrix, ForwardCache]:
+def _dynamic_forward(x, p: NormParams, kind: str, ws=FRESH) -> tuple[Matrix, ForwardCache]:
     x = as_matrix(x)
     _check_dim(p, x)
     rows, dim = x.shape
@@ -156,7 +151,7 @@ def _dynamic_forward(
     sigma_val = np.tanh(tanh_arg)
 
     s = per_head_product(sigma_val, p.alpha, head_dim, out=ws.out("s", x.shape))
-    out = np.add(s, p.gamma if include_gamma else 1.0, out=ws.out("out", x.shape))
+    out = np.add(s, p.gamma, out=ws.out("out", x.shape))
     out *= r
     cache = ForwardCache(
         kind=kind, x=x, params=p, rms=rms, r=r, tanh_arg=tanh_arg, sigma_val=sigma_val, s=s
@@ -172,7 +167,7 @@ def seednorm_forward(x, p: NormParams, ws=FRESH) -> tuple[Matrix, ForwardCache]:
     """
     if p.n_heads != 1:
         raise ValueError("n_heads != 1: use mh_seednorm_forward")
-    return _dynamic_forward(x, p, "seednorm", include_gamma=True, ws=ws)
+    return _dynamic_forward(x, p, "seednorm", ws)
 
 
 def mh_seednorm_forward(x, p: NormParams, ws=FRESH) -> tuple[Matrix, ForwardCache]:
@@ -183,7 +178,7 @@ def mh_seednorm_forward(x, p: NormParams, ws=FRESH) -> tuple[Matrix, ForwardCach
     The RMS stays a full-row reduction. With dim_scaled=True the dot product
     is divided by the head width before the tanh.
     """
-    return _dynamic_forward(x, p, "mh_seednorm", include_gamma=True, ws=ws)
+    return _dynamic_forward(x, p, "mh_seednorm", ws)
 
 
 def ada_seednorm_forward(
@@ -197,11 +192,12 @@ def ada_seednorm_forward(
         out = [(tanh(x . beta) * alpha + 1) * x/rms(x)] * (1 + gamma_c) + eta_c
 
     gamma_c = eta_c = 0 reduces to the single-head layer with gamma = 1.
-    p.gamma is ignored here by construction.
+    p.gamma is ignored: the layer runs with a gamma of ones, whose sums have
+    the bits of adding 1.0.
     """
     if cond.dim != p.dim:
         raise ValueError(f"condition dim {cond.dim} != params dim {p.dim}")
-    out, cache = _dynamic_forward(x, p, "ada_seednorm", include_gamma=False)
+    out, cache = _dynamic_forward(x, replace(p, gamma=np.ones(p.dim)), "ada_seednorm")
     out *= 1.0 + cond.gamma_c
     out += cond.eta_c
     return out, cache
