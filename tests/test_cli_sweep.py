@@ -47,13 +47,11 @@ SKIPS = {
     ("gradcheck", "--trials", 10**7): LONG_RUN,
     ("gradcheck", "--trials", 2**63): LONG_RUN,
     ("gradcheck", "--dims", 10**7): ALLOCATES,
-    ("scale_insensitivity", "--trials", 10**7): LONG_RUN,
-    ("scale_insensitivity", "--trials", 2**63): LONG_RUN,
+    ("scale_insensitivity", "--trials", 10**7): ALLOCATES,
     ("scale_insensitivity", "--dims", 10**7): ALLOCATES,
     ("dot_variance", "--samples", 10**7): ALLOCATES,
     ("dot_variance", "--dims", 10**7): ALLOCATES,
-    ("dyt_rmsnorm_ode", "--samples", 10**7): LONG_RUN,
-    ("dyt_rmsnorm_ode", "--samples", 2**63): LONG_RUN,
+    ("dyt_rmsnorm_ode", "--samples", 10**7): ALLOCATES,
     ("dyt_rmsnorm_ode", "--dims", 10**7): ALLOCATES,
     ("dyt_rmsnorm_ode", "--grid", 10**7): ALLOCATES,
 }
