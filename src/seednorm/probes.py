@@ -221,8 +221,9 @@ def probe_dyt_rmsnorm_ode(
     rng = rng if rng is not None else make_rng(0)
 
     jac_tol = 1e-12 / c
-    x = rng.standard_normal((samples, dim))  # one sample per row
-    x = x * (c / np.sqrt(np.mean(x * x, axis=1)))[:, None]  # rms c, not by rms_rows
+    x = rng.standard_normal((samples, dim))
+    # scaled to rms c without rms_rows, which the check itself measures
+    x = x * (c / np.sqrt(np.mean(x * x, axis=1)))[:, None]
     rms = rms_rows(x, 0.0)[:, None]
     # float_power takes libm's pow, as a Python float's ** does; NumPy's
     # SIMD power loop can differ from it in the last bit
