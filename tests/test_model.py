@@ -140,7 +140,6 @@ class TestBuildModel:
         cfg = tiny_cfg("dyt", layers=2)
         assert_tiles_one_buffer(build_model(cfg, make_rng(5)).params, cfg)
 
-
     def test_variants_share_weight_draws(self):
         # norm params consume no randomness, so the matrices match bitwise
         # across variants built from the same seed
