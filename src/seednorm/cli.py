@@ -319,22 +319,17 @@ def cmd_probe(args) -> int:
 
 # --------------------------------------------------------------------- cost
 
+# a model or training option's default is its config field's, held there only
+_MODEL, _TRAIN = ModelConfig(), TrainConfig()
+
 COST_OPTS = (
-    Opt("layers", "int", 2, "transformer layers"),
-    Opt("dims", "int", 64, "hidden width"),
-    Opt("heads", "int", 1, "attention heads (sets the query/key norm width)"),
+    Opt("layers", "int", _MODEL.layers, "transformer layers"),
+    Opt("dims", "int", _MODEL.hidden_dim, "hidden width"),
+    Opt("heads", "int", _MODEL.attn_heads, "attention heads (sets the query/key norm width)"),
     Opt("check", "bool", False,
         "cross-check extra_params against a built model's parameter-count delta"),
     Opt("json", "path", None, "write the JSON report here"),
 )
-
-
-def _model_param_delta(layers: int, hidden_dim: int, heads: int) -> int:
-    """Parameter-count difference, dynamic layer vs static RMS scaling, from
-    the trainer's own closed-form parameter count (nothing allocated)."""
-    common = dict(layers=layers, hidden_dim=hidden_dim, attn_heads=heads, vocab=7, context=4)
-    return (count_parameters(ModelConfig(norm_variant="seednorm", **common))
-            - count_parameters(ModelConfig(norm_variant="rmsnorm", **common)))
 
 
 def cmd_cost(args) -> int:
@@ -345,7 +340,11 @@ def cmd_cost(args) -> int:
     print(f"  extra_madds={est.extra_madds}")
     check = None
     if v["check"]:
-        delta = _model_param_delta(v["layers"], v["dims"], v["heads"])
+        # dynamic layer vs static RMS scaling, by the trainer's own closed-form
+        # parameter count (nothing allocated)
+        shape = dict(layers=v["layers"], hidden_dim=v["dims"], attn_heads=v["heads"])
+        delta = (count_parameters(ModelConfig(norm_variant="seednorm", **shape))
+                 - count_parameters(ModelConfig(norm_variant="rmsnorm", **shape)))
         check = {
             "dynamic_variant": "seednorm",
             "baseline_variant": "rmsnorm",
@@ -362,28 +361,26 @@ def cmd_cost(args) -> int:
 # ---------------------------------------------------------- train / compare
 
 MODEL_OPTS = (
-    Opt("dims", "int", 64, "hidden width"),
-    Opt("layers", "int", 2, "transformer layers"),
-    Opt("heads", "int", 4, "attention heads"),
-    Opt("norm_heads", "int", 1, "heads for the multi-head dynamic layer"),
-    Opt("vocab", "int", 17, "vocabulary size (copy task; bytes task forces 256)"),
-    Opt("context", "int", 16, "context length"),
-    Opt("alpha_init", "float", 1.0, "initial dynamic coefficient scale"),
+    Opt("dims", "int", _MODEL.hidden_dim, "hidden width"),
+    Opt("layers", "int", _MODEL.layers, "transformer layers"),
+    Opt("heads", "int", _MODEL.attn_heads, "attention heads"),
+    Opt("norm_heads", "int", _MODEL.norm_heads, "heads for the multi-head dynamic layer"),
+    Opt("vocab", "int", _MODEL.vocab, "vocabulary size (copy task; bytes task forces 256)"),
+    Opt("context", "int", _MODEL.context, "context length"),
+    Opt("alpha_init", "float", _MODEL.alpha_init, "initial dynamic coefficient scale"),
 )
 
 HYPER_OPTS = (
-    Opt("steps", "int", 1000, "optimizer steps"),
-    Opt("batch_size", "int", 32, "sequences per batch"),
-    Opt("lr", "float", 1e-3, "peak learning rate"),
-    Opt("warmup", "int", 50, "linear warmup steps"),
-    Opt("weight_decay", "float", 0.1, "decoupled weight decay"),
-    Opt("clip", "float", 1.0, "global gradient-norm cap (<=0 disables)"),
-    Opt("ema", "float", 0.99, "loss smoothing coefficient"),
-    Opt("no_decay_dynamic", "bool", False,
+    Opt("steps", "int", _TRAIN.steps, "optimizer steps"),
+    Opt("batch_size", "int", _TRAIN.batch_size, "sequences per batch"),
+    Opt("lr", "float", _TRAIN.lr, "peak learning rate"),
+    Opt("warmup", "int", _TRAIN.warmup_steps, "linear warmup steps"),
+    Opt("weight_decay", "float", _TRAIN.weight_decay, "decoupled weight decay"),
+    Opt("clip", "float", _TRAIN.grad_clip, "global gradient-norm cap (<=0 disables)"),
+    Opt("ema", "float", _TRAIN.ema, "loss smoothing coefficient"),
+    Opt("no_decay_dynamic", "bool", not _TRAIN.decay_dynamic,
         "exempt the dynamic coefficient vectors from weight decay"),
-    Opt("freeze", "str_list", [], "param-name suffixes whose gradients are zeroed"),
-    Opt("log_every", "int", 100, "stdout cadence"),
-    Opt("timing", "bool", False, "include wall-clock columns in reports"),
+    Opt("freeze", "str_list", _TRAIN.freeze, "param-name suffixes whose gradients are zeroed"),
 )
 
 TASK_OPTS = (
@@ -394,10 +391,12 @@ TASK_OPTS = (
 TRAIN_OPTS = (
     (Opt("seed", "seed", 0, "run seed"),)
     + TASK_OPTS
-    + (Opt("variant", "str", "seednorm", "norm layer in every slot", VARIANTS),)
+    + (Opt("variant", "str", _MODEL.norm_variant, "norm layer in every slot", VARIANTS),)
     + MODEL_OPTS
     + HYPER_OPTS
     + (
+        Opt("log_every", "int", 100, "stdout cadence"),
+        Opt("timing", "bool", False, "include wall-clock columns in reports"),
         Opt("csv", "path", None, "write the loss curve as CSV here"),
         Opt("json", "path", None, "write the JSON report here"),
         Opt("checkpoint", "path", None, "save model + optimizer state here"),
@@ -420,7 +419,8 @@ COMPARE_OPTS = (
 )
 
 
-def _build_task_and_cfg(v: dict, variant: str):
+def _build_configs(v: dict, variant: str):
+    """The task, ModelConfig and TrainConfig that the options describe."""
     if v["task"] == "bytes":
         if not v["data"]:
             raise UsageError("bytes task requires --data FILE")
@@ -435,37 +435,27 @@ def _build_task_and_cfg(v: dict, variant: str):
         vocab=task.vocab, context=v["context"], norm_variant=variant,
         norm_heads=v["norm_heads"], alpha_init=v["alpha_init"],
     )
-    return task, cfg
-
-
-def _build_train_cfg(v: dict) -> TrainConfig:
-    return TrainConfig(
+    tcfg = TrainConfig(
         steps=v["steps"], batch_size=v["batch_size"], lr=v["lr"],
         warmup_steps=v["warmup"], weight_decay=v["weight_decay"],
         grad_clip=v["clip"], ema=v["ema"],
         decay_dynamic=not v["no_decay_dynamic"], freeze=tuple(v["freeze"]),
     )
-
-
-def _print_curve(curve, log_every: int) -> None:
-    ema = curve.ema()
-    for i, rec in enumerate(curve.records):
-        last = i == len(curve.records) - 1
-        if rec.step % max(1, log_every) == 0 or last:
-            print(f"  step {rec.step:<6d} loss={rec.loss:.6f} ema={ema[i]:.6f}")
+    return task, cfg, tcfg
 
 
 def cmd_train(args) -> int:
     v = _resolve(TRAIN_OPTS, args)
-    task, cfg = _build_task_and_cfg(v, v["variant"])
-    tcfg = _build_train_cfg(v)
+    task, cfg, tcfg = _build_configs(v, v["variant"])
     print(
         f"train variant={cfg.norm_variant} task={v['task']} dims={cfg.hidden_dim} "
         f"layers={cfg.layers} steps={tcfg.steps} seed={v['seed']}"
     )
     result = train_model(cfg, tcfg, task, make_rng(v["seed"]))
-    curve = result.curve
-    _print_curve(curve, v["log_every"])
+    curve, ema = result.curve, result.curve.ema()
+    for i, rec in enumerate(curve.records):
+        if rec.step % max(1, v["log_every"]) == 0 or i == len(curve) - 1:
+            print(f"  step {rec.step:<6d} loss={rec.loss:.6f} ema={ema[i]:.6f}")
     if len(curve):
         print(f"final loss={curve.losses()[-1]:.6f} ema={curve.final_ema():.6f}")
     else:
@@ -494,8 +484,7 @@ def cmd_train(args) -> int:
 
 def cmd_compare(args) -> int:
     v = _resolve(COMPARE_OPTS, args)
-    task, cfg = _build_task_and_cfg(v, v["variant_a"])
-    tcfg = _build_train_cfg(v)
+    task, cfg, tcfg = _build_configs(v, v["variant_a"])
     print(
         f"compare {v['variant_a']} vs {v['variant_b']} task={v['task']} "
         f"dims={cfg.hidden_dim} layers={cfg.layers} steps={tcfg.steps} seed={v['seed']}"

@@ -158,7 +158,7 @@ def check_variant(
 
 
 def run_gradcheck(
-    variants=("rmsnorm", "dyt", "seednorm", "mh_seednorm"),
+    variants=VARIANTS,
     dims=DEFAULT_DIMS,
     trials: int = 100,
     seed: int = 0,

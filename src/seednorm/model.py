@@ -32,6 +32,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -66,8 +67,7 @@ class ModelConfig:
     norm_variant: str = "seednorm"  # a key of NORMS
     norm_heads: int = 1
     alpha_init: float = 1.0
-    norm_eps: float = 1e-6
-    ffn_mult: int = 4
+    ffn_mult: ClassVar[int] = 4  # FFN width over hidden_dim; fixed, not a setting
 
     def __post_init__(self):
         if self.norm_variant not in tuple(NORMS):  # a tuple: no hashing, no TypeError
@@ -108,15 +108,14 @@ def _norm_param_entries(prefix: str, width: int, norm: NormSpec):
 
 def _stack_specs(cfg: ModelConfig) -> tuple[tuple, tuple, tuple]:
     """The (name, shape) entries before the layers, one layer's and those after them."""
-    return _stack_entries(cfg.vocab, cfg.context, cfg.hidden_dim, cfg.head_dim, cfg.ffn_mult,
-                          cfg.norm_variant)
+    return _stack_entries(cfg.vocab, cfg.context, cfg.hidden_dim, cfg.head_dim, cfg.norm_variant)
 
 
 @lru_cache(maxsize=64)
-def _stack_entries(vocab: int, context: int, d: int, head_dim: int, ffn_mult: int,
+def _stack_entries(vocab: int, context: int, d: int, head_dim: int,
                    variant: str) -> tuple[tuple, tuple, tuple]:
     # cached: every build counts and lists them; layer names omit "layer<i>."
-    norm, f = NORMS[variant], ffn_mult * d
+    norm, f = NORMS[variant], ModelConfig.ffn_mult * d
     layer = (*_norm_param_entries("attn_norm", d, norm),
              *((f"attn.{w}", (d, d)) for w in ("wq", "wk", "wv", "wo")),
              *_norm_param_entries("q_norm", head_dim, norm),
@@ -196,7 +195,7 @@ _LAYER_FNS = sys.modules[__name__]
 def _slot_forward(params: dict, cfg: ModelConfig, prefix: str, rows, n_heads: int, ws=FRESH):
     forward = getattr(_LAYER_FNS, f"{cfg.norm_variant}_forward")
     try:
-        p = NormParams(*cfg.norm.arrays(params, prefix), cfg.norm_eps, n_heads)
+        p = NormParams(*cfg.norm.arrays(params, prefix), n_heads=n_heads)
         return forward(rows, p, ws.scope(prefix))
     except NonFiniteError as exc:
         exc.slot, exc.direction = prefix, "forward"
@@ -660,15 +659,17 @@ def _restore_array(raw, name: str, shape, what: str):
     return flat.reshape(shape)
 
 
+# Settings older v1 files carry that are now fixed, each with the one value
+# every model has (per-head query/key norms, the norm slots' eps, FFN width).
+_RETIRED = {"qk_norm_per_head": True, "norm_eps": NormParams.eps, "ffn_mult": ModelConfig.ffn_mult}
+
+
 def _config_from_blob(raw: dict) -> ModelConfig:
     raw = dict(raw)
-    # v1 files written while the query/key norm width was a switch carry
-    # qk_norm_per_head; true is the per-head layout every model now has.
-    if raw.pop("qk_norm_per_head", True) is not True:
-        raise ValueError(
-            "checkpoint config qk_norm_per_head must be true: full-width "
-            "query/key norms are not supported"
-        )
+    for key, fixed in _RETIRED.items():
+        value = raw.pop(key, fixed)
+        if type(value) is not type(fixed) or value != fixed:
+            raise ValueError(f"checkpoint config {key} must be {fixed!r}, got {value!r}")
     unknown = sorted(set(raw) - {f.name for f in fields(ModelConfig)})
     if unknown:
         raise ValueError(f"unknown checkpoint config keys: {', '.join(unknown)}")
@@ -685,8 +686,9 @@ def _entry(section: dict, key: str, where: str):
 def load_checkpoint(path):
     """Returns (Model, OptimizerState or None); the parameters tile one
     buffer, as a built model's do. Shapes are validated, and a missing
-    section, parameter or optimizer field, or an array with a NaN or an
-    infinity, raises ValueError naming it."""
+    section, parameter or optimizer field, an array with a NaN or an
+    infinity, or an optimizer step or decay flag of another JSON type,
+    raises ValueError naming it."""
     with open(path, encoding="utf-8") as fh:
         blob = json.load(fh)
     fmt = blob.get("format") if isinstance(blob, dict) else None
@@ -709,11 +711,13 @@ def load_checkpoint(path):
         return {n: _restore_array(_entry(raw, n, where), n, w.shape, where)
                 for n, w in params.items()}
 
+    step = _entry(opt_blob, "step", "optimizer")
+    # json reads true as a bool and 2.7 or 1e30 as a float: only an int is a step
+    if type(step) is not int or step < 0:
+        raise ValueError(f"checkpoint optimizer.step must be an integer >= 0, got {step!r}")
     decay = _entry(opt_blob, "decay", "optimizer")
-    state = OptimizerState(
-        m=moments("m"),
-        v=moments("v"),
-        step=int(_entry(opt_blob, "step", "optimizer")),
-        decay={n: bool(_entry(decay, n, "optimizer.decay")) for n in params},
-    )
-    return model, state
+    flags = {n: _entry(decay, n, "optimizer.decay") for n in params}
+    for n, flag in flags.items():
+        if type(flag) is not bool:
+            raise ValueError(f"checkpoint optimizer.decay {n} must be a boolean, got {flag!r}")
+    return model, OptimizerState(m=moments("m"), v=moments("v"), step=step, decay=flags)

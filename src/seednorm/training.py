@@ -53,6 +53,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if math.isnan(self.grad_clip):
             raise ValueError("grad_clip must not be NaN")
+        if "" in tuple(self.freeze):
+            raise ValueError("an empty freeze suffix would match, and freeze, every parameter")
 
 
 class TrainingDiverged(RuntimeError):
@@ -64,9 +66,14 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, step: int, site: str, quantity: str = "loss"):
         self.step = step
         self.site = site
+        self.quantity = quantity
         super().__init__(
             f"non-finite {quantity} at step {step}; first non-finite site: {site}"
         )
+
+    def __reduce__(self):
+        # args holds only the message, which __init__ cannot take back
+        return type(self), (self.step, self.site, self.quantity)
 
 
 @dataclass

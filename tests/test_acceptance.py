@@ -219,6 +219,7 @@ def test_criterion_7_whole_model_gradcheck(capsys):
            f"max_rel_err={worst:.2e} at {worst_name} (tol 1e-4)")
 
 
+@pytest.mark.slow
 def test_criterion_8_desk_scale_convergence(capsys):
     started = time.perf_counter()
     cfg = ModelConfig(layers=2, hidden_dim=64, attn_heads=4, vocab=17,

@@ -310,6 +310,14 @@ class TestExitCodeTable:
         assert out == ""
         assert err == f"error: {line}\n"
 
+    @pytest.mark.parametrize("freeze", [[""], [".beta", ""]], ids=["empty", "one-empty"])
+    def test_empty_freeze_suffix_two(self, freeze, capsys):
+        # an empty suffix matches every parameter: the run would train nothing
+        rc, out, err = run(["train", *TINY_TRAIN, "--freeze", *freeze], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: an empty freeze suffix would match, and freeze, every parameter\n"
+
     def test_model_past_memory_one(self):
         # well formed, so a machine with 728 TiB could run it: exit 1
         proc = run_process(["train", "--dims", "10000000", "--steps", "1"])
@@ -347,6 +355,66 @@ class TestExitCodeTable:
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: grid_points=9223372036854775808 out of range")
         assert proc.stdout == ""
+
+
+# each model and training option of train, compare and cost, and the
+# ModelConfig or TrainConfig field whose default it takes
+CONFIG_FIELDS = {
+    "dims": "hidden_dim", "layers": "layers", "heads": "attn_heads",
+    "norm_heads": "norm_heads", "vocab": "vocab", "context": "context",
+    "alpha_init": "alpha_init", "variant": "norm_variant",
+    "steps": "steps", "batch_size": "batch_size", "lr": "lr", "warmup": "warmup_steps",
+    "weight_decay": "weight_decay", "clip": "grad_clip", "ema": "ema", "freeze": "freeze",
+}
+
+
+class TestOptionDefaults:
+    def test_every_model_and_training_option_has_its_field(self):
+        names = {o.name for o in cli.MODEL_OPTS + cli.HYPER_OPTS}
+        assert names == set(CONFIG_FIELDS) - {"variant"} | {"no_decay_dynamic"}
+
+    @pytest.mark.parametrize("command", ["train", "compare", "cost"])
+    def test_defaults_and_help_are_the_configs(self, command):
+        from seednorm.model import ModelConfig
+
+        model, train = ModelConfig(), training.TrainConfig()
+        expected = {name: getattr(model if hasattr(model, f) else train, f)
+                    for name, f in CONFIG_FIELDS.items()}
+        expected["no_decay_dynamic"] = not train.decay_dynamic
+        opts = {o.name: o for name, _, cmd_opts, _ in COMMANDS if name == command
+                for o in cmd_opts if o.name in expected}
+        assert opts and all(o.default == expected[n] for n, o in opts.items())
+        sub = cli.build_parser()._subparsers._group_actions[0].choices[command]
+        helps = {a.dest: a.help for a in sub._actions if a.dest in opts}
+        for name, value in expected.items():
+            if name in helps and value != ():
+                assert helps[name].endswith(f"(default {value})"), name
+
+    def test_cost_defaults_describe_the_default_model(self, capsys):
+        # the model `train` builds with no flags: 4 attention heads
+        rc, out, _ = run(["cost", "--check"], capsys)
+        assert rc == 0
+        assert out.splitlines() == [
+            "cost layers=2 hidden_dim=64 heads=4", "  extra_params=768",
+            "  extra_madds=1527", "  check: model_param_delta=768 matches=true",
+        ]
+
+    @pytest.mark.parametrize("flags", [["--timing"], ["--log-every", "5"]],
+                             ids=["timing", "log-every"])
+    def test_compare_takes_no_train_only_flag(self, flags, capsys):
+        # compare prints no per-step log and its reports carry no wall time
+        rc, out, err = run(["compare", *TINY_TRAIN, *flags], capsys)
+        assert rc == 2
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
+
+    def test_train_keeps_timing_and_log_every(self, tmp_path, capsys):
+        out = tmp_path / "run.json"
+        rc, stdout, _ = run(FAST_TRAIN + ["--timing", "--log-every", "1",
+                                          "--json", str(out)], capsys)
+        assert rc == 0
+        assert "  step 0 " in stdout and "  step 1 " in stdout
+        assert all("wall_time" in r for r in json.loads(out.read_text())["curve"]["records"])
 
 
 class TestConfigFile:

@@ -142,7 +142,7 @@ class TestRunGradcheck:
         assert report["pass"] is True
         assert report["max_rel_error"] <= 1e-5
         names = [v["variant"] for v in report["variants"]]
-        assert names == ["rmsnorm", "dyt", "seednorm", "mh_seednorm"]
+        assert names == ["rmsnorm", "layernorm", "dyt", "seednorm", "mh_seednorm"]
         for entry in report["variants"]:
             assert "elapsed_s" not in entry  # timing is opt-in
 

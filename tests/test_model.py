@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -113,6 +115,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="norm_variant must be one of rmsnorm, layernorm, "
                                              "dyt, seednorm, mh_seednorm"):
             tiny_cfg(variant)
+
+
+class TestRetiredSettings:
+    def test_eight_fields_and_a_fixed_ffn_width(self):
+        assert len(fields(ModelConfig)) == 8
+        assert ModelConfig.ffn_mult == 4
+        assert dict(parameter_specs(tiny_cfg()))["layer0.ffn.w1"] == (4, 16)
+
+    @pytest.mark.parametrize("key,value", [("norm_eps", 1e-6), ("ffn_mult", 4)])
+    def test_retired_field_is_not_an_argument(self, key, value):
+        with pytest.raises(TypeError, match=key):
+            tiny_cfg(**{key: value})
 
 
 class TestCostCrossCheck:
@@ -360,17 +374,26 @@ class TestCheckpoint:
         save_checkpoint(m, str(path))
         return m, path, json.loads(path.read_text())
 
-    def test_v1_qk_norm_per_head_true_loads(self, tmp_path):
-        # v1 files written while the query/key norm width was a switch
-        # carry qk_norm_per_head = true
+    @pytest.mark.parametrize("retired", [{"qk_norm_per_head": True},
+                                         {"norm_eps": 1e-6, "ffn_mult": 4}],
+                             ids=["qk_norm_per_head", "norm_eps-ffn_mult"])
+    def test_v1_retired_keys_load(self, tmp_path, retired):
+        # v1 files carry settings that are now fixed (qk_norm_per_head from
+        # when the query/key norm width was a switch; norm_eps and ffn_mult
+        # in every file written while they were fields), at the one value
         m, path, blob = self._saved_blob(tmp_path)
-        blob["config"]["qk_norm_per_head"] = True
+        blob["config"].update(retired)
         path.write_text(json.dumps(blob))
         loaded, _ = load_checkpoint(str(path))
         assert loaded.cfg == m.cfg
         assert loaded.params.keys() == m.params.keys()
         for k in m.params:
             assert np.array_equal(loaded.params[k], m.params[k]), k
+
+    def test_saved_config_carries_no_retired_key(self, tmp_path):
+        _, _, blob = self._saved_blob(tmp_path)
+        assert sorted(blob["config"]) == sorted(f.name for f in fields(ModelConfig))
+        assert not {"qk_norm_per_head", "norm_eps", "ffn_mult"} & set(blob["config"])
 
     def test_loaded_parameters_tile_one_buffer(self, tmp_path):
         m, path, _ = self._saved_blob(tmp_path)
@@ -407,13 +430,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("drop", [("step",), ("m",), ("decay",), ("v", "embed.weight")],
                              ids=["step", "m", "decay", "v-entry"])
     def test_missing_optimizer_field_named(self, tmp_path, drop):
-        from seednorm.optim import OptimizerState, decay_flags
-
-        cfg = tiny_cfg()
-        m = build_model(cfg, make_rng(7))
-        path = tmp_path / "model.json"
-        save_checkpoint(m, str(path), opt_state=OptimizerState.init(m.params, decay_flags(cfg)))
-        blob = json.loads(path.read_text())
+        path, blob = self._saved_optimizer_blob(tmp_path)
         section = blob["optimizer"]
         for key in drop[:-1]:
             section = section[key]
@@ -432,22 +449,60 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
     def test_non_finite_moment_named(self, tmp_path):
-        from seednorm.optim import OptimizerState, decay_flags
-
-        cfg = tiny_cfg()
-        m = build_model(cfg, make_rng(7))
-        path = tmp_path / "model.json"
-        save_checkpoint(m, str(path), opt_state=OptimizerState.init(m.params, decay_flags(cfg)))
-        blob = json.loads(path.read_text())
+        path, blob = self._saved_optimizer_blob(tmp_path)
         blob["optimizer"]["v"]["embed.weight"][0] = float("inf")
         path.write_text(json.dumps(blob))
         with pytest.raises(ValueError, match=r"^checkpoint optimizer\.v embed\.weight contains "
                                              r"non-finite entries$"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("step,shown", [(-3, "-3"), (2.7, "2.7"), (True, "True"),
+                                            (1e30, "1e+30"), ("3", "'3'")],
+                             ids=["negative", "fraction", "true", "float-1e30", "string"])
+    def test_bad_optimizer_step_named(self, tmp_path, step, shown):
+        # json.load gives 2.7 and 1e30 as floats and true as a bool; none is a step
+        path, blob = self._saved_optimizer_blob(tmp_path)
+        blob["optimizer"]["step"] = step
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=rf"^checkpoint optimizer\.step must be an "
+                                             rf"integer >= 0, got {re.escape(shown)}$"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("flag,shown", [("false", "'false'"), (0, "0"), (None, "None")],
+                             ids=["string", "int", "null"])
+    def test_bad_decay_flag_named(self, tmp_path, flag, shown):
+        # bool("false") is True: only a JSON boolean is a flag
+        path, blob = self._saved_optimizer_blob(tmp_path)
+        blob["optimizer"]["decay"]["layer0.attn_norm.beta"] = flag
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=rf"^checkpoint optimizer\.decay "
+                                             rf"layer0\.attn_norm\.beta must be a boolean, "
+                                             rf"got {shown}$"):
+            load_checkpoint(str(path))
+
+    def test_zero_step_and_boolean_flags_load(self, tmp_path):
+        path, blob = self._saved_optimizer_blob(tmp_path)
+        assert blob["optimizer"]["step"] == 0
+        _, opt = load_checkpoint(str(path))
+        assert opt.step == 0 and type(opt.step) is int
+        assert opt.decay == blob["optimizer"]["decay"]
+        assert all(type(f) is bool for f in opt.decay.values())
+
+    @staticmethod
+    def _saved_optimizer_blob(tmp_path):
+        from seednorm.optim import OptimizerState, decay_flags
+
+        cfg = tiny_cfg()
+        m = build_model(cfg, make_rng(7))
+        path = tmp_path / "model.json"
+        save_checkpoint(m, str(path), opt_state=OptimizerState.init(m.params, decay_flags(cfg)))
+        return path, json.loads(path.read_text())
+
     @pytest.mark.parametrize("key,value", [
-        ("qk_norm_per_head", False), ("qk_norm_width", 4),
-    ], ids=["full-width-qk", "unknown-key"])
+        ("qk_norm_per_head", False), ("qk_norm_width", 4), ("qk_norm_per_head", 1),
+        ("norm_eps", 1e-5), ("norm_eps", 0), ("ffn_mult", 2), ("ffn_mult", 4.0),
+    ], ids=["full-width-qk", "unknown-key", "qk-not-a-bool", "other-eps", "eps-int",
+            "other-ffn-mult", "ffn-mult-float"])
     def test_config_key_rejected(self, tmp_path, key, value):
         _, path, blob = self._saved_blob(tmp_path)
         blob["config"][key] = value

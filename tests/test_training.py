@@ -1,6 +1,7 @@
 """Training loop behavior: tasks, curves, determinism, divergence handling."""
 
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -260,6 +261,20 @@ class TestTrainModel:
                         make_rng(0), model=model)
         assert exc.value.step == 0
         assert exc.value.site == "logits"
+
+    def test_divergence_survives_pickling(self):
+        exc = TrainingDiverged(3, "layer0.attn_norm", "gradient")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is TrainingDiverged
+        assert (back.step, back.site, back.quantity) == (3, "layer0.attn_norm", "gradient")
+        assert str(back) == str(exc) == ("non-finite gradient at step 3; "
+                                         "first non-finite site: layer0.attn_norm")
+
+    @pytest.mark.parametrize("freeze", [("",), (".beta", "")])
+    def test_empty_freeze_suffix_rejected(self, freeze):
+        # every parameter name ends with "": the run would train nothing
+        with pytest.raises(ValueError, match="empty freeze suffix"):
+            TrainConfig(freeze=freeze)
 
     def test_freeze_suffix_pins_parameter(self):
         cfg = small_cfg()
