@@ -199,7 +199,8 @@ def _dynamic_backward(cache: ForwardCache, u: Matrix, d_x: Matrix | None, ws) ->
     d_beta = np.multiply(per_head_product(dyn, cache.x, head_dim, out=scratch).sum(axis=0),
                          inv_hd, out=ws.out("d_beta", (dim,)))
 
-    w = np.add(cache.s, p.gamma, out=ur)
+    w = per_head_product(cache.sigma_val, p.alpha, head_dim, out=ur)  # s, as the forward made it
+    w += p.gamma
     w *= u
     d_x = _rms_direction_backward(w, cache.r, cache.rms, dim, scratch)
     d_x += per_head_product(dyn, p.beta * inv_hd, head_dim, out=scratch)

@@ -27,7 +27,9 @@ per-head coefficient c = tanh(x_h . beta_h), the output row is
 where the coefficient of each head broadcasts across that head's contiguous
 channel chunk and the RMS is always taken over the full row. Plain RMSNorm
 is the beta = 0 special case and reuses the identical r and multiply, which
-keeps the reduction identity exact down to the last bit.
+keeps the reduction identity exact down to the last bit. The output array
+takes c * alpha first, so a dynamic layer keeps r and its output, as RMSNorm
+does; the backward rebuilds c * alpha from the cached per-head c.
 
 The coefficient is bounded on purpose: |c| <= 1 whatever the input's scale,
 so under x -> k x the output moves by at most 2 |alpha| |r| (the bound
@@ -53,9 +55,9 @@ class ForwardCache:
     layer's has a gamma of ones); for LayerNorm and DyT its beta is the
     shift. The backward reads every parameter and layer setting from it, so
     it can only differentiate the forward that made the cache. Other fields
-    are populated per layer kind; unused ones stay None. ``s`` is the
-    per-channel dynamic coefficient tanh(x . beta) * alpha, each head's
-    value broadcast across that head's channels.
+    are populated per layer kind; unused ones stay None. A dynamic layer
+    keeps ``r`` and the per-head ``sigma_val``; its backward rebuilds the
+    per-channel coefficient tanh(x . beta) * alpha from ``sigma_val``.
     """
 
     kind: str
@@ -65,7 +67,6 @@ class ForwardCache:
     r: Matrix | None = None                # x / rms, or (x - mean)/std for layernorm
     tanh_arg: np.ndarray | None = None     # (rows, n_heads), after dim scaling
     sigma_val: np.ndarray | None = None    # tanh(tanh_arg), (rows, n_heads)
-    s: Matrix | None = None                # dynamic coefficient per channel
     tanh_ax: Matrix | None = None          # DyT: tanh(alpha * x)
     inv_std: np.ndarray | None = None      # LayerNorm: 1 / sqrt(var + eps)
 
@@ -150,12 +151,11 @@ def _dynamic_forward(x, p: NormParams, kind: str, ws=FRESH) -> tuple[Matrix, For
         tanh_arg /= head_dim
     sigma_val = np.tanh(tanh_arg)
 
-    s = per_head_product(sigma_val, p.alpha, head_dim, out=ws.out("s", x.shape))
-    out = np.add(s, p.gamma, out=ws.out("out", x.shape))
+    out = per_head_product(sigma_val, p.alpha, head_dim, out=ws.out("out", x.shape))
+    out += p.gamma
     out *= r
-    cache = ForwardCache(
-        kind=kind, x=x, params=p, rms=rms, r=r, tanh_arg=tanh_arg, sigma_val=sigma_val, s=s
-    )
+    cache = ForwardCache(kind=kind, x=x, params=p, rms=rms, r=r, tanh_arg=tanh_arg,
+                         sigma_val=sigma_val)
     return out, cache
 
 

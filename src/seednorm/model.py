@@ -664,15 +664,22 @@ def _restore_array(raw, name: str, shape, what: str):
 _RETIRED = {"qk_norm_per_head": True, "norm_eps": NormParams.eps, "ffn_mult": ModelConfig.ffn_mult}
 
 
-def _config_from_blob(raw: dict) -> ModelConfig:
+def _config_from_blob(raw) -> ModelConfig:
+    if not isinstance(raw, dict):
+        raise ValueError(f"checkpoint config must be a JSON object, got {raw!r}")
     raw = dict(raw)
     for key, fixed in _RETIRED.items():
         value = raw.pop(key, fixed)
         if type(value) is not type(fixed) or value != fixed:
             raise ValueError(f"checkpoint config {key} must be {fixed!r}, got {value!r}")
-    unknown = sorted(set(raw) - {f.name for f in fields(ModelConfig)})
+    kinds = {f.name: type(f.default) for f in fields(ModelConfig)}
+    unknown = sorted(set(raw) - set(kinds))
     if unknown:
         raise ValueError(f"unknown checkpoint config keys: {', '.join(unknown)}")
+    for key, value in raw.items():  # json reads 2 as an int, 2.0 as a float, true as a bool
+        if type(value) is not kinds[key] and (kinds[key], type(value)) != (float, int):
+            raise ValueError(f"checkpoint config {key} must be a JSON "
+                             f"{kinds[key].__name__}, got {value!r}")
     return ModelConfig(**raw)
 
 

@@ -53,6 +53,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if math.isnan(self.grad_clip):
             raise ValueError("grad_clip must not be NaN")
+        if isinstance(self.freeze, str):  # its characters would be the suffixes
+            raise ValueError(f"freeze must be a tuple of suffixes, got the string {self.freeze!r}")
         if "" in tuple(self.freeze):
             raise ValueError("an empty freeze suffix would match, and freeze, every parameter")
 

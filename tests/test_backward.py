@@ -280,7 +280,8 @@ def repeat_backward(cache, u):
     dyn = np.repeat(sig_prime * head_sums, head_dim, axis=1)
     inv_hd = 1.0 / head_dim if p.dim_scaled else 1.0
     d_beta = np.sum(dyn * cache.x, axis=0) * inv_hd
-    w = (cache.s + p.gamma) * u
+    s = np.repeat(cache.sigma_val, head_dim, axis=1) * p.alpha
+    w = (s + p.gamma) * u
     proj = np.sum(w * cache.r, axis=1) / (dim * cache.rms)
     d_x = dyn * (p.beta * inv_hd) + (w / cache.rms[:, None] - cache.r * proj[:, None])
     return d_alpha, d_beta, d_x

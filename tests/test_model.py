@@ -510,6 +510,34 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=key):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("key,value", [
+        ("layers", "2"), ("layers", 2.0), ("layers", True), ("norm_heads", None),
+        ("norm_variant", 3), ("alpha_init", "1.0"), ("alpha_init", False),
+    ], ids=["layers-str", "layers-float", "layers-bool", "heads-null", "variant-int",
+            "alpha-str", "alpha-bool"])
+    def test_config_field_of_another_json_type_rejected(self, tmp_path, key, value):
+        _, path, blob = self._saved_blob(tmp_path)
+        blob["config"][key] = value
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=f"checkpoint config {key} must be a JSON"):
+            load_checkpoint(str(path))
+
+    def test_integer_alpha_init_loads(self, tmp_path):
+        _, path, blob = self._saved_blob(tmp_path)
+        blob["config"]["alpha_init"] = 1
+        path.write_text(json.dumps(blob))
+        loaded, _ = load_checkpoint(str(path))
+        assert loaded.cfg.alpha_init == 1
+
+    @pytest.mark.parametrize("config", [5, [], "seednorm", None],
+                             ids=["int", "list", "str", "null"])
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, config):
+        _, path, blob = self._saved_blob(tmp_path)
+        blob["config"] = config
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match="checkpoint config must be a JSON object"):
+            load_checkpoint(str(path))
+
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)

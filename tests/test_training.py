@@ -276,6 +276,11 @@ class TestTrainModel:
         with pytest.raises(ValueError, match="empty freeze suffix"):
             TrainConfig(freeze=freeze)
 
+    def test_bare_string_freeze_rejected(self):
+        # iterated, ".beta" would be the suffixes ".", "b", "e", "t" and "a"
+        with pytest.raises(ValueError, match="tuple of suffixes"):
+            TrainConfig(freeze=".beta")
+
     def test_freeze_suffix_pins_parameter(self):
         cfg = small_cfg()
         task = CopyTask(vocab=7, context=6)

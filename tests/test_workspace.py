@@ -109,6 +109,31 @@ def test_every_gradient_is_one_workspace_array_across_calls(variant):
         assert g.shape == m.params[name].shape, name
 
 
+@pytest.mark.parametrize("variant", ["seednorm", "mh_seednorm"])
+def test_dynamic_slot_keeps_r_and_its_output_alone(variant):
+    # the per-channel coefficient is written into the output and rebuilt by
+    # the backward, so a dynamic slot keeps the two (rows, dim) arrays that
+    # an RMSNorm slot keeps
+    cfg = small_cfg(variant)
+    m = build_model(cfg, make_rng(39))
+    rng = make_rng(40)
+    b, t, d = 3, cfg.context, cfg.hidden_dim
+    tokens = rng.integers(0, 7, size=(b, t))
+    targets = rng.integers(0, 7, size=(b, t))
+    ws = Workspace()
+    loss_and_grads(m, tokens, targets, ws)
+    keys = list(ws._arrays)
+    assert not [name for name, _ in keys if name.endswith(".s")]
+    slots = {"final_norm": (b * t, d)}
+    for i in range(cfg.layers):
+        slots.update({f"layer{i}.attn_norm": (b * t, d), f"layer{i}.ffn_norm": (b * t, d),
+                      f"layer{i}.q_norm": (b * cfg.attn_heads * t, cfg.head_dim),
+                      f"layer{i}.k_norm": (b * cfg.attn_heads * t, cfg.head_dim)})
+    for slot, shape in slots.items():
+        kept = {key for key in keys if key[0].startswith(f"{slot}.") and len(key[1]) == 2}
+        assert kept == {(f"{slot}.r", shape), (f"{slot}.out", shape)}, slot
+
+
 @pytest.mark.parametrize("variant", list(NORMS))
 def test_frozen_gradients_are_zeroed_in_their_workspace_arrays(variant, monkeypatch):
     handed = []
