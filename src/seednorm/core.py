@@ -126,8 +126,8 @@ def rms_rows(x: Matrix, eps: float, scratch: Matrix | None = None) -> np.ndarray
     """
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError(f"expected (rows, dim>=1) matrix, got shape {x.shape}")
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    if not 0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     sq = np.multiply(x, x, out=scratch)
     return np.sqrt(np.add.reduce(sq, axis=1) / x.shape[1] + eps)
 

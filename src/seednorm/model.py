@@ -202,16 +202,18 @@ def _slot_forward(params: dict, cfg: ModelConfig, prefix: str, rows, n_heads: in
         raise
 
 
-def _slot_backward(params: dict, cfg: ModelConfig, prefix: str, cache, upstream, ws=FRESH):
-    """The slot's input gradient and its parameter gradients. In a workspace
-    the input gradient overwrites the slot's forward output."""
+def _slot_backward(params: dict, cfg: ModelConfig, prefix: str, cache, upstream, grads: dict,
+                   ws=FRESH):
+    """The slot's input gradient; its parameter gradients go into ``grads``.
+    In a workspace the input gradient overwrites the slot's forward output."""
     backward = getattr(_LAYER_FNS, f"{cfg.norm_variant}_backward")
     try:
         b = backward(cache, upstream, ws.scope(prefix))
     except NonFiniteError as exc:
         exc.slot, exc.direction = prefix, "backward"
         raise
-    return b.d_x, cfg.norm.grads(prefix, b)
+    grads.update(cfg.norm.grads(prefix, b))
+    return b.d_x
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -411,8 +413,9 @@ def _attn_forward(params, cfg, pfx, xn, sites=None, ws=FRESH):
     return out.reshape(b, t, d), cache
 
 
-def _attn_backward(params, cfg, pfx, cache, dout, ws=FRESH):
-    """The layer's input gradient and the gradients of its four matrices.
+def _attn_backward(params, cfg, pfx, cache, dout, grads, ws=FRESH):
+    """The layer's input gradient; the gradients of its four matrices and
+    its query/key norms go into ``grads``.
 
     In a workspace, several intermediates overwrite an array of this layer's
     forward that the backward has read for the last time: the cached ``oc``
@@ -425,7 +428,7 @@ def _attn_backward(params, cfg, pfx, cache, dout, ws=FRESH):
     wq, wk, wv, wo = (params[names[w]] for w in ("wq", "wk", "wv", "wo"))
     att, vh, qn, kn = cache["att"], cache["vh"], cache["qn"], cache["kn"]
     dout2 = dout.reshape(b * t, d)
-    grads = {names["wo"]: np.matmul(cache["oc"].T, dout2, out=_grad(ws, names["wo"], params))}
+    grads[names["wo"]] = np.matmul(cache["oc"].T, dout2, out=_grad(ws, names["wo"], params))
     d_oc = np.matmul(dout2, wo.T, out=lw.out("oc", (b * t, d)))
     do = d_oc.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
     datt = np.matmul(do, vh.swapaxes(-1, -2), out=ws.shared("attn_backward.datt", att.shape))
@@ -444,12 +447,10 @@ def _attn_backward(params, cfg, pfx, cache, dout, ws=FRESH):
     dkn *= inv_scale
     dqn_rows = dqn.reshape(b * heads * t, hd)
     dkn_rows = dkn.reshape(b * heads * t, hd)
-    dq_rows, gq = _slot_backward(params, cfg, f"{pfx}.q_norm", cache["q_cache"], dqn_rows, ws)
-    dk_rows, gk = _slot_backward(params, cfg, f"{pfx}.k_norm", cache["k_cache"], dkn_rows, ws)
+    dq_rows = _slot_backward(params, cfg, f"{pfx}.q_norm", cache["q_cache"], dqn_rows, grads, ws)
+    dk_rows = _slot_backward(params, cfg, f"{pfx}.k_norm", cache["k_cache"], dkn_rows, grads, ws)
     dq = _merge_heads(dq_rows, b, t, heads, ws.shared("attn.proj", (b * t, d)))
     dk = _merge_heads(dk_rows, b, t, heads, lw.empty("oc", (b * t, d)))
-    grads.update(gq)
-    grads.update(gk)
     x2 = cache["x2"]
     for w, dw in (("wq", dq), ("wk", dk), ("wv", dv)):
         grads[names[w]] = np.matmul(x2.T, dw, out=_grad(ws, names[w], params))
@@ -457,7 +458,7 @@ def _attn_backward(params, cfg, pfx, cache, dout, ws=FRESH):
     part = np.matmul(dk, wk.T, out=dq)
     dx2 += part
     dx2 += np.matmul(dv, wv.T, out=part)
-    return dx2.reshape(b, t, d), grads
+    return dx2.reshape(b, t, d)
 
 
 def _ffn_forward(params, pfx, rows, ws=FRESH):
@@ -472,20 +473,21 @@ def _ffn_forward(params, pfx, rows, ws=FRESH):
     return out, {"rows": rows, "h1": h1, "cdf": cdf}
 
 
-def _ffn_backward(params, pfx, cache, dout, ws=FRESH):
+def _ffn_backward(params, pfx, cache, dout, grads, ws=FRESH):
+    """The rows' gradient; the gradients of w2 and w1 go into ``grads``."""
     lw = ws.scope(f"{pfx}.ffn")
     n1, n2 = f"{pfx}.ffn.w1", f"{pfx}.ffn.w2"
     w1, w2 = params[n1], params[n2]
     h1, cdf = cache["h1"], cache["cdf"]
     act = np.multiply(h1, cdf, out=ws.shared("ffn.act", h1.shape))
-    grads = {n2: np.matmul(act.T, dout, out=_grad(ws, n2, params))}
+    grads[n2] = np.matmul(act.T, dout, out=_grad(ws, n2, params))
     gelu_prime = _gelu_prime_from_cdf(h1, cdf, out=act)
     # dact, times GELU' in place; in a workspace it overwrites h1, read last above
     dh1 = np.matmul(dout, w2.T, out=lw.out("h1", h1.shape))
     dh1 *= gelu_prime
     grads[n1] = np.matmul(cache["rows"].T, dh1, out=_grad(ws, n1, params))
     d_rows = np.matmul(dh1, w1.T, out=ws.shared("ffn_backward.d_rows", dout.shape))
-    return d_rows, grads
+    return d_rows
 
 
 def _block_forward(params, cfg, i, x, sites=None, ws=FRESH):
@@ -514,18 +516,13 @@ def _block_backward(params, cfg, i, cache, dout, grads, ws=FRESH):
     pfx = f"layer{i}"
     b, t, d = cache["shape"]
     d_ffn_out = dout.reshape(b * t, d)
-    d_nf, g_ffn = _ffn_backward(params, pfx, cache["ffn"], d_ffn_out, ws)
-    grads.update(g_ffn)
-    d_h_rows, g_fn = _slot_backward(params, cfg, f"{pfx}.ffn_norm", cache["ffn_norm"], d_nf, ws)
-    grads.update(g_fn)
+    d_nf = _ffn_backward(params, pfx, cache["ffn"], d_ffn_out, grads, ws)
+    d_h_rows = _slot_backward(params, cfg, f"{pfx}.ffn_norm", cache["ffn_norm"], d_nf, grads, ws)
     # the residual stream's gradient; the next block down updates it in place
     dh = np.add(dout, d_h_rows.reshape(b, t, d), out=ws.shared("block_backward.dh", dout.shape))
-    d_attn_in, g_attn = _attn_backward(params, cfg, pfx, cache["attn"], dh, ws)
-    grads.update(g_attn)
-    d_rows, g_an = _slot_backward(
-        params, cfg, f"{pfx}.attn_norm", cache["attn_norm"], d_attn_in.reshape(b * t, d), ws
-    )
-    grads.update(g_an)
+    d_attn_in = _attn_backward(params, cfg, pfx, cache["attn"], dh, grads, ws)
+    d_rows = _slot_backward(params, cfg, f"{pfx}.attn_norm", cache["attn_norm"],
+                            d_attn_in.reshape(b * t, d), grads, ws)
     dh += d_rows.reshape(b, t, d)
     return dh
 
@@ -566,18 +563,19 @@ def model_forward(params, cfg: ModelConfig, tokens, sites=None, ws=FRESH):
 
 
 def model_backward(params, cfg: ModelConfig, caches, dlogits, ws=FRESH):
-    """Every parameter's gradient, keyed in the order computed: the unembedding
-    and final norm, then each layer from the last down (FFN weights, FFN norm,
-    output projection, query/key norms, input projections, attention norm),
-    then the embeddings. ``clip_gradients`` sums in this order, so changing it
-    changes the bits of every clipped run."""
+    """Every parameter's gradient, in one dict that each backward stage below
+    writes into as it computes, so its keys follow the order of the writes:
+    the unembedding and final norm, then each layer from the last down (FFN
+    weights, FFN norm, output projection, query/key norms, input
+    projections, attention norm), then the embeddings. ``clip_gradients``
+    sums in this order, so changing it changes the bits of every clipped
+    run."""
     b, t, d = caches["shape"]
     unembed = params["unembed.weight"]
     grads = {"unembed.weight": np.matmul(caches["final_norm_out"].T, dlogits,
                                          out=_grad(ws, "unembed.weight", params))}
     d_fn = np.matmul(dlogits, unembed.T, out=ws.shared("model_backward.d_fn", (b * t, d)))
-    d_rows, g_fn = _slot_backward(params, cfg, "final_norm", caches["final_norm"], d_fn, ws)
-    grads.update(g_fn)
+    d_rows = _slot_backward(params, cfg, "final_norm", caches["final_norm"], d_fn, grads, ws)
     dx = d_rows.reshape(b, t, d)
     for i in reversed(range(cfg.layers)):
         dx = _block_backward(params, cfg, i, caches["blocks"][i], dx, grads, ws)

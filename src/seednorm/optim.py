@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,20 @@ class AdamWConfig:
     beta2: float = 0.95
     eps: float = 1e-8
     weight_decay: float = 0.0
+
+    def __post_init__(self):
+        # beta = 1 zeroes a bias correction, and a NaN or infinite rate
+        # reaches every parameter: each would make the whole model NaN
+        for name, high in (("lr", math.inf), ("beta1", 1.0), ("beta2", 1.0), ("eps", math.inf),
+                           ("weight_decay", math.inf)):
+            _check_range(name, getattr(self, name), high)
+
+
+def _check_range(name: str, value: float, high: float) -> float:
+    """``value`` if it lies in [0, high), else ValueError; NaN never does."""
+    if not 0.0 <= value < high:
+        raise ValueError(f"{name} must be in [0, {high}), got {value}")
+    return value
 
 
 @dataclass
@@ -85,12 +100,13 @@ def adamw_step(
 
     theta <- theta - lr * mhat / (sqrt(vhat) + eps) - lr * wd * theta,
     with bias-corrected moments and decay applied only to the decay set.
-    Non-finite gradients are rejected before any state mutates.
+    Non-finite gradients and an ``lr`` outside [0, inf) are rejected before
+    any state mutates.
     """
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for {name}")
-    lr_t = hyper.lr if lr is None else float(lr)
+    lr_t = hyper.lr if lr is None else _check_range("lr", float(lr), math.inf)
     state.step += 1
     t = state.step
     bc1 = 1.0 - hyper.beta1**t

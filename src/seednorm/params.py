@@ -53,8 +53,8 @@ class NormParams:
             self.alpha = as_vector(self.alpha, "alpha")
             if self.alpha.shape[0] != dim:
                 raise ValueError(f"alpha dim {self.alpha.shape[0]} != gamma dim {dim}")
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
+        if not 0 <= self.eps < math.inf:
+            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
         if self.n_heads < 1 or dim % self.n_heads != 0:
             raise ValueError(f"n_heads={self.n_heads} must divide dim={dim}")
 

@@ -124,7 +124,7 @@ class ByteFileTask:
 
     def batch(self, rng: np.random.Generator, batch_size: int):
         starts = rng.integers(0, self.data.size - self.context - 1, size=batch_size)
-        rows = np.stack([self.data[s : s + self.context + 1] for s in starts])
+        rows = self.data[starts[:, None] + np.arange(self.context + 1)]
         return rows[:, :-1].copy(), rows[:, 1:].copy()
 
 

@@ -465,6 +465,29 @@ class TestConfigFile:
         rc, _, err = run(["gradcheck", "--config", "/no/such/file.cfg"], capsys)
         assert rc == 2
 
+    @pytest.mark.parametrize("word,timed", [("yes", True), ("off", False)])
+    def test_bool_word_sets_timing(self, tmp_path, capsys, word, timed):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"timing = {word}\nvariant = rmsnorm\ndims = 2\ntrials = 3\n")
+        report = tmp_path / "r.json"
+        rc, _, _ = run(["gradcheck", "--config", str(cfg), "--json", str(report)], capsys)
+        assert rc == 0
+        assert ("elapsed_s" in json.loads(report.read_text())["variants"][0]) is timed
+
+    # each error names the file and the line; the third's line 2 follows a comment
+    @pytest.mark.parametrize("text,lineno,message", [
+        ("timing = maybe\n", 1, "bad value for 'timing': expected a boolean, got 'maybe'"),
+        ("variant = nope\n", 1, "'variant' must be one of rmsnorm, "),
+        ("# comment\ntrials 3\n", 2, "expected 'key = value'"),
+    ], ids=["bool", "choice", "no_equals"])
+    def test_bad_line_is_one_error(self, tmp_path, capsys, text, lineno, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        rc, out, err = run(["gradcheck", "--config", str(cfg)], capsys)
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: {cfg}:{lineno}: {message}")
+        assert err.count("\n") == 1
+
     def test_flag_beats_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("trials = 9\nvariant = rmsnorm\ndims = 2\n")
@@ -661,6 +684,11 @@ class TestOutputPaths:
         assert proc.stdout == ""
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
         assert list(out_dir.iterdir()) == []
+
+    def test_directory_path_two_in_process(self, tmp_path, capsys):
+        rc, out, err = run(["gradcheck", "--json", str(tmp_path)], capsys)
+        assert rc == 2 and out == ""
+        assert err == f"error: --json: {str(tmp_path)!r} is a directory\n"
 
     def test_path_from_config_file_checked(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

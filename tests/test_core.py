@@ -56,9 +56,10 @@ class TestRowRms:
         v = np.array([3.0, 4.0])
         assert one_row_rms(v, 0.5) == pytest.approx(math.sqrt(12.5 + 0.5))
 
-    def test_negative_eps_rejected(self):
-        with pytest.raises(ValueError):
-            one_row_rms(np.ones(2), -1e-9)
+    @pytest.mark.parametrize("eps", [-1e-9, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    def test_negative_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+            one_row_rms(np.ones(2), eps)
 
     def test_empty_row_rejected(self):
         with pytest.raises(ValueError):

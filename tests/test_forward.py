@@ -319,6 +319,11 @@ class TestNormParams:
         with pytest.raises(ValueError, match="alpha must be finite"):
             NormParams(gamma=np.ones(3), alpha=bad, beta=np.zeros(3))
 
+    @pytest.mark.parametrize("eps", [-1e-9, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    def test_negative_or_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+            NormParams(gamma=np.ones(4), eps=eps)
+
     @pytest.mark.parametrize("variant", list(NORMS))
     def test_zero_width_rejected_for_every_variant(self, variant):
         # one error, raised before any kernel runs on the empty row

@@ -134,8 +134,9 @@ def test_attention_leaves_inputs_and_cache_unchanged(variant):
 
     out, cache = _attn_forward(m.params, cfg, "layer0", xn)
     cached = snapshot(cache)
-    first = _attn_backward(m.params, cfg, "layer0", cache, dout)
-    second = _attn_backward(m.params, cfg, "layer0", cache, dout)
+    g1, g2 = {}, {}
+    first = (_attn_backward(m.params, cfg, "layer0", cache, dout, g1), g1)
+    second = (_attn_backward(m.params, cfg, "layer0", cache, dout, g2), g2)
 
     assert_unchanged(before, inputs)
     assert_unchanged(cached, cache)
@@ -154,8 +155,9 @@ def test_ffn_leaves_inputs_and_cache_unchanged():
 
     out, cache = _ffn_forward(m.params, "layer0", rows)
     cached = snapshot(cache)
-    first = _ffn_backward(m.params, "layer0", cache, dout)
-    second = _ffn_backward(m.params, "layer0", cache, dout)
+    g1, g2 = {}, {}
+    first = (_ffn_backward(m.params, "layer0", cache, dout, g1), g1)
+    second = (_ffn_backward(m.params, "layer0", cache, dout, g2), g2)
 
     assert_unchanged(before, inputs)
     assert_unchanged(cached, cache)

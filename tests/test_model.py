@@ -559,7 +559,7 @@ def ffn_gelu(z):
     params = {"g.ffn.w1": np.ones((1, 1)), "g.ffn.w2": np.ones((1, 1))}
     rows = np.asarray(z, dtype=np.float64).reshape(-1, 1)
     out, cache = _ffn_forward(params, "g", rows)
-    d_rows, _ = _ffn_backward(params, "g", cache, np.ones_like(rows))
+    d_rows = _ffn_backward(params, "g", cache, np.ones_like(rows), {})
     return out.ravel(), d_rows.ravel()
 
 
@@ -617,9 +617,9 @@ def reference_attention(params, cfg, pfx, xn, dout):
     dscores = att * (datt - np.sum(datt * att, axis=-1, keepdims=True))
     dqn = np.einsum("bhij,bhjd->bhid", dscores, kn) * inv_scale
     dkn = np.einsum("bhij,bhid->bhjd", dscores, qn) * inv_scale
-    dq_rows, grads = _slot_backward(params, cfg, f"{pfx}.q_norm", q_cache, to_rows(dqn))
-    dk_rows, gk = _slot_backward(params, cfg, f"{pfx}.k_norm", k_cache, to_rows(dkn))
-    grads.update(gk)
+    grads = {}
+    dq_rows = _slot_backward(params, cfg, f"{pfx}.q_norm", q_cache, to_rows(dqn), grads)
+    dk_rows = _slot_backward(params, cfg, f"{pfx}.k_norm", k_cache, to_rows(dkn), grads)
     dq, dk, dv = merge(from_rows(dq_rows)), merge(from_rows(dk_rows)), merge(dvh)
     grads[f"{pfx}.attn.wo"] = oc.T @ dout2
     grads[f"{pfx}.attn.wq"] = x2.T @ dq
@@ -662,14 +662,12 @@ def expression_attention(params, cfg, pfx, xn, dout):
     dscores = att * (datt - np.sum(datt * att, axis=-1, keepdims=True))
     dqn = (dscores @ kn) * inv_scale
     dkn = (dscores.swapaxes(-1, -2) @ qn) * inv_scale
-    dq_rows, gq = _slot_backward(params, cfg, f"{pfx}.q_norm", q_cache,
-                                 dqn.reshape(b * heads * t, hd))
-    dk_rows, gk = _slot_backward(params, cfg, f"{pfx}.k_norm", k_cache,
-                                 dkn.reshape(b * heads * t, hd))
+    dq_rows = _slot_backward(params, cfg, f"{pfx}.q_norm", q_cache,
+                             dqn.reshape(b * heads * t, hd), grads)
+    dk_rows = _slot_backward(params, cfg, f"{pfx}.k_norm", k_cache,
+                             dkn.reshape(b * heads * t, hd), grads)
     dq = dq_rows.reshape(b, heads, t, hd).transpose(0, 2, 1, 3).reshape(b * t, d)
     dk = dk_rows.reshape(b, heads, t, hd).transpose(0, 2, 1, 3).reshape(b * t, d)
-    grads.update(gq)
-    grads.update(gk)
     dv = dvh.transpose(0, 2, 1, 3).reshape(b * t, d)
     grads[f"{pfx}.attn.wq"] = x2.T @ dq
     grads[f"{pfx}.attn.wk"] = x2.T @ dk
@@ -700,7 +698,8 @@ class TestBlockContractions:
         xn = rng.normal(size=(3, 5, 12))
         dout = rng.normal(size=(3, 5, 12))
         out, cache = _attn_forward(m.params, cfg, "layer0", xn)
-        dx, grads = _attn_backward(m.params, cfg, "layer0", cache, dout)
+        grads = {}
+        dx = _attn_backward(m.params, cfg, "layer0", cache, dout, grads)
         ref_out, ref_dx, ref_grads = reference_attention(m.params, cfg, "layer0", xn, dout)
         assert_rel_close(out, ref_out)
         assert_rel_close(dx, ref_dx)
@@ -716,7 +715,8 @@ class TestBlockContractions:
         xn = rng.normal(size=(3, 5, 12)) * 3.0  # wide scores: some softmax rows saturate
         dout = rng.normal(size=(3, 5, 12))
         out, cache = _attn_forward(m.params, cfg, "layer0", xn)
-        dx, grads = _attn_backward(m.params, cfg, "layer0", cache, dout)
+        grads = {}
+        dx = _attn_backward(m.params, cfg, "layer0", cache, dout, grads)
         ref_att, ref_out, ref_dx, ref_grads = expression_attention(
             m.params, cfg, "layer0", xn, dout)
         assert np.array_equal(cache["att"], ref_att)
@@ -733,7 +733,8 @@ class TestBlockContractions:
         rows = rng.normal(size=(6, 8)) * 20.0  # spreads h1 across GELU's range
         dout = rng.normal(size=(6, 8))
         out, cache = _ffn_forward(m.params, "layer0", rows)
-        d_rows, grads = _ffn_backward(m.params, "layer0", cache, dout)
+        grads = {}
+        d_rows = _ffn_backward(m.params, "layer0", cache, dout, grads)
         h1 = rows @ w1
         act = gelu_ref(h1)
         assert np.array_equal(act, 0.5 * h1 * (1.0 + erf(h1 * (1.0 / np.sqrt(2.0)))))

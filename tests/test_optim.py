@@ -70,6 +70,32 @@ class TestAdamWStep:
         assert state.step == 0
         assert state.m["w"][0] == 0.0
 
+    # lr and weight_decay lie in [0, inf), the betas in [0, 1) (beta = 1
+    # divides the bias correction by 0), eps in [0, inf); NaN in none
+    @pytest.mark.parametrize("field,bad", [
+        ("lr", np.nan), ("lr", np.inf), ("lr", -1e-3),
+        ("beta1", 1.0), ("beta1", -0.1), ("beta1", np.nan),
+        ("beta2", 1.0), ("beta2", -0.1), ("beta2", np.nan),
+        ("eps", np.nan), ("eps", np.inf), ("eps", -1e-8),
+        ("weight_decay", np.nan), ("weight_decay", np.inf), ("weight_decay", -0.1),
+    ])
+    def test_config_rejects_out_of_range(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be in "):
+            AdamWConfig(**{field: bad})
+
+    def test_config_edges_legal(self):
+        AdamWConfig(lr=0.0, beta1=0.0, beta2=0.0, eps=0.0, weight_decay=0.0)
+        AdamWConfig(lr=1e-3, beta1=0.9, beta2=0.95, eps=1e-8, weight_decay=0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.01], ids=["nan", "inf", "negative"])
+    def test_lr_override_rejected_before_mutation(self, bad):
+        params, state = single_param_state(1.0)
+        with pytest.raises(ValueError, match="^lr must be in "):
+            adamw_step(state, params, {"w": np.array([1.0])}, AdamWConfig(), lr=bad)
+        assert params["w"][0] == 1.0
+        assert state.step == 0
+        assert state.m["w"][0] == 0.0 and state.v["w"][0] == 0.0
+
     def test_two_steps_track_reference(self):
         # independent recurrence written out longhand
         params, state = single_param_state(1.0)
@@ -217,24 +243,36 @@ class TestClipGradients:
         grads = {"a": np.array([6.0, 8.0])}
         assert clip_gradients(grads, 2.0) == pytest.approx(10.0)
 
-    def test_model_gradient_order_pinned(self):
+    # each case names its layers from the top down and a slot's suffixes
+    @pytest.mark.parametrize("variant,top_down,suffixes", [
+        ("seednorm", ("layer0",), ("gamma", "alpha", "beta")),
+        ("seednorm", ("layer1", "layer0"), ("gamma", "alpha", "beta")),
+        ("rmsnorm", ("layer0",), ("gamma",)),
+        ("dyt", ("layer0",), ("gamma", "shift", "alpha")),
+    ], ids=["seednorm", "seednorm-2-layers", "rmsnorm", "dyt"])
+    def test_model_gradient_order_pinned(self, variant, top_down, suffixes):
         # clip_gradients sums one float per array in the dict's order, so the
         # norm's last bits (and every golden digest) depend on model_backward
         # producing this order: output side first, each layer from the top
         # down, embeddings last; parameter_specs runs the other way
-        cfg = ModelConfig(norm_variant="seednorm", layers=1, hidden_dim=8,
+        cfg = ModelConfig(norm_variant=variant, layers=len(top_down), hidden_dim=8,
                           attn_heads=2, vocab=7, context=4)
         model = build_model(cfg, make_rng(0))
         tokens = np.zeros((2, 4), dtype=np.int64)
         _, grads = loss_and_grads(model, tokens, tokens)
 
         def slot(name):
-            return [f"{name}.gamma", f"{name}.alpha", f"{name}.beta"]
+            return [f"{name}.{suffix}" for suffix in suffixes]
+
+        def layer(p):
+            return [
+                f"{p}.ffn.w2", f"{p}.ffn.w1", *slot(f"{p}.ffn_norm"),
+                f"{p}.attn.wo", *slot(f"{p}.q_norm"), *slot(f"{p}.k_norm"),
+                f"{p}.attn.wq", f"{p}.attn.wk", f"{p}.attn.wv", *slot(f"{p}.attn_norm"),
+            ]
 
         assert list(grads) == [
             "unembed.weight", *slot("final_norm"),
-            "layer0.ffn.w2", "layer0.ffn.w1", *slot("layer0.ffn_norm"),
-            "layer0.attn.wo", *slot("layer0.q_norm"), *slot("layer0.k_norm"),
-            "layer0.attn.wq", "layer0.attn.wk", "layer0.attn.wv", *slot("layer0.attn_norm"),
+            *(name for p in top_down for name in layer(p)),
             "embed.weight", "pos_embed.weight",
         ]
