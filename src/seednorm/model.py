@@ -4,8 +4,10 @@ The model exists to exercise the normalization layers' hand-derived
 gradients inside a real architecture, so nothing here touches an autodiff
 framework. Token plus learned positional embeddings feed a stack of
 causal-attention/FFN blocks with norms at the attention input, the query and
-key projections, the FFN input, and the final output. Shapes follow
-(batch, time, dim); norm layers see flattened (rows, dim) views. Per-head
+key projections, the FFN input, and the final output. The residual stream
+is one (batch*time, dim) matrix from the embedding to the logits, each
+sequence's positions in consecutive rows, and every norm slot and the FFN
+take it as it is; only attention views it as (batch, time, ...). Per-head
 query/key norms share one parameter vector of width dim/heads across every
 attention head.
 
@@ -376,11 +378,14 @@ def _merge_heads(a, b: int, t: int, heads: int, out):
     return out
 
 
-def _attn_forward(params, cfg, pfx, xn, sites=None, ws=FRESH):
-    b, t, d = xn.shape
+def _attn_forward(params, cfg, pfx, x2, t, sites=None, ws=FRESH):
+    """Causal self-attention over the rows ``x2``, (b*t, d): ``t`` is the
+    sequence length, each sequence's t positions consecutive rows. Returns
+    the output rows and the cache, whose "shape" is that (b, t, d)."""
+    rows, d = x2.shape
+    b = rows // t
     heads, hd = cfg.attn_heads, cfg.head_dim
     lw = ws.scope(f"{pfx}.attn")
-    x2 = xn.reshape(b * t, d)
     # Each head's query/key slice is one row of a single-head norm at
     # head_dim width; the reduced width keeps the coefficient variance small.
     proj = ws.shared("attn.proj", (b * t, d))
@@ -410,12 +415,12 @@ def _attn_forward(params, cfg, pfx, xn, sites=None, ws=FRESH):
         "x2": x2, "qn": qn, "kn": kn, "vh": vh, "att": att, "oc": oc,
         "q_cache": q_cache, "k_cache": k_cache, "shape": (b, t, d),
     }
-    return out.reshape(b, t, d), cache
+    return out, cache
 
 
 def _attn_backward(params, cfg, pfx, cache, dout, grads, ws=FRESH):
-    """The layer's input gradient; the gradients of its four matrices and
-    its query/key norms go into ``grads``.
+    """The input rows' gradient; the gradients of its four matrices and its
+    query/key norms go into ``grads``.
 
     In a workspace, several intermediates overwrite an array of this layer's
     forward that the backward has read for the last time: the cached ``oc``
@@ -427,9 +432,8 @@ def _attn_backward(params, cfg, pfx, cache, dout, grads, ws=FRESH):
     names = {w: f"{pfx}.attn.{w}" for w in ("wq", "wk", "wv", "wo")}
     wq, wk, wv, wo = (params[names[w]] for w in ("wq", "wk", "wv", "wo"))
     att, vh, qn, kn = cache["att"], cache["vh"], cache["qn"], cache["kn"]
-    dout2 = dout.reshape(b * t, d)
-    grads[names["wo"]] = np.matmul(cache["oc"].T, dout2, out=_grad(ws, names["wo"], params))
-    d_oc = np.matmul(dout2, wo.T, out=lw.out("oc", (b * t, d)))
+    grads[names["wo"]] = np.matmul(cache["oc"].T, dout, out=_grad(ws, names["wo"], params))
+    d_oc = np.matmul(dout, wo.T, out=lw.out("oc", (b * t, d)))
     do = d_oc.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
     datt = np.matmul(do, vh.swapaxes(-1, -2), out=ws.shared("attn_backward.datt", att.shape))
     dvh = np.matmul(att.swapaxes(-1, -2), do, out=ws.shared("attn.heads", vh.shape))
@@ -458,7 +462,7 @@ def _attn_backward(params, cfg, pfx, cache, dout, grads, ws=FRESH):
     part = np.matmul(dk, wk.T, out=dq)
     dx2 += part
     dx2 += np.matmul(dv, wv.T, out=part)
-    return dx2.reshape(b, t, d)
+    return dx2
 
 
 def _ffn_forward(params, pfx, rows, ws=FRESH):
@@ -490,40 +494,30 @@ def _ffn_backward(params, pfx, cache, dout, grads, ws=FRESH):
     return d_rows
 
 
-def _block_forward(params, cfg, i, x, sites=None, ws=FRESH):
+def _block_forward(params, cfg, i, x, t, sites=None, ws=FRESH):
     pfx = f"layer{i}"
-    b, t, d = x.shape
-    rows = x.reshape(b * t, d)
     hidden_heads = _hidden_slot_heads(cfg)
-    na, c_an = _slot_forward(params, cfg, f"{pfx}.attn_norm", rows, hidden_heads, ws)
+    na, c_an = _slot_forward(params, cfg, f"{pfx}.attn_norm", x, hidden_heads, ws)
     _note(sites, f"{pfx}.attn_norm", na)
-    attn_out, c_attn = _attn_forward(params, cfg, pfx, na.reshape(b, t, d), sites, ws)
+    attn_out, c_attn = _attn_forward(params, cfg, pfx, na, t, sites, ws)
     _note(sites, f"{pfx}.attn", attn_out)
     h = np.add(x, attn_out, out=attn_out)
-    h_rows = h.reshape(b * t, d)
-    nf, c_fn = _slot_forward(params, cfg, f"{pfx}.ffn_norm", h_rows, hidden_heads, ws)
+    nf, c_fn = _slot_forward(params, cfg, f"{pfx}.ffn_norm", h, hidden_heads, ws)
     _note(sites, f"{pfx}.ffn_norm", nf)
     ffn_out, c_ffn = _ffn_forward(params, pfx, nf, ws)
     _note(sites, f"{pfx}.ffn", ffn_out)
-    ffn_out = ffn_out.reshape(b, t, d)
     out = np.add(h, ffn_out, out=ffn_out)
-    cache = {"attn_norm": c_an, "attn": c_attn, "ffn_norm": c_fn, "ffn": c_ffn,
-             "shape": (b, t, d)}
-    return out, cache
+    return out, {"attn_norm": c_an, "attn": c_attn, "ffn_norm": c_fn, "ffn": c_ffn}
 
 
 def _block_backward(params, cfg, i, cache, dout, grads, ws=FRESH):
     pfx = f"layer{i}"
-    b, t, d = cache["shape"]
-    d_ffn_out = dout.reshape(b * t, d)
-    d_nf = _ffn_backward(params, pfx, cache["ffn"], d_ffn_out, grads, ws)
-    d_h_rows = _slot_backward(params, cfg, f"{pfx}.ffn_norm", cache["ffn_norm"], d_nf, grads, ws)
+    d_nf = _ffn_backward(params, pfx, cache["ffn"], dout, grads, ws)
+    d_h = _slot_backward(params, cfg, f"{pfx}.ffn_norm", cache["ffn_norm"], d_nf, grads, ws)
     # the residual stream's gradient; the next block down updates it in place
-    dh = np.add(dout, d_h_rows.reshape(b, t, d), out=ws.shared("block_backward.dh", dout.shape))
-    d_attn_in = _attn_backward(params, cfg, pfx, cache["attn"], dh, grads, ws)
-    d_rows = _slot_backward(params, cfg, f"{pfx}.attn_norm", cache["attn_norm"],
-                            d_attn_in.reshape(b * t, d), grads, ws)
-    dh += d_rows.reshape(b, t, d)
+    dh = np.add(dout, d_h, out=ws.shared("block_backward.dh", dout.shape))
+    d_na = _attn_backward(params, cfg, pfx, cache["attn"], dh, grads, ws)
+    dh += _slot_backward(params, cfg, f"{pfx}.attn_norm", cache["attn_norm"], d_na, grads, ws)
     return dh
 
 
@@ -540,26 +534,22 @@ def model_forward(params, cfg: ModelConfig, tokens, sites=None, ws=FRESH):
     d = cfg.hidden_dim
     # the ids were checked, so "clip" changes none; it lets take write into
     # out without a buffer of its own, which the default "raise" needs
-    x = np.take(params["embed.weight"], tokens, axis=0, out=ws.out("embed", (b, t, d)),
-                mode="clip")
-    x += params["pos_embed.weight"][None, :t, :]
+    x = np.take(params["embed.weight"], tokens.ravel(), axis=0,
+                out=ws.out("embed", (b * t, d)), mode="clip")
+    seqs = x.reshape(b, t, d)
+    seqs += params["pos_embed.weight"][:t]
     _note(sites, "embed", x)
     blocks = []
     for i in range(cfg.layers):
-        x, bc = _block_forward(params, cfg, i, x, sites, ws)
+        x, bc = _block_forward(params, cfg, i, x, t, sites, ws)
         blocks.append(bc)
-    rows = x.reshape(b * t, d)
-    fn_out, fn_cache = _slot_forward(params, cfg, "final_norm", rows, _hidden_slot_heads(cfg),
-                                     ws)
+    fn_out, fn_cache = _slot_forward(params, cfg, "final_norm", x, _hidden_slot_heads(cfg), ws)
     _note(sites, "final_norm", fn_out)
     logits = np.matmul(fn_out, params["unembed.weight"],
                        out=ws.out("logits", (b * t, cfg.vocab)))
     _note(sites, "logits", logits)
-    caches = {
-        "tokens": tokens, "shape": (b, t, d), "blocks": blocks,
-        "final_norm": fn_cache, "final_norm_out": fn_out,
-    }
-    return logits, caches
+    return logits, {"tokens": tokens, "blocks": blocks, "final_norm": fn_cache,
+                    "final_norm_out": fn_out}
 
 
 def model_backward(params, cfg: ModelConfig, caches, dlogits, ws=FRESH):
@@ -570,22 +560,23 @@ def model_backward(params, cfg: ModelConfig, caches, dlogits, ws=FRESH):
     projections, attention norm), then the embeddings. ``clip_gradients``
     sums in this order, so changing it changes the bits of every clipped
     run."""
-    b, t, d = caches["shape"]
+    tokens = caches["tokens"]
+    b, t = tokens.shape
+    d = cfg.hidden_dim
     unembed = params["unembed.weight"]
     grads = {"unembed.weight": np.matmul(caches["final_norm_out"].T, dlogits,
                                          out=_grad(ws, "unembed.weight", params))}
     d_fn = np.matmul(dlogits, unembed.T, out=ws.shared("model_backward.d_fn", (b * t, d)))
-    d_rows = _slot_backward(params, cfg, "final_norm", caches["final_norm"], d_fn, grads, ws)
-    dx = d_rows.reshape(b, t, d)
+    dx = _slot_backward(params, cfg, "final_norm", caches["final_norm"], d_fn, grads, ws)
     for i in reversed(range(cfg.layers)):
         dx = _block_backward(params, cfg, i, caches["blocks"][i], dx, grads, ws)
     d_emb = ws.empty("grad.embed.weight", params["embed.weight"].shape)
     d_emb.fill(0.0)
-    np.add.at(d_emb, caches["tokens"].ravel(), dx.reshape(b * t, d))
+    np.add.at(d_emb, tokens.ravel(), dx)
     grads["embed.weight"] = d_emb
     d_pos = ws.empty("grad.pos_embed.weight", params["pos_embed.weight"].shape)
     d_pos[t:] = 0.0
-    dx.sum(axis=0, out=d_pos[:t])
+    dx.reshape(b, t, d).sum(axis=0, out=d_pos[:t])
     grads["pos_embed.weight"] = d_pos
     return grads
 

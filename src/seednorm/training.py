@@ -23,7 +23,14 @@ from .model import (
     first_nonfinite_site,
     loss_and_grads,
 )
-from .optim import AdamWConfig, OptimizerState, adamw_step, clip_gradients, decay_flags
+from .optim import (
+    AdamWConfig,
+    OptimizerState,
+    _check_range,
+    adamw_step,
+    clip_gradients,
+    decay_flags,
+)
 
 
 @dataclass
@@ -46,11 +53,11 @@ class TrainConfig:
             raise ValueError("steps must be >= 0 and batch_size >= 1")
         if not 0.0 <= self.ema < 1.0:
             raise ValueError("ema coefficient must be in [0, 1)")
-        # a negative rate or decay would climb the loss (NaN fails too);
+        # a negative rate or decay would climb the loss, an infinite one
+        # diverges and an infinite warmup never trains (NaN fails too);
         # grad_clip <= 0 turns clipping off, and a NaN one would too, unasked
         for name in ("lr", "weight_decay", "warmup_steps"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            _check_range(name, getattr(self, name), math.inf)
         if math.isnan(self.grad_clip):
             raise ValueError("grad_clip must not be NaN")
         if isinstance(self.freeze, str):  # its characters would be the suffixes
@@ -283,8 +290,7 @@ class PairedCurves:
     def to_csv(self, fh) -> None:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(["step", "loss_a", "loss_b", "ema_a", "ema_b"])
-        ema_a = self.curve_a.ema() if len(self.curve_a) else []
-        ema_b = self.curve_b.ema() if len(self.curve_b) else []
+        ema_a, ema_b = self.curve_a.ema(), self.curve_b.ema()
         for ra, rb, ea, eb in zip(self.curve_a.records, self.curve_b.records, ema_a, ema_b):
             writer.writerow(
                 [ra.step, repr(ra.loss), repr(rb.loss), repr(float(ea)), repr(float(eb))]

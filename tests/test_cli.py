@@ -300,9 +300,9 @@ class TestExitCodeTable:
         assert proc.stderr.splitlines() == [f"error: {line}"]
 
     @pytest.mark.parametrize("flag,line", [
-        ("--lr", "lr must be >= 0, got -1.0"),
-        ("--weight-decay", "weight_decay must be >= 0, got -1.0"),
-        ("--warmup", "warmup_steps must be >= 0, got -1"),
+        ("--lr", "lr must be in [0, inf), got -1.0"),
+        ("--weight-decay", "weight_decay must be in [0, inf), got -1.0"),
+        ("--warmup", "warmup_steps must be in [0, inf), got -1"),
     ], ids=["lr", "weight-decay", "warmup"])
     def test_negative_training_hyperparameter_two(self, flag, line, capsys):
         rc, out, err = run(["train", *TINY_TRAIN, flag, "-1"], capsys)
@@ -643,6 +643,14 @@ class TestTrainCommand:
         assert "seednorm" in stdout and "rmsnorm" in stdout
         header = out.read_bytes().split(b"\r\n")[0]
         assert header == b"step,loss_a,loss_b,ema_a,ema_b"
+
+    def test_compare_zero_steps_header_only_csv(self, tmp_path, capsys):
+        out = tmp_path / "empty-pair.csv"
+        rc, _, _ = run(["compare", "--steps", "0", "--layers", "1",
+                        "--dims", "8", "--heads", "2", "--context", "6",
+                        "--vocab", "7", "--csv", str(out)], capsys)
+        assert rc == 0
+        assert out.read_bytes() == b"step,loss_a,loss_b,ema_a,ema_b\r\n"
 
     def test_gradcheck_stdout_includes_extras(self, capsys):
         rc, out, _ = run(FAST_GRADCHECK, capsys)

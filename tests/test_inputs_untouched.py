@@ -127,12 +127,12 @@ def block_cfg(variant):
 def test_attention_leaves_inputs_and_cache_unchanged(variant):
     cfg = block_cfg(variant)
     m, rng = perturbed_params(cfg, 72)
-    xn = rng.normal(size=(3, 5, 12))
-    dout = rng.normal(size=(3, 5, 12))
+    xn = rng.normal(size=(15, 12))  # 3 sequences of 5 positions
+    dout = rng.normal(size=(15, 12))
     inputs = {"params": m.params, "xn": xn, "dout": dout}
     before = snapshot(inputs)
 
-    out, cache = _attn_forward(m.params, cfg, "layer0", xn)
+    out, cache = _attn_forward(m.params, cfg, "layer0", xn, 5)
     cached = snapshot(cache)
     g1, g2 = {}, {}
     first = (_attn_backward(m.params, cfg, "layer0", cache, dout, g1), g1)

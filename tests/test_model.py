@@ -281,13 +281,20 @@ class TestLossAndGrads:
     # Floor 1e-5 for whole-model checks: central differences on an O(1) loss
     # carry ~1e-11 absolute noise, so gradient entries smaller than the floor
     # are compared at absolute scale floor*tol instead of relatively.
+    # The second batch has batch != time < context, so a swapped batch and
+    # time axis fails it, and it leaves the last position row unused.
+    @pytest.mark.parametrize("context,tokens,targets", [
+        (2, [[1, 2], [4, 0]], [[2, 3], [1, 1]]),
+        (3, [[1, 2], [4, 0], [3, 3]], [[2, 3], [1, 1], [0, 4]]),
+    ], ids=["2x2-context2", "3x2-context3"])
     @pytest.mark.parametrize("variant", VARIANT_LIST)
-    def test_whole_model_fd(self, variant):
-        cfg = tiny_cfg(variant, norm_heads=2 if variant == "mh_seednorm" else 1)
+    def test_whole_model_fd(self, variant, context, tokens, targets):
+        cfg = tiny_cfg(variant, context=context,
+                       norm_heads=2 if variant == "mh_seednorm" else 1)
         m = build_model(cfg, make_rng(10))
-        tokens = np.array([[1, 2], [4, 0]])
-        targets = np.array([[2, 3], [1, 1]])
+        tokens, targets = np.array(tokens), np.array(targets)
         _, grads = loss_and_grads(m, tokens, targets)
+        assert np.all(grads["pos_embed.weight"][tokens.shape[1]:] == 0.0)
         names = [n for n, _ in parameter_specs(cfg)]
         arrays = [m.params[n] for n in names]
         fd = central_difference(
@@ -579,8 +586,8 @@ def reference_attention(params, cfg, pfx, xn, dout):
     """Einsum form of the attention block's forward and backward.
 
     Returns (out, dx, grads) for input ``xn`` (batch, time, dim) and upstream
-    gradient ``dout``. The norm slots go through the library, which the
-    layer tests check on their own.
+    gradient ``dout``, with out and dx as (batch*time, dim) rows. The norm
+    slots go through the library, which the layer tests check on their own.
     """
     b, t, d = xn.shape
     h, hd = cfg.attn_heads, cfg.head_dim
@@ -608,7 +615,7 @@ def reference_attention(params, cfg, pfx, xn, dout):
     ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
     att = ex / ex.sum(axis=-1, keepdims=True)
     oc = merge(np.einsum("bhij,bhjd->bhid", att, vh))
-    out = (oc @ wo).reshape(b, t, d)
+    out = oc @ wo
 
     dout2 = dout.reshape(b * t, d)
     do = split(dout2 @ wo.T)
@@ -626,7 +633,7 @@ def reference_attention(params, cfg, pfx, xn, dout):
     grads[f"{pfx}.attn.wk"] = x2.T @ dk
     grads[f"{pfx}.attn.wv"] = x2.T @ dv
     dx = dq @ wq.T + dk @ wk.T + dv @ wv.T
-    return out, dx.reshape(b, t, d), grads
+    return out, dx, grads
 
 
 def expression_attention(params, cfg, pfx, xn, dout):
@@ -652,7 +659,7 @@ def expression_attention(params, cfg, pfx, xn, dout):
     ex = np.exp(scores - m)
     att = ex / ex.sum(axis=-1, keepdims=True)
     oc = (att @ vh).transpose(0, 2, 1, 3).reshape(b * t, d)
-    out = (oc @ wo).reshape(b, t, d)
+    out = oc @ wo
 
     dout2 = dout.reshape(b * t, d)
     grads = {f"{pfx}.attn.wo": oc.T @ dout2}
@@ -673,7 +680,7 @@ def expression_attention(params, cfg, pfx, xn, dout):
     grads[f"{pfx}.attn.wk"] = x2.T @ dk
     grads[f"{pfx}.attn.wv"] = x2.T @ dv
     dx = dq @ wq.T + dk @ wk.T + dv @ wv.T
-    return att, out, dx.reshape(b, t, d), grads
+    return att, out, dx, grads
 
 
 def perturbed_model(cfg, seed):
@@ -697,9 +704,9 @@ class TestBlockContractions:
         m, rng = perturbed_model(cfg, 31)
         xn = rng.normal(size=(3, 5, 12))
         dout = rng.normal(size=(3, 5, 12))
-        out, cache = _attn_forward(m.params, cfg, "layer0", xn)
+        out, cache = _attn_forward(m.params, cfg, "layer0", xn.reshape(15, 12), 5)
         grads = {}
-        dx = _attn_backward(m.params, cfg, "layer0", cache, dout, grads)
+        dx = _attn_backward(m.params, cfg, "layer0", cache, dout.reshape(15, 12), grads)
         ref_out, ref_dx, ref_grads = reference_attention(m.params, cfg, "layer0", xn, dout)
         assert_rel_close(out, ref_out)
         assert_rel_close(dx, ref_dx)
@@ -714,9 +721,9 @@ class TestBlockContractions:
         m, rng = perturbed_model(cfg, 34)
         xn = rng.normal(size=(3, 5, 12)) * 3.0  # wide scores: some softmax rows saturate
         dout = rng.normal(size=(3, 5, 12))
-        out, cache = _attn_forward(m.params, cfg, "layer0", xn)
+        out, cache = _attn_forward(m.params, cfg, "layer0", xn.reshape(15, 12), 5)
         grads = {}
-        dx = _attn_backward(m.params, cfg, "layer0", cache, dout, grads)
+        dx = _attn_backward(m.params, cfg, "layer0", cache, dout.reshape(15, 12), grads)
         ref_att, ref_out, ref_dx, ref_grads = expression_attention(
             m.params, cfg, "layer0", xn, dout)
         assert np.array_equal(cache["att"], ref_att)

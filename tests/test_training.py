@@ -2,6 +2,7 @@
 
 import io
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -324,10 +325,13 @@ class TestTrainModel:
 
     @pytest.mark.parametrize("name,value", [
         ("lr", -1.0), ("weight_decay", -1e-9), ("warmup_steps", -1), ("lr", float("nan")),
+        ("lr", float("inf")), ("weight_decay", float("inf")), ("warmup_steps", float("inf")),
     ])
     def test_negative_rate_decay_or_warmup_rejected(self, name, value):
-        # a negative rate or decay runs gradient ascent instead of failing
-        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got {value}$"):
+        # a negative rate or decay runs gradient ascent instead of failing, an
+        # infinite one diverges, and an infinite warmup leaves every step at rate 0
+        message = re.escape(f"{name} must be in [0, inf), got {value}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             TrainConfig(**{name: value})
 
     @pytest.mark.parametrize("clip", [0.0, -1.0])
