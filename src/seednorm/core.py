@@ -7,6 +7,9 @@ single precision is out of scope by design.
 
 from __future__ import annotations
 
+import math
+import mmap
+
 import numpy as np
 
 # Type aliases, kept as plain ndarrays on purpose. A Matrix is 2-D float64
@@ -70,16 +73,24 @@ class Workspace:
 
     Calls given no workspace get ``FRESH``, which answers ``out`` with None,
     so that NumPy allocates the result, and the other two with new arrays.
+
+    The arrays come from memory maps of the workspace's own (``_Slabs``),
+    not from the C heap: they are large, live as long as the workspace and
+    die with it, so a dropped workspace gives its memory back at once and
+    leaves no holes in the heap to shift where the process's later
+    allocations land.
     """
 
-    __slots__ = ("_arrays", "_prefix")
+    __slots__ = ("_arrays", "_prefix", "_slabs")
 
-    def __init__(self, _arrays: dict | None = None, _prefix: str = ""):
+    def __init__(self, _arrays: dict | None = None, _prefix: str = "",
+                 _slabs: "_Slabs | None" = None):
         self._arrays = {} if _arrays is None else _arrays
         self._prefix = _prefix
+        self._slabs = _Slabs() if _slabs is None else _slabs
 
     def scope(self, prefix: str) -> "Workspace":
-        return Workspace(self._arrays, f"{self._prefix}{prefix}.")
+        return Workspace(self._arrays, f"{self._prefix}{prefix}.", self._slabs)
 
     def out(self, name: str, shape: tuple) -> np.ndarray:
         return self.shared(self._prefix + name, shape)
@@ -90,8 +101,75 @@ class Workspace:
         key = (name, shape)
         arr = self._arrays.get(key)
         if arr is None:
-            arr = self._arrays[key] = np.empty(shape)
+            arr = self._arrays[key] = self._slabs.empty(shape)
         return arr
+
+
+class _Slabs:
+    """Float64 arrays cut one after another from anonymous memory maps.
+
+    Each new map is at least as large as all earlier ones together, so n
+    bytes of arrays take O(log n) maps. Arrays start on 64-byte boundaries.
+    A map is unmapped when the last array cut from it is gone.
+    """
+
+    __slots__ = ("_map", "_used", "_mapped")
+
+    FIRST = 1 << 20
+    ALIGN = 64
+
+    def __init__(self):
+        self._map = None
+        self._used = self._mapped = 0
+
+    def empty(self, shape: tuple) -> np.ndarray:
+        count = math.prod(shape)
+        nbytes = 8 * count
+        if self._map is None or self._used + nbytes > len(self._map):
+            buf = _map(max(nbytes, self._mapped, self.FIRST))
+            if buf is None:
+                return np.empty(shape)
+            self._map, self._used = buf, 0
+            self._mapped += len(buf)
+        arr = np.frombuffer(self._map, np.float64, count, self._used).reshape(shape)
+        self._used += -(-nbytes // self.ALIGN) * self.ALIGN
+        return arr
+
+
+def _map(nbytes: int) -> mmap.mmap | None:
+    """An anonymous memory map of ``nbytes`` rounded up to whole pages, or
+    None where the system makes none: the caller then asks NumPy, which
+    allocates or raises its own error."""
+    try:
+        return mmap.mmap(-1, -(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE)
+    except (OSError, OverflowError):
+        return None
+
+
+MAP_MIN = 128 << 10  # glibc's default mmap threshold
+
+
+def mapped_zeros(count: int) -> np.ndarray:
+    """A float64 vector of ``count`` zeros in a memory map of its own, which
+    goes with the last array that views it. A model's parameters and its
+    optimizer moments live in such vectors, a training workspace's arrays
+    in ``_Slabs``: large arrays that live and die together stay out of the
+    C heap, so freeing them leaves no holes there. A vector under
+    ``MAP_MIN`` bytes comes from NumPy: its hole would be small, and a map
+    costs a system call and a page fault that a tiny model's build shows."""
+    buf = _map(8 * count) if 8 * count >= MAP_MIN else None
+    return np.zeros(count) if buf is None else np.frombuffer(buf, np.float64, count)
+
+
+def mapped_views(arrays: dict) -> dict:
+    """Zeros shaped like each array of ``arrays``, in its order, as views of
+    one ``mapped_zeros`` vector."""
+    flat = mapped_zeros(sum(a.size for a in arrays.values()))
+    views, at = {}, 0
+    for name, a in arrays.items():
+        views[name] = flat[at:at + a.size].reshape(a.shape)
+        at += a.size
+    return views
 
 
 class _Fresh:

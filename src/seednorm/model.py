@@ -47,7 +47,7 @@ from .backward import (  # noqa: F401
     rmsnorm_backward,
     seednorm_backward,
 )
-from .core import FRESH, NonFiniteError, require_finite
+from .core import FRESH, NonFiniteError, mapped_zeros, require_finite
 from .forward import (  # noqa: F401
     dyt_forward,
     layernorm_forward,
@@ -150,14 +150,14 @@ class Model:
 
 
 def _parameter_views(cfg: ModelConfig) -> dict:
-    """Every parameter as an unfilled view of one buffer, in canonical order.
+    """Every parameter as a zeroed view of one buffer, in canonical order.
 
-    The buffer is allocated before any parameter is listed: a model past
-    memory fails at once, at any depth.
+    The buffer, a ``mapped_zeros`` vector, is allocated before any parameter
+    is listed: a model past memory fails at once, at any depth.
     """
     count = count_parameters(cfg)
     try:
-        flat = np.empty(count)
+        flat = mapped_zeros(count)
     except MemoryError:
         raise MemoryError(f"Unable to allocate {count} parameters ({count / 2**27:.1f} GiB) "
                           f"for {cfg.layers} layers of width {cfg.hidden_dim}") from None

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FRESH, Workspace
+from .core import FRESH, Workspace, mapped_views
 from .model import ModelConfig, parameter_specs
 
 
@@ -38,9 +38,11 @@ def _check_range(name: str, value: float, high: float) -> float:
 class OptimizerState:
     """First/second moments per parameter, step count, and the decay set.
 
-    ``scratch`` holds the two arrays per parameter shape, "update" and
-    "denom", that ``adamw_step`` computes its update in, kept from one step
-    to the next; it carries no state and is not saved with a checkpoint.
+    ``init`` makes each moment dict views of one ``mapped_zeros`` vector,
+    in the parameters' order. ``scratch`` holds the two arrays per parameter
+    shape, "update" and "denom", that ``adamw_step`` computes its update in,
+    kept from one step to the next; it carries no state and is not saved
+    with a checkpoint.
     """
 
     m: dict = field(default_factory=dict)
@@ -52,8 +54,8 @@ class OptimizerState:
     @classmethod
     def init(cls, params: dict, decay: dict) -> "OptimizerState":
         return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
+            m=mapped_views(params),
+            v=mapped_views(params),
             step=0,
             decay=dict(decay),
         )

@@ -7,15 +7,17 @@ allocates fresh arrays, and after its first step allocates nothing large.
 traced peak of a step bounds what the step allocates.
 """
 
+import mmap
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from seednorm import model as layer_fns
 from seednorm import training
-from seednorm.core import FRESH, Workspace, make_rng, spawn_seeds
-from seednorm.model import ModelConfig, build_model, loss_and_grads
+from seednorm.core import FRESH, MAP_MIN, Workspace, make_rng, spawn_seeds
+from seednorm.model import ModelConfig, build_model, count_parameters, loss_and_grads
 from seednorm.norms import NORMS
 from seednorm.optim import (
     AdamWConfig,
@@ -132,6 +134,59 @@ def test_dynamic_slot_keeps_r_and_its_output_alone(variant):
     for slot, shape in slots.items():
         kept = {key for key in keys if key[0].startswith(f"{slot}.") and len(key[1]) == 2}
         assert kept == {(f"{slot}.r", shape), (f"{slot}.out", shape)}, slot
+
+
+def _owner(arr):
+    """The object at the end of an array's chain of bases and buffers: the
+    memory map, or the array that owns its data."""
+    while True:
+        up = arr.base if isinstance(arr, np.ndarray) else getattr(arr, "obj", None)
+        if up is None:
+            return arr
+        arr = up
+
+
+def test_workspace_arrays_come_from_maps_that_go_with_it():
+    # a workspace cuts its arrays from memory maps of its own, not from the
+    # C heap, and a map is unmapped once the workspace and its arrays are gone
+    ws = Workspace()
+    a = ws.shared("a", (3, 5))
+    c = ws.scope("slot").out("c", (7,))
+    big = ws.empty("big", (2**17,))  # 1 MiB: past what the first map has left
+    assert ws.shared("a", (3, 5)) is a and ws.out("slot.c", (7,)) is c
+    assert ws.shared("none", (0, 4)).shape == (0, 4)
+    maps = [_owner(arr) for arr in (a, c, big)]
+    assert all(isinstance(m, mmap.mmap) for m in maps)
+    assert maps[0] is maps[1] and maps[2] is not maps[0]
+    for arr in (a, c, big):
+        assert arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.writeable
+        assert arr.ctypes.data % 64 == 0
+    assert not np.shares_memory(a, c)
+    refs = [weakref.ref(m) for m in maps]
+    del ws, a, c, big, arr, maps
+    assert all(r() is None for r in refs)
+
+
+@pytest.mark.parametrize("dim", [8, 64])
+def test_parameters_and_moments_each_fill_one_buffer(dim):
+    # a model's parameters and each optimizer moment are views of one
+    # buffer of zeros: a memory map of its own from MAP_MIN bytes (the
+    # criterion-8 shape, D=64), else NumPy's
+    m = build_model(small_cfg("mh_seednorm", hidden_dim=dim, attn_heads=4), make_rng(41))
+    mapped = 8 * count_parameters(m.cfg) >= MAP_MIN
+    assert mapped == (dim == 64)
+    state = OptimizerState.init(m.params, decay_flags(m.cfg))
+    owners = []
+    for arrays in (m.params, state.m, state.v):
+        assert arrays.keys() == m.params.keys()
+        [owner] = {id(_owner(a)): _owner(a) for a in arrays.values()}.values()
+        assert isinstance(owner, mmap.mmap) == mapped
+        owners.append(owner)
+    assert len({id(o) for o in owners}) == 3
+    for name, p in m.params.items():
+        for moment in (state.m[name], state.v[name]):
+            assert moment.shape == p.shape and moment.dtype == np.float64, name
+            assert not moment.any(), name
 
 
 @pytest.mark.parametrize("variant", list(NORMS))
