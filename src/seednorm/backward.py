@@ -8,15 +8,15 @@ per-parameter gradients summed over rows, each shaped like its parameter
 forwards, a backward writes its (rows, dim) intermediates into its own
 output and at most two scratch arrays, never into the cache or the upstream
 gradient, so one cache can be differentiated any number of times.
-Its arrays come from the buffer source ``ws``: with the default every
-returned array is its own allocation. In a workspace the parameter
-gradients are the arrays "d_<field>", and the input gradient is the array
-"out" of the forward: a model slot's caller has used the forward's output
-up before it runs the slot's backward. An upstream gradient that shares
-memory with that array, such as the forward's output handed back as its own
-gradient, is copied before the array is written. Nothing here calls an
-autodiff framework; the finite-difference oracle below is the independent
-check.
+Its arrays come from the buffer source ``ws``, its results from ``out``
+and its scratch from ``shared``: with the default every array is new. In a
+workspace the parameter gradients are the arrays "d_<field>", and the input
+gradient is the array "out" of the forward: a model slot's caller has used
+the forward's output up before it runs the slot's backward. An upstream
+gradient that shares memory with that array, such as the forward's output
+handed back as its own gradient, is copied before the array is written.
+Nothing here calls an autodiff framework; the finite-difference oracle
+below is the independent check.
 
 The oracle calls only forwards, as ``forward(x, p)`` like any other caller.
 Every central difference goes through one loop, which checks the perturbed
@@ -81,7 +81,7 @@ class GradBundle:
 
 def _check_upstream(
     cache: ForwardCache, upstream, kinds: tuple[str, ...], ws
-) -> tuple[Matrix, Matrix | None]:
+) -> tuple[Matrix, Matrix]:
     """The upstream gradient as a matrix, and the ``out=`` target of the
     input gradient. When the two may share memory the upstream gradient is
     copied, so that writing the input gradient cannot change it."""
@@ -91,7 +91,7 @@ def _check_upstream(
     if u.shape != cache.x.shape:
         raise ValueError(f"upstream shape {u.shape} != input shape {cache.x.shape}")
     d_x = ws.out("out", u.shape)
-    if d_x is not None and np.may_share_memory(u, d_x):
+    if np.may_share_memory(u, d_x):
         u = u.copy()
     return u, d_x
 
@@ -164,7 +164,7 @@ def dyt_backward(cache: ForwardCache, upstream, ws=FRESH) -> GradBundle:
     d_x = np.multiply(u, p.gamma, out=d_x)  # gu, then d_x
     np.multiply(d_x, cache.x, out=scratch)
     scratch *= sech2
-    d_alpha = np.add.reduce(scratch, axis=None, out=ws.empty("d_alpha", ()))
+    d_alpha = np.add.reduce(scratch, axis=None, out=ws.out("d_alpha", ()))
     sech2 *= p.alpha
     d_x *= sech2
     return GradBundle(d_gamma=d_gamma, d_alpha=d_alpha, d_beta=d_shift, d_x=d_x)
@@ -173,7 +173,7 @@ def dyt_backward(cache: ForwardCache, upstream, ws=FRESH) -> GradBundle:
 _DYNAMIC_KINDS = ("seednorm", "mh_seednorm")
 
 
-def _dynamic_backward(cache: ForwardCache, u: Matrix, d_x: Matrix | None, ws) -> GradBundle:
+def _dynamic_backward(cache: ForwardCache, u: Matrix, d_x: Matrix, ws) -> GradBundle:
     p = cache.params
     rows, dim = cache.x.shape
     heads = p.n_heads
@@ -189,7 +189,7 @@ def _dynamic_backward(cache: ForwardCache, u: Matrix, d_x: Matrix | None, ws) ->
     scratch = per_head_product(  # d_alpha per entry
         cache.sigma_val, ur, head_dim, out=ws.shared("norm_backward.scratch", u.shape))
     d_alpha = np.add.reduce(scratch, axis=None if p.alpha_is_scalar else 0,
-                            out=ws.empty("d_alpha", p.alpha.shape))
+                            out=ws.out("d_alpha", p.alpha.shape))
 
     aur = np.multiply(ur, p.alpha, out=ur)
     head_sums = aur.reshape(rows, heads, head_dim).sum(axis=2)

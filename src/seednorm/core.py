@@ -62,17 +62,14 @@ class Workspace:
 
     ``scope(prefix)`` is a view of the same arrays whose names start with
     ``prefix``: a model slot's forward cache and gradients live under the
-    slot's name, so no two slots share one. Three requests cover every use:
+    slot's name, so no two slots share one. Two requests cover every use:
 
-    - ``out(name, shape)``: an array of the scope for a NumPy ``out=``
-      argument, which NumPy fills whole;
-    - ``empty(name, shape)``: the same array, for a caller that fills it
-      itself (by slices, ``copyto`` or ``fill``);
+    - ``out(name, shape)``: an array of the scope, for a NumPy ``out=``
+      argument or for a caller that fills it itself;
     - ``shared(name, shape)``: scratch that a kernel uses only while it
       runs, outside any scope, so every slot of the same shape reuses it.
 
-    Calls given no workspace get ``FRESH``, which answers ``out`` with None,
-    so that NumPy allocates the result, and the other two with new arrays.
+    Calls given no workspace get ``FRESH``: it answers both with new arrays.
 
     The arrays come from memory maps of the workspace's own (``_Slabs``),
     not from the C heap: they are large, live as long as the workspace and
@@ -95,13 +92,11 @@ class Workspace:
     def out(self, name: str, shape: tuple) -> np.ndarray:
         return self.shared(self._prefix + name, shape)
 
-    empty = out
-
     def shared(self, name: str, shape: tuple) -> np.ndarray:
         key = (name, shape)
         arr = self._arrays.get(key)
         if arr is None:
-            arr = self._arrays[key] = self._slabs.empty(shape)
+            arr = self._arrays[key] = self._slabs.cut(shape)
         return arr
 
 
@@ -122,7 +117,7 @@ class _Slabs:
         self._map = None
         self._used = self._mapped = 0
 
-    def empty(self, shape: tuple) -> np.ndarray:
+    def cut(self, shape: tuple) -> np.ndarray:
         count = math.prod(shape)
         nbytes = 8 * count
         if self._map is None or self._used + nbytes > len(self._map):
@@ -149,26 +144,22 @@ def _map(nbytes: int) -> mmap.mmap | None:
 MAP_MIN = 128 << 10  # glibc's default mmap threshold
 
 
-def mapped_zeros(count: int) -> np.ndarray:
-    """A float64 vector of ``count`` zeros in a memory map of its own, which
-    goes with the last array that views it. A model's parameters and its
-    optimizer moments live in such vectors, a training workspace's arrays
-    in ``_Slabs``: large arrays that live and die together stay out of the
-    C heap, so freeing them leaves no holes there. A vector under
-    ``MAP_MIN`` bytes comes from NumPy: its hole would be small, and a map
-    costs a system call and a page fault that a tiny model's build shows."""
+def tiled_zeros(count: int, specs) -> dict:
+    """Zeros for each (name, shape) of ``specs``, in its order, as views that
+    tile one float64 vector of ``count`` elements, allocated before
+    ``specs`` is iterated: a lazy ``specs`` past memory fails at once. From
+    ``MAP_MIN`` bytes the vector is a memory map of its own, out of the C
+    heap like a workspace's arrays; a smaller one comes from NumPy, since its
+    hole would be small and a map costs a system call and a page fault that
+    a tiny model's build shows."""
     buf = _map(8 * count) if 8 * count >= MAP_MIN else None
-    return np.zeros(count) if buf is None else np.frombuffer(buf, np.float64, count)
-
-
-def mapped_views(arrays: dict) -> dict:
-    """Zeros shaped like each array of ``arrays``, in its order, as views of
-    one ``mapped_zeros`` vector."""
-    flat = mapped_zeros(sum(a.size for a in arrays.values()))
+    flat = np.zeros(count) if buf is None else np.frombuffer(buf, np.float64, count)
     views, at = {}, 0
-    for name, a in arrays.items():
-        views[name] = flat[at:at + a.size].reshape(a.shape)
-        at += a.size
+    for name, shape in specs:
+        size = math.prod(shape)
+        w = flat[at:at + size]  # a vector is its slice: only the rest pay for a reshape
+        views[name] = w if len(shape) == 1 else w.reshape(shape)
+        at += size
     return views
 
 
@@ -180,13 +171,10 @@ class _Fresh:
     def scope(self, prefix: str) -> "_Fresh":
         return self
 
-    def out(self, name: str, shape: tuple) -> None:
-        return None
-
-    def empty(self, name: str, shape: tuple) -> np.ndarray:
+    def out(self, name: str, shape: tuple) -> np.ndarray:
         return np.empty(shape)
 
-    shared = empty
+    shared = out
 
 
 FRESH = _Fresh()

@@ -8,14 +8,14 @@ carries the parameters the layer ran with and every intermediate the
 matching backward pass needs, so backward never recomputes the forward and
 takes nothing but the cache and the upstream gradient.
 
-A forward takes its (rows, dim) arrays, its output and the cache entries
-of that shape, from the buffer source ``ws`` (see ``core.Workspace``):
-fresh arrays by default, or the arrays of a workspace that a training loop
-reuses from step to step. The output is ``ws``'s array "out" and each cache
-entry the array of its field's name; a model slot scopes them to the slot.
-Every other intermediate of that size goes into those in place; the
-per-row ones, (rows,) or (rows, heads), are new arrays. A forward never
-writes to its input or its parameters. Each element still goes through the
+A forward asks the buffer source ``ws`` (see ``core.Workspace``) with
+``out`` for its (rows, dim) arrays, its output "out" and the cache entries
+of that shape, each named after its field: new arrays by default, or the
+arrays of a workspace that a training loop reuses from step to step; a
+model slot scopes them to the slot. Every other intermediate of that size
+goes into those in place, the squares of the RMS into ``r``; the per-row
+ones, (rows,) or (rows, heads), are new arrays. A forward never writes to
+its input or its parameters. Each element still goes through the
 operations of the formula in the same order, so the results are bitwise
 those of the formula written as one expression.
 

@@ -11,16 +11,17 @@ take it as it is; only attention views it as (batch, time, ...). Per-head
 query/key norms share one parameter vector of width dim/heads across every
 attention head.
 
-Every function of a step takes an optional buffer source ``ws`` and passes
-it on (see ``core.Workspace``). A training loop hands one workspace to every
-step, so the step's large arrays are allocated once. Arrays that must live
-on, a layer's forward cache and a parameter's gradient, are named after
-their layer or parameter. Scratch, used only while one function runs, is
-named after its role alone, so each block reuses the scratch of the one
-before. A backward also writes into arrays of its own layer's forward once
-it has read them for the last time: a norm slot's output, the FFN's h1,
-attention's oc and v, and the logits. With the default every array is
-fresh.
+Every function of a step takes an optional buffer source ``ws``, passes it
+on, and asks it for each large array (see ``core.Workspace``): ``out`` for
+one that must live on, a layer's forward cache or a parameter's gradient,
+named after its layer or parameter; ``shared`` for scratch, used only while
+one function runs and named after its role alone, so each block reuses the
+scratch of the one before. A training loop hands one workspace to every
+step, so the step's large arrays are allocated once; with the default every
+array is new. A backward also writes into arrays of its own layer's forward
+once it has read them for the last time: a norm slot's output, the FFN's
+h1, attention's oc and v, and the logits. Parameters, built or loaded, tile
+one float64 vector, as each optimizer moment does (``core.tiled_zeros``).
 
 The FFN's GELU is the exact, erf-based one. ``_erf`` computes its erf in
 NumPy with Cephes' algorithm, the one ``scipy.special.erf`` runs, and
@@ -34,6 +35,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
+from itertools import chain
 from typing import ClassVar
 
 import numpy as np
@@ -47,7 +49,7 @@ from .backward import (  # noqa: F401
     rmsnorm_backward,
     seednorm_backward,
 )
-from .core import FRESH, NonFiniteError, mapped_zeros, require_finite
+from .core import FRESH, NonFiniteError, require_finite, tiled_zeros
 from .forward import (  # noqa: F401
     dyt_forward,
     layernorm_forward,
@@ -127,13 +129,14 @@ def _stack_entries(vocab: int, context: int, d: int, head_dim: int,
             (*_norm_param_entries("final_norm", d, norm), ("unembed.weight", (d, vocab))))
 
 
+def _iter_specs(cfg: ModelConfig):
+    head, layer, tail = _stack_specs(cfg)
+    return chain(head, ((f"layer{i}.{n}", s) for i in range(cfg.layers) for n, s in layer), tail)
+
+
 def parameter_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Canonical (name, shape) list; defines build, count, and serialization order."""
-    head, layer, tail = _stack_specs(cfg)
-    specs = list(head)
-    for i in range(cfg.layers):
-        specs += [(f"layer{i}.{name}", shape) for name, shape in layer]
-    return specs + list(tail)
+    return list(_iter_specs(cfg))
 
 
 def count_parameters(cfg: ModelConfig) -> int:
@@ -150,24 +153,15 @@ class Model:
 
 
 def _parameter_views(cfg: ModelConfig) -> dict:
-    """Every parameter as a zeroed view of one buffer, in canonical order.
-
-    The buffer, a ``mapped_zeros`` vector, is allocated before any parameter
-    is listed: a model past memory fails at once, at any depth.
-    """
+    """Every parameter as a zeroed view of one buffer, in canonical order,
+    allocated before any parameter is listed: a model past memory fails at
+    once, at any depth."""
     count = count_parameters(cfg)
     try:
-        flat = mapped_zeros(count)
+        return tiled_zeros(count, _iter_specs(cfg))
     except MemoryError:
         raise MemoryError(f"Unable to allocate {count} parameters ({count / 2**27:.1f} GiB) "
                           f"for {cfg.layers} layers of width {cfg.hidden_dim}") from None
-    params, at = {}, 0
-    for name, shape in parameter_specs(cfg):
-        size = math.prod(shape)
-        w = flat[at:at + size]  # a vector is its slice: only the rest pay for a reshape
-        params[name] = w if len(shape) == 1 else w.reshape(shape)
-        at += size
-    return params
 
 
 def build_model(cfg: ModelConfig, rng: np.random.Generator) -> Model:
@@ -306,9 +300,9 @@ def _erf(x, out, ws=FRESH):
     return out
 
 
-def _gelu_cdf(z, out=None, ws=FRESH):
+def _gelu_cdf(z, out, ws=FRESH):
     """Standard normal CDF Phi(z) = (1 + erf(z / sqrt 2)) / 2, written into
-    ``out`` when given. The FFN's GELU is the exact, erf-based z * Phi(z),
+    ``out``. The FFN's GELU is the exact, erf-based z * Phi(z),
     smooth everywhere, which keeps the whole-model finite-difference check
     clean; ``_erf`` computes its erf with scratch from ``ws``."""
     cdf = np.multiply(z, _INV_SQRT2, out=out)
@@ -318,9 +312,9 @@ def _gelu_cdf(z, out=None, ws=FRESH):
     return cdf
 
 
-def _gelu_prime_from_cdf(z, cdf, out=None):
+def _gelu_prime_from_cdf(z, cdf, out):
     """d GELU / dz = Phi(z) + z * phi(z), given Phi(z); written into ``out``,
-    an array shaped like ``z``, when one is given."""
+    an array shaped like ``z``."""
     g = np.multiply(z, -0.5, out=out)
     g *= z
     np.exp(g, out=g)
@@ -330,13 +324,26 @@ def _gelu_prime_from_cdf(z, cdf, out=None):
     return g
 
 
+def _check_ids(ids, high: int, what: str) -> None:
+    """ValueError unless ``ids`` are integers in [0, high)."""
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"{what} ids must be integers, got dtype {ids.dtype}")
+    if ids.min() < 0 or ids.max() >= high:
+        raise ValueError(f"{what} id out of range")
+
+
 def softmax_cross_entropy(logits, targets, ws=FRESH):
     """Mean cross-entropy over rows plus d loss / d logits.
 
+    ``targets`` holds one class id per row of ``logits``, in any shape.
     d loss / d logits is ``ws``'s array "logits": in a workspace it
     overwrites the logits that ``model_forward`` left there.
     """
-    rows = logits.shape[0]
+    rows, vocab = logits.shape
+    targets = np.asarray(targets).reshape(-1)
+    if targets.size != rows:
+        raise ValueError(f"{targets.size} targets for {rows} rows of logits")
+    _check_ids(targets, vocab, "target")
     idx = np.arange(rows)
     picked = logits[idx, targets]
     m = logits.max(axis=1, keepdims=True)
@@ -357,7 +364,7 @@ def _note(sites, name, arr):
         sites.append((name, bool(np.all(np.isfinite(arr)))))
 
 
-def _grad(ws, name: str, params: dict) -> np.ndarray | None:
+def _grad(ws, name: str, params: dict) -> np.ndarray:
     """The ``out=`` target of the gradient of parameter ``name``."""
     return ws.out(f"grad.{name}", params[name].shape)
 
@@ -390,9 +397,9 @@ def _attn_forward(params, cfg, pfx, x2, t, sites=None, ws=FRESH):
     # head_dim width; the reduced width keeps the coefficient variance small.
     proj = ws.shared("attn.proj", (b * t, d))
     q_rows = _head_rows(np.matmul(x2, params[f"{pfx}.attn.wq"], out=proj), b, t, heads,
-                        lw.empty("q_rows", (b * heads * t, hd)))
+                        lw.out("q_rows", (b * heads * t, hd)))
     k_rows = _head_rows(np.matmul(x2, params[f"{pfx}.attn.wk"], out=proj), b, t, heads,
-                        lw.empty("k_rows", (b * heads * t, hd)))
+                        lw.out("k_rows", (b * heads * t, hd)))
     v = np.matmul(x2, params[f"{pfx}.attn.wv"], out=lw.out("v", (b * t, d)))
     qn_rows, q_cache = _slot_forward(params, cfg, f"{pfx}.q_norm", q_rows, 1, ws)
     kn_rows, k_cache = _slot_forward(params, cfg, f"{pfx}.k_norm", k_rows, 1, ws)
@@ -409,7 +416,7 @@ def _attn_forward(params, cfg, pfx, x2, t, sites=None, ws=FRESH):
     att /= att.sum(axis=-1, keepdims=True)
     _note(sites, f"{pfx}.attn.softmax", att)
     o = np.matmul(att, vh, out=ws.shared("attn.heads", (b, heads, t, hd)))
-    oc = _merge_heads(o, b, t, heads, lw.empty("oc", (b * t, d)))
+    oc = _merge_heads(o, b, t, heads, lw.out("oc", (b * t, d)))
     out = np.matmul(oc, params[f"{pfx}.attn.wo"], out=lw.out("out", (b * t, d)))
     cache = {
         "x2": x2, "qn": qn, "kn": kn, "vh": vh, "att": att, "oc": oc,
@@ -437,7 +444,7 @@ def _attn_backward(params, cfg, pfx, cache, dout, grads, ws=FRESH):
     do = d_oc.reshape(b, t, heads, hd).transpose(0, 2, 1, 3)
     datt = np.matmul(do, vh.swapaxes(-1, -2), out=ws.shared("attn_backward.datt", att.shape))
     dvh = np.matmul(att.swapaxes(-1, -2), do, out=ws.shared("attn.heads", vh.shape))
-    dv = _merge_heads(dvh, b, t, heads, lw.empty("v", (b * t, d)))
+    dv = _merge_heads(dvh, b, t, heads, lw.out("v", (b * t, d)))
     # softmax backward, in place: dscores = att * (datt - sum(datt * att))
     dscores = datt
     datt_att = np.multiply(datt, att, out=ws.shared("attn_backward.datt_att", att.shape))
@@ -447,14 +454,14 @@ def _attn_backward(params, cfg, pfx, cache, dout, grads, ws=FRESH):
     dqn = np.matmul(dscores, kn, out=ws.shared("attn.heads", qn.shape))
     dqn *= inv_scale
     dkn = np.matmul(dscores.swapaxes(-1, -2), qn,
-                    out=lw.empty("oc", (b * t, d)).reshape(kn.shape))
+                    out=lw.out("oc", (b * t, d)).reshape(kn.shape))
     dkn *= inv_scale
     dqn_rows = dqn.reshape(b * heads * t, hd)
     dkn_rows = dkn.reshape(b * heads * t, hd)
     dq_rows = _slot_backward(params, cfg, f"{pfx}.q_norm", cache["q_cache"], dqn_rows, grads, ws)
     dk_rows = _slot_backward(params, cfg, f"{pfx}.k_norm", cache["k_cache"], dkn_rows, grads, ws)
     dq = _merge_heads(dq_rows, b, t, heads, ws.shared("attn.proj", (b * t, d)))
-    dk = _merge_heads(dk_rows, b, t, heads, lw.empty("oc", (b * t, d)))
+    dk = _merge_heads(dk_rows, b, t, heads, lw.out("oc", (b * t, d)))
     x2 = cache["x2"]
     for w, dw in (("wq", dq), ("wk", dk), ("wv", dv)):
         grads[names[w]] = np.matmul(x2.T, dw, out=_grad(ws, names[w], params))
@@ -528,8 +535,7 @@ def model_forward(params, cfg: ModelConfig, tokens, sites=None, ws=FRESH):
         raise ValueError("tokens must be (batch, time)")
     if tokens.shape[1] > cfg.context:
         raise ValueError(f"sequence length {tokens.shape[1]} exceeds context {cfg.context}")
-    if tokens.min() < 0 or tokens.max() >= cfg.vocab:
-        raise ValueError("token id out of range")
+    _check_ids(tokens, cfg.vocab, "token")
     b, t = tokens.shape
     d = cfg.hidden_dim
     # the ids were checked, so "clip" changes none; it lets take write into
@@ -570,11 +576,11 @@ def model_backward(params, cfg: ModelConfig, caches, dlogits, ws=FRESH):
     dx = _slot_backward(params, cfg, "final_norm", caches["final_norm"], d_fn, grads, ws)
     for i in reversed(range(cfg.layers)):
         dx = _block_backward(params, cfg, i, caches["blocks"][i], dx, grads, ws)
-    d_emb = ws.empty("grad.embed.weight", params["embed.weight"].shape)
+    d_emb = ws.out("grad.embed.weight", params["embed.weight"].shape)
     d_emb.fill(0.0)
     np.add.at(d_emb, tokens.ravel(), dx)
     grads["embed.weight"] = d_emb
-    d_pos = ws.empty("grad.pos_embed.weight", params["pos_embed.weight"].shape)
+    d_pos = ws.out("grad.pos_embed.weight", params["pos_embed.weight"].shape)
     d_pos[t:] = 0.0
     dx.reshape(b, t, d).sum(axis=0, out=d_pos[:t])
     grads["pos_embed.weight"] = d_pos
@@ -583,7 +589,7 @@ def model_backward(params, cfg: ModelConfig, caches, dlogits, ws=FRESH):
 
 def model_loss(params, cfg: ModelConfig, tokens, targets) -> float:
     logits, _ = model_forward(params, cfg, tokens)
-    loss, _ = softmax_cross_entropy(logits, np.asarray(targets).reshape(-1))
+    loss, _ = softmax_cross_entropy(logits, targets)
     return loss
 
 
@@ -595,7 +601,7 @@ def loss_and_grads(model: Model, tokens, targets, ws=FRESH):
     call given it; by default they are fresh arrays.
     """
     logits, caches = model_forward(model.params, model.cfg, tokens, ws=ws)
-    loss, dlogits = softmax_cross_entropy(logits, np.asarray(targets).reshape(-1), ws)
+    loss, dlogits = softmax_cross_entropy(logits, targets, ws)
     grads = model_backward(model.params, model.cfg, caches, dlogits, ws)
     return loss, grads
 
@@ -639,13 +645,22 @@ def save_checkpoint(model: Model, path, opt_state=None) -> None:
         json.dump(blob, fh)
 
 
-def _restore_array(raw, name: str, shape, what: str):
-    flat = np.asarray(raw, dtype=np.float64)
-    expect = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    if flat.size != expect:
-        raise ValueError(f"checkpoint {what} {name} has wrong size")
-    require_finite(flat, f"checkpoint {what} {name}")
-    return flat.reshape(shape)
+def _restore(arrays: dict, raw, where: str, what: str) -> None:
+    """Fill each array of ``arrays`` from its entry of ``raw``, the checkpoint
+    section ``where``, which may name no other array."""
+    for name, w in arrays.items():
+        flat = np.asarray(_entry(raw, name, where), dtype=np.float64)
+        if flat.size != w.size:
+            raise ValueError(f"checkpoint {what} {name} has wrong size")
+        require_finite(flat, f"checkpoint {what} {name}")
+        w[...] = flat.reshape(w.shape)
+    _refuse_unknown(raw, arrays, f"{where} entries")
+
+
+def _refuse_unknown(section: dict, known, what: str) -> None:
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ValueError(f"unknown checkpoint {what}: {', '.join(unknown)}")
 
 
 # Settings older v1 files carry that are now fixed, each with the one value
@@ -662,9 +677,7 @@ def _config_from_blob(raw) -> ModelConfig:
         if type(value) is not type(fixed) or value != fixed:
             raise ValueError(f"checkpoint config {key} must be {fixed!r}, got {value!r}")
     kinds = {f.name: type(f.default) for f in fields(ModelConfig)}
-    unknown = sorted(set(raw) - set(kinds))
-    if unknown:
-        raise ValueError(f"unknown checkpoint config keys: {', '.join(unknown)}")
+    _refuse_unknown(raw, kinds, "config keys")
     for key, value in raw.items():  # json reads 2 as an int, 2.0 as a float, true as a bool
         if type(value) is not kinds[key] and (kinds[key], type(value)) != (float, int):
             raise ValueError(f"checkpoint config {key} must be a JSON "
@@ -680,11 +693,12 @@ def _entry(section: dict, key: str, where: str):
 
 
 def load_checkpoint(path):
-    """Returns (Model, OptimizerState or None); the parameters tile one
-    buffer, as a built model's do. Shapes are validated, and a missing
-    section, parameter or optimizer field, an array with a NaN or an
-    infinity, or an optimizer step or decay flag of another JSON type,
-    raises ValueError naming it."""
+    """Returns (Model, OptimizerState or None); the parameters and each
+    moment tile one buffer, as a built model's and a new state's do. Shapes
+    are validated, and a missing section, parameter or optimizer field, a
+    name the config does not define, an array with a NaN or an infinity, or
+    an optimizer step or decay flag of another JSON type, raises ValueError
+    naming it."""
     with open(path, encoding="utf-8") as fh:
         blob = json.load(fh)
     fmt = blob.get("format") if isinstance(blob, dict) else None
@@ -693,19 +707,12 @@ def load_checkpoint(path):
     cfg = _config_from_blob(_entry(blob, "config", "file"))
     raw = _entry(blob, "params", "file")
     params = _parameter_views(cfg)
-    for name, w in params.items():
-        w[...] = _restore_array(_entry(raw, name, "params"), name, w.shape, "param")
+    _restore(params, raw, "params", "param")
     model = Model(cfg=cfg, params=params)
     opt_blob = blob.get("optimizer")
     if opt_blob is None:
         return model, None
     from .optim import OptimizerState  # deferred: optim imports this module
-
-    def moments(key):
-        raw = _entry(opt_blob, key, "optimizer")
-        where = f"optimizer.{key}"
-        return {n: _restore_array(_entry(raw, n, where), n, w.shape, where)
-                for n, w in params.items()}
 
     step = _entry(opt_blob, "step", "optimizer")
     # json reads true as a bool and 2.7 or 1e30 as a float: only an int is a step
@@ -716,4 +723,10 @@ def load_checkpoint(path):
     for n, flag in flags.items():
         if type(flag) is not bool:
             raise ValueError(f"checkpoint optimizer.decay {n} must be a boolean, got {flag!r}")
-    return model, OptimizerState(m=moments("m"), v=moments("v"), step=step, decay=flags)
+    _refuse_unknown(decay, flags, "optimizer.decay entries")
+    state = OptimizerState.init(params, flags)
+    state.step = step
+    for key in ("m", "v"):
+        where = f"optimizer.{key}"
+        _restore(getattr(state, key), _entry(opt_blob, key, "optimizer"), where, where)
+    return model, state

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FRESH, Workspace, mapped_views
+from .core import FRESH, Workspace, tiled_zeros
 from .model import ModelConfig, parameter_specs
 
 
@@ -38,11 +38,12 @@ def _check_range(name: str, value: float, high: float) -> float:
 class OptimizerState:
     """First/second moments per parameter, step count, and the decay set.
 
-    ``init`` makes each moment dict views of one ``mapped_zeros`` vector,
-    in the parameters' order. ``scratch`` holds the two arrays per parameter
-    shape, "update" and "denom", that ``adamw_step`` computes its update in,
-    kept from one step to the next; it carries no state and is not saved
-    with a checkpoint.
+    ``init`` makes each moment dict views that tile one vector
+    (``tiled_zeros``), in the parameters' order; ``load_checkpoint`` fills
+    such a state. ``scratch`` holds the two arrays per parameter shape,
+    "update" and "denom", that ``adamw_step`` computes its update in, kept
+    from one step to the next; it carries no state and is not saved with a
+    checkpoint.
     """
 
     m: dict = field(default_factory=dict)
@@ -53,12 +54,9 @@ class OptimizerState:
 
     @classmethod
     def init(cls, params: dict, decay: dict) -> "OptimizerState":
-        return cls(
-            m=mapped_views(params),
-            v=mapped_views(params),
-            step=0,
-            decay=dict(decay),
-        )
+        count = sum(p.size for p in params.values())
+        specs = [(name, p.shape) for name, p in params.items()]
+        return cls(m=tiled_zeros(count, specs), v=tiled_zeros(count, specs), decay=dict(decay))
 
 
 def decay_flags(cfg: ModelConfig) -> dict:

@@ -208,6 +208,21 @@ class TestForwardPass:
         with pytest.raises(ValueError, match="range"):
             model_forward(m.params, cfg, np.array([[0, 99]]))
 
+    @pytest.mark.parametrize("tokens", [np.array([[0.0, 1.0]]), np.array([[True, False]]),
+                                        [[0, 1.5]]], ids=["float", "bool", "list-float"])
+    def test_non_integer_tokens_value_error(self, tokens):
+        cfg = tiny_cfg()
+        m = build_model(cfg, make_rng(0))
+        with pytest.raises(ValueError, match="^token ids must be integers, got dtype "):
+            model_forward(m.params, cfg, tokens)
+
+    @pytest.mark.parametrize("token", [-1, 5], ids=["negative", "vocab"])
+    def test_token_out_of_range_message(self, token):
+        cfg = tiny_cfg()
+        m = build_model(cfg, make_rng(0))
+        with pytest.raises(ValueError, match="^token id out of range$"):
+            model_forward(m.params, cfg, np.array([[0, token]]))
+
     def test_context_overflow_validated(self):
         cfg = tiny_cfg()
         m = build_model(cfg, make_rng(0))
@@ -222,7 +237,43 @@ class TestForwardPass:
         assert not np.allclose(logits[0], logits[1])
 
 
+BAD_TARGETS = [
+    (np.array([0, -1]), "^target id out of range$"),
+    (np.array([0, 5]), "^target id out of range$"),
+    (np.array([[0, 2 ** 40]]), "^target id out of range$"),
+    (np.array([0, 1, 2]), "^3 targets for 2 rows of logits$"),
+    (np.array([1]), "^1 targets for 2 rows of logits$"),
+    (np.array([0.0, 1.0]), "^target ids must be integers, got dtype float64$"),
+    (np.array([True, False]), "^target ids must be integers, got dtype bool$"),
+]
+BAD_TARGET_IDS = ["negative", "vocab", "huge", "too-many", "too-few", "float", "bool"]
+
+
 class TestLossAndGrads:
+    @pytest.mark.parametrize("targets,message", BAD_TARGETS, ids=BAD_TARGET_IDS)
+    def test_softmax_cross_entropy_rejects_bad_targets(self, targets, message):
+        # vocab 5: -1 would pick class 4 and 5 would index past the row
+        logits = make_rng(3).normal(size=(2, 5))
+        with pytest.raises(ValueError, match=message):
+            softmax_cross_entropy(logits, targets)
+
+    @pytest.mark.parametrize("targets,message", BAD_TARGETS, ids=BAD_TARGET_IDS)
+    def test_model_losses_reject_bad_targets(self, targets, message):
+        cfg = tiny_cfg()
+        m = build_model(cfg, make_rng(0))
+        tokens = np.array([[1, 2]])
+        with pytest.raises(ValueError, match=message):
+            loss_and_grads(m, tokens, targets)
+        with pytest.raises(ValueError, match=message):
+            model_loss(m.params, cfg, tokens, targets)
+
+    def test_targets_in_the_tokens_shape_are_one_per_row(self):
+        cfg = tiny_cfg()
+        m = build_model(cfg, make_rng(0))
+        tokens = np.array([[1, 2], [3, 4]])
+        loss, _ = loss_and_grads(m, tokens, np.array([[0, 4], [2, 1]]))
+        assert loss == model_loss(m.params, cfg, tokens, [0, 4, 2, 1])
+
     def test_softmax_cross_entropy_manual(self):
         logits = np.array([[1.0, 2.0, 0.5], [0.0, 0.0, 0.0]])
         targets = np.array([1, 2])
@@ -357,6 +408,20 @@ class TestCheckpoint:
         assert opt is not None
         assert opt.step == 42
         assert np.allclose(opt.m["embed.weight"], 0.5)
+
+    @pytest.mark.parametrize("section", ["params", "m", "v", "decay"])
+    @pytest.mark.parametrize("extra", [["bogus"], ["layer9.attn.wq", "bogus"]],
+                             ids=["bogus", "deeper-layer"])
+    def test_names_the_config_does_not_define_refused(self, tmp_path, section, extra):
+        path, blob = self._saved_optimizer_blob(tmp_path)
+        entries = blob["params"] if section == "params" else blob["optimizer"][section]
+        for name in extra:
+            entries[name] = True if section == "decay" else [0.0] * 16
+        path.write_text(json.dumps(blob))
+        where = "params" if section == "params" else rf"optimizer\.{section}"
+        with pytest.raises(ValueError, match=rf"^unknown checkpoint {where} entries: "
+                                             rf"{re.escape(', '.join(sorted(extra)))}$"):
+            load_checkpoint(str(path))
 
     def test_format_tag_checked(self, tmp_path):
         path = tmp_path / "bad.json"

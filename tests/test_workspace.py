@@ -17,7 +17,14 @@ import pytest
 from seednorm import model as layer_fns
 from seednorm import training
 from seednorm.core import FRESH, MAP_MIN, Workspace, make_rng, spawn_seeds
-from seednorm.model import ModelConfig, build_model, count_parameters, loss_and_grads
+from seednorm.model import (
+    ModelConfig,
+    build_model,
+    count_parameters,
+    load_checkpoint,
+    loss_and_grads,
+    save_checkpoint,
+)
 from seednorm.norms import NORMS
 from seednorm.optim import (
     AdamWConfig,
@@ -152,7 +159,7 @@ def test_workspace_arrays_come_from_maps_that_go_with_it():
     ws = Workspace()
     a = ws.shared("a", (3, 5))
     c = ws.scope("slot").out("c", (7,))
-    big = ws.empty("big", (2**17,))  # 1 MiB: past what the first map has left
+    big = ws.out("big", (2**17,))  # 1 MiB: past what the first map has left
     assert ws.shared("a", (3, 5)) is a and ws.out("slot.c", (7,)) is c
     assert ws.shared("none", (0, 4)).shape == (0, 4)
     maps = [_owner(arr) for arr in (a, c, big)]
@@ -167,26 +174,48 @@ def test_workspace_arrays_come_from_maps_that_go_with_it():
     assert all(r() is None for r in refs)
 
 
+def _tiles_one_buffer(arrays, names, mapped):
+    """The one buffer that ``arrays``, keyed by ``names``, tile in order."""
+    assert list(arrays) == list(names)
+    [owner] = {id(_owner(a)): _owner(a) for a in arrays.values()}.values()
+    assert isinstance(owner, mmap.mmap) == mapped
+    base = next(iter(arrays.values()))
+    at = base.ctypes.data
+    for name, a in arrays.items():
+        assert a.ctypes.data == at and a.flags.c_contiguous, name
+        at += a.nbytes
+    return owner
+
+
+@pytest.mark.parametrize("variant", ["rmsnorm", "mh_seednorm"])
 @pytest.mark.parametrize("dim", [8, 64])
-def test_parameters_and_moments_each_fill_one_buffer(dim):
-    # a model's parameters and each optimizer moment are views of one
-    # buffer of zeros: a memory map of its own from MAP_MIN bytes (the
-    # criterion-8 shape, D=64), else NumPy's
-    m = build_model(small_cfg("mh_seednorm", hidden_dim=dim, attn_heads=4), make_rng(41))
+def test_parameters_and_moments_each_fill_one_buffer(dim, variant, tmp_path):
+    # a model's parameters and each optimizer moment, built or loaded, are
+    # views that tile one buffer: a memory map of its own from MAP_MIN bytes
+    # (the criterion-8 shape, D=64), else NumPy's
+    m = build_model(small_cfg(variant, hidden_dim=dim, attn_heads=4), make_rng(41))
     mapped = 8 * count_parameters(m.cfg) >= MAP_MIN
     assert mapped == (dim == 64)
     state = OptimizerState.init(m.params, decay_flags(m.cfg))
-    owners = []
-    for arrays in (m.params, state.m, state.v):
-        assert arrays.keys() == m.params.keys()
-        [owner] = {id(_owner(a)): _owner(a) for a in arrays.values()}.values()
-        assert isinstance(owner, mmap.mmap) == mapped
-        owners.append(owner)
-    assert len({id(o) for o in owners}) == 3
     for name, p in m.params.items():
         for moment in (state.m[name], state.v[name]):
             assert moment.shape == p.shape and moment.dtype == np.float64, name
             assert not moment.any(), name
+        state.m[name][...] = 1.0 + p  # nonzero moments, so loading must copy them
+        state.v[name][...] = np.abs(p)
+    state.step = 3
+    path = tmp_path / "state.json"
+    save_checkpoint(m, str(path), opt_state=state)
+    loaded, loaded_state = load_checkpoint(str(path))
+    owners = [_tiles_one_buffer(arrays, m.params, mapped)
+              for arrays in (m.params, state.m, state.v,
+                             loaded.params, loaded_state.m, loaded_state.v)]
+    assert len({id(o) for o in owners}) == 6
+    for mine, theirs in ((m.params, loaded.params), (state.m, loaded_state.m),
+                         (state.v, loaded_state.v)):
+        for name, a in mine.items():
+            assert theirs[name].tobytes() == a.tobytes(), name
+    assert loaded_state.step == 3
 
 
 @pytest.mark.parametrize("variant", list(NORMS))
@@ -212,19 +241,25 @@ def test_frozen_gradients_are_zeroed_in_their_workspace_arrays(variant, monkeypa
 
 
 def test_workspace_keys_by_name_and_shape():
+    # two requests: ``out`` is scoped, ``shared`` is not; both answer every
+    # request with an array, a workspace's kept and FRESH's new
     ws = Workspace()
-    a = ws.empty("a", (2, 3))
-    assert ws.empty("a", (2, 3)) is a
+    a = ws.out("a", (2, 3))
     assert ws.out("a", (2, 3)) is a
-    assert ws.empty("a", (3, 2)) is not a
+    assert ws.shared("a", (2, 3)) is a
+    assert ws.out("a", (3, 2)) is not a
     slot = ws.scope("layer0").scope("q_norm")
     assert slot.out("a", (2, 3)) is not a
-    assert slot.out("a", (2, 3)) is ws.empty("layer0.q_norm.a", (2, 3))
+    assert slot.out("a", (2, 3)) is ws.out("layer0.q_norm.a", (2, 3))
     assert slot.shared("a", (2, 3)) is a
-    assert FRESH.empty("a", (2, 3)) is not FRESH.empty("a", (2, 3))
-    assert FRESH.shared("a", (2, 3)) is not FRESH.shared("a", (2, 3))
-    assert FRESH.out("a", (2, 3)) is None
+    for request in (FRESH.out, FRESH.shared):
+        arr = request("a", (2, 3))
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+        assert arr.shape == (2, 3) and arr.flags.c_contiguous and arr.flags.writeable
+        assert request("a", (2, 3)) is not arr
     assert FRESH.scope("layer0") is FRESH
+    for source in (ws, FRESH):
+        assert not hasattr(source, "empty")
 
 
 @pytest.mark.parametrize("variant", list(NORMS))
