@@ -71,11 +71,8 @@ class Workspace:
 
     Calls given no workspace get ``FRESH``: it answers both with new arrays.
 
-    The arrays come from memory maps of the workspace's own (``_Slabs``),
-    not from the C heap: they are large, live as long as the workspace and
-    die with it, so a dropped workspace gives its memory back at once and
-    leaves no holes in the heap to shift where the process's later
-    allocations land.
+    The arrays come from memory maps of the workspace's own (``_Slabs``,
+    see ``_map``), so a dropped workspace gives its memory back at once.
     """
 
     __slots__ = ("_arrays", "_prefix", "_slabs")
@@ -133,8 +130,13 @@ class _Slabs:
 
 def _map(nbytes: int) -> mmap.mmap | None:
     """An anonymous memory map of ``nbytes`` rounded up to whole pages, or
-    None where the system makes none: the caller then asks NumPy, which
-    allocates or raises its own error."""
+    None under ``MAP_MIN`` bytes or where the system makes none: the caller
+    then asks NumPy, which allocates or raises its own error. Large arrays
+    in maps of their own stay out of the C heap, so freeing them leaves no
+    holes there to shift later allocations; a small array's hole would be
+    small, and a map costs a system call and a page fault tiny arrays show."""
+    if nbytes < MAP_MIN:
+        return None
     try:
         return mmap.mmap(-1, -(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE)
     except (OSError, OverflowError):
@@ -146,13 +148,9 @@ MAP_MIN = 128 << 10  # glibc's default mmap threshold
 
 def tiled_zeros(count: int, specs) -> dict:
     """Zeros for each (name, shape) of ``specs``, in its order, as views that
-    tile one float64 vector of ``count`` elements, allocated before
-    ``specs`` is iterated: a lazy ``specs`` past memory fails at once. From
-    ``MAP_MIN`` bytes the vector is a memory map of its own, out of the C
-    heap like a workspace's arrays; a smaller one comes from NumPy, since its
-    hole would be small and a map costs a system call and a page fault that
-    a tiny model's build shows."""
-    buf = _map(8 * count) if 8 * count >= MAP_MIN else None
+    tile one float64 vector of ``count`` elements (see ``_map``), allocated
+    before ``specs`` is iterated: a lazy ``specs`` past memory fails at once."""
+    buf = _map(8 * count)
     flat = np.zeros(count) if buf is None else np.frombuffer(buf, np.float64, count)
     views, at = {}, 0
     for name, shape in specs:
@@ -164,7 +162,8 @@ def tiled_zeros(count: int, specs) -> dict:
 
 
 class _Fresh:
-    """The buffer source of a call given no workspace: every array is new."""
+    """The buffer source of a call given no workspace: every array is new,
+    a large one in a memory map of its own (see ``_map``)."""
 
     __slots__ = ()
 
@@ -172,7 +171,8 @@ class _Fresh:
         return self
 
     def out(self, name: str, shape: tuple) -> np.ndarray:
-        return np.empty(shape)
+        buf = _map(8 * math.prod(shape))
+        return np.empty(shape) if buf is None else np.ndarray(shape, np.float64, buf)
 
     shared = out
 

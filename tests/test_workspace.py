@@ -260,6 +260,10 @@ def test_workspace_keys_by_name_and_shape():
     assert FRESH.scope("layer0") is FRESH
     for source in (ws, FRESH):
         assert not hasattr(source, "empty")
+    # FRESH keeps a large array out of the C heap, in a memory map of its own
+    big = FRESH.out("big", (2, MAP_MIN // 16))
+    assert isinstance(_owner(big), mmap.mmap) and big.shape == (2, MAP_MIN // 16)
+    assert not isinstance(_owner(FRESH.out("small", (2, 3))), mmap.mmap)
 
 
 @pytest.mark.parametrize("variant", list(NORMS))
