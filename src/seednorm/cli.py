@@ -173,9 +173,13 @@ def _resolve(opts, args) -> dict:
         cli_val = getattr(args, o.name)
         if cli_val is not None:
             values[o.name] = cli_val
+    written: dict = {}  # each output file's real path: the flag that names it
     for o in opts:
         if o.kind == "path" and values[o.name]:
             _check_output_path(o.flag, values[o.name])
+            first = written.setdefault(os.path.realpath(values[o.name]), o.flag)
+            if first != o.flag:
+                raise UsageError(f"{first} and {o.flag} name one file: {values[o.name]!r}")
     return values
 
 

@@ -69,22 +69,18 @@ class Workspace:
     - ``shared(name, shape)``: scratch that a kernel uses only while it
       runs, outside any scope, so every slot of the same shape reuses it.
 
-    Calls given no workspace get ``FRESH``: it answers both with new arrays.
-
-    The arrays come from memory maps of the workspace's own (``_Slabs``,
-    see ``_map``), so a dropped workspace gives its memory back at once.
+    Calls given no workspace get ``FRESH``, which answers both with new
+    arrays; a workspace keeps the one ``FRESH.out`` makes for a new key.
     """
 
-    __slots__ = ("_arrays", "_prefix", "_slabs")
+    __slots__ = ("_arrays", "_prefix")
 
-    def __init__(self, _arrays: dict | None = None, _prefix: str = "",
-                 _slabs: "_Slabs | None" = None):
+    def __init__(self, _arrays: dict | None = None, _prefix: str = ""):
         self._arrays = {} if _arrays is None else _arrays
         self._prefix = _prefix
-        self._slabs = _Slabs() if _slabs is None else _slabs
 
     def scope(self, prefix: str) -> "Workspace":
-        return Workspace(self._arrays, f"{self._prefix}{prefix}.", self._slabs)
+        return Workspace(self._arrays, f"{self._prefix}{prefix}.")
 
     def out(self, name: str, shape: tuple) -> np.ndarray:
         return self.shared(self._prefix + name, shape)
@@ -93,44 +89,14 @@ class Workspace:
         key = (name, shape)
         arr = self._arrays.get(key)
         if arr is None:
-            arr = self._arrays[key] = self._slabs.cut(shape)
-        return arr
-
-
-class _Slabs:
-    """Float64 arrays cut one after another from anonymous memory maps.
-
-    Each new map is at least as large as all earlier ones together, so n
-    bytes of arrays take O(log n) maps. Arrays start on 64-byte boundaries.
-    A map is unmapped when the last array cut from it is gone.
-    """
-
-    __slots__ = ("_map", "_used", "_mapped")
-
-    FIRST = 1 << 20
-    ALIGN = 64
-
-    def __init__(self):
-        self._map = None
-        self._used = self._mapped = 0
-
-    def cut(self, shape: tuple) -> np.ndarray:
-        count = math.prod(shape)
-        nbytes = 8 * count
-        if self._map is None or self._used + nbytes > len(self._map):
-            buf = _map(max(nbytes, self._mapped, self.FIRST))
-            if buf is None:
-                return np.empty(shape)
-            self._map, self._used = buf, 0
-            self._mapped += len(buf)
-        arr = np.frombuffer(self._map, np.float64, count, self._used).reshape(shape)
-        self._used += -(-nbytes // self.ALIGN) * self.ALIGN
+            arr = self._arrays[key] = FRESH.out(name, shape)
         return arr
 
 
 def _map(nbytes: int) -> mmap.mmap | None:
-    """An anonymous memory map of ``nbytes`` rounded up to whole pages, or
-    None under ``MAP_MIN`` bytes or where the system makes none: the caller
+    """The one rule that places every float64 array the library allocates:
+    an anonymous memory map of ``nbytes`` rounded up to whole pages, or None
+    under ``MAP_MIN`` bytes or where the system makes none, and the caller
     then asks NumPy, which allocates or raises its own error. Large arrays
     in maps of their own stay out of the C heap, so freeing them leaves no
     holes there to shift later allocations; a small array's hole would be
@@ -162,8 +128,8 @@ def tiled_zeros(count: int, specs) -> dict:
 
 
 class _Fresh:
-    """The buffer source of a call given no workspace: every array is new,
-    a large one in a memory map of its own (see ``_map``)."""
+    """The buffer source of a call given no workspace, and of each array a
+    workspace keeps: every array is new, placed by ``_map``'s rule."""
 
     __slots__ = ()
 

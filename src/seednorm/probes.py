@@ -145,6 +145,10 @@ def probe_scale_insensitivity(
 
     # each trial is one row; a forward treats every row alone, bit for bit
     x = rng.standard_normal((trials, p0.dim))
+    largest = float(np.max(np.abs(x)))
+    for k in k_values:
+        if not math.isfinite(k * largest):
+            raise ValueError(f"k={k:g} out of range: k * x overflows float64")
     out1, cache1 = mh_seednorm_forward(x, p0)
     bound = 2.0 * np.abs(p0.alpha * np.ones(p0.dim)) * np.abs(cache1.r)
     out_ref = np.maximum(1.0, np.max(np.abs(out1), axis=1))

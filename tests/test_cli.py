@@ -169,7 +169,9 @@ class TestExitCodes:
         ["dyt_rmsnorm_ode", "--c", "1e300"],
         ["dyt_rmsnorm_ode", "--span", "1e308"],
         ["scale_insensitivity", "--alpha-init", "1e308"],
-    ], ids=["sigma-huge", "sigma-tiny", "c-tiny", "c-huge", "span-huge", "alpha-huge"])
+        ["scale_insensitivity", "--k", "1e308"],
+    ], ids=["sigma-huge", "sigma-tiny", "c-tiny", "c-huge", "span-huge", "alpha-huge",
+            "k-huge"])
     def test_probe_parameter_out_of_float64_range_two(self, argv):
         # each makes a probe's closed form over- or underflow float64, which
         # would otherwise surface as a traceback, or as a PASS read off a NaN
@@ -697,6 +699,22 @@ class TestOutputPaths:
         rc, out, err = run(["gradcheck", "--json", str(tmp_path)], capsys)
         assert rc == 2 and out == ""
         assert err == f"error: --json: {str(tmp_path)!r} is a directory\n"
+
+    @pytest.mark.parametrize("command,first,second", [
+        ("train", "--csv", "--json"),
+        ("train", "--json", "--checkpoint"),
+        ("compare", "--csv", "--json"),
+    ])
+    def test_one_file_for_two_outputs_two_before_any_work(self, command, first, second,
+                                                          tmp_path, capsys):
+        # the second name reaches the first file through a link: one file still
+        report = tmp_path / "report"
+        (tmp_path / "link").symlink_to(report)
+        rc, out, err = run([command, *QUICK_ARGS[command], first, str(report),
+                            second, str(tmp_path / "link")], capsys)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and first in err and second in err
+        assert not report.exists()
 
     def test_path_from_config_file_checked(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -153,24 +153,25 @@ def _owner(arr):
         arr = up
 
 
-def test_workspace_arrays_come_from_maps_that_go_with_it():
-    # a workspace cuts its arrays from memory maps of its own, not from the
-    # C heap, and a map is unmapped once the workspace and its arrays are gone
-    ws = Workspace()
-    a = ws.shared("a", (3, 5))
-    c = ws.scope("slot").out("c", (7,))
-    big = ws.out("big", (2**17,))  # 1 MiB: past what the first map has left
-    assert ws.shared("a", (3, 5)) is a and ws.out("slot.c", (7,)) is c
+@pytest.mark.parametrize("source", ["workspace", "fresh"])
+def test_arrays_from_map_min_bytes_sit_in_maps_of_their_own(source):
+    # one rule places every array: from MAP_MIN bytes in an anonymous memory
+    # map of its own, below that from NumPy; a map is unmapped once its
+    # source and its array are gone
+    ws = Workspace() if source == "workspace" else FRESH
+    small = ws.out("small", (3, 5))
+    under = ws.shared("under", (MAP_MIN // 8 - 1,))
+    at_min = ws.out("at_min", (2, MAP_MIN // 16))
+    big = ws.scope("slot").shared("big", (2**17,))  # 1 MiB
     assert ws.shared("none", (0, 4)).shape == (0, 4)
-    maps = [_owner(arr) for arr in (a, c, big)]
-    assert all(isinstance(m, mmap.mmap) for m in maps)
-    assert maps[0] is maps[1] and maps[2] is not maps[0]
-    for arr in (a, c, big):
+    for arr in (small, under, at_min, big):
         assert arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.writeable
-        assert arr.ctypes.data % 64 == 0
-    assert not np.shares_memory(a, c)
+    assert not any(isinstance(_owner(arr), mmap.mmap) for arr in (small, under))
+    maps = [_owner(arr) for arr in (at_min, big)]
+    assert all(isinstance(m, mmap.mmap) for m in maps) and maps[0] is not maps[1]
+    assert at_min.shape == (2, MAP_MIN // 16) and len(maps[0]) == MAP_MIN
     refs = [weakref.ref(m) for m in maps]
-    del ws, a, c, big, arr, maps
+    del ws, small, under, at_min, big, arr, maps
     assert all(r() is None for r in refs)
 
 
@@ -260,10 +261,6 @@ def test_workspace_keys_by_name_and_shape():
     assert FRESH.scope("layer0") is FRESH
     for source in (ws, FRESH):
         assert not hasattr(source, "empty")
-    # FRESH keeps a large array out of the C heap, in a memory map of its own
-    big = FRESH.out("big", (2, MAP_MIN // 16))
-    assert isinstance(_owner(big), mmap.mmap) and big.shape == (2, MAP_MIN // 16)
-    assert not isinstance(_owner(FRESH.out("small", (2, 3))), mmap.mmap)
 
 
 @pytest.mark.parametrize("variant", list(NORMS))
